@@ -50,6 +50,14 @@ class Qi:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @staticmethod
+    def _of(re, im):
+        """Trusted constructor for components that are already Fractions."""
+        q = object.__new__(Qi)
+        q.re = re
+        q.im = im
+        return q
+
     # -- helpers
 
     @staticmethod
@@ -69,7 +77,7 @@ class Qi:
         o = Qi.coerce(other)
         if o is None:
             return NotImplemented
-        return Qi(self.re + o.re, self.im + o.im)
+        return Qi._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -77,20 +85,20 @@ class Qi:
         o = Qi.coerce(other)
         if o is None:
             return NotImplemented
-        return Qi(self.re - o.re, self.im - o.im)
+        return Qi._of(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = Qi.coerce(other)
         if o is None:
             return NotImplemented
-        return Qi(o.re - self.re, o.im - self.im)
+        return Qi._of(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = Qi.coerce(other)
         if o is None:
             return NotImplemented
-        return Qi(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return Qi._of(self.re * o.re - self.im * o.im,
+                      self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -101,8 +109,8 @@ class Qi:
         n2 = o.re * o.re + o.im * o.im
         if not n2:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return Qi((self.re * o.re + self.im * o.im) / n2,
-                  (self.im * o.re - self.re * o.im) / n2)
+        return Qi._of((self.re * o.re + self.im * o.im) / n2,
+                      (self.im * o.re - self.re * o.im) / n2)
 
     def __rtruediv__(self, other):
         o = Qi.coerce(other)
@@ -111,7 +119,7 @@ class Qi:
         return o / self
 
     def __neg__(self):
-        return Qi(-self.re, -self.im)
+        return Qi._of(-self.re, -self.im)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -143,7 +151,7 @@ class Qi:
         return not self.is_zero()
 
     def conj(self):
-        return Qi(self.re, -self.im)
+        return Qi._of(self.re, -self.im)
 
     def sqrt(self):
         """An exact square root in Q(i) or None.
@@ -336,6 +344,9 @@ class QiPoly:
     __repr__ = __str__
 
 
+_POLY_ONE = QiPoly((QI_ONE,))
+
+
 def _as_qipoly(v):
     if isinstance(v, QiPoly):
         return v
@@ -346,10 +357,21 @@ def _as_qipoly(v):
 
 
 class RatT:
-    """A reduced fraction of QiPoly values; the scalar field Q(i)(t).
+    """A reduced fraction num/den of QiPoly values; the scalar field Q(i)(t).
 
-    Construction goes through make_rat so that constants collapse back to
-    plain Qi values; code elsewhere can treat Qi and RatT uniformly.
+    Every value is canonical: num and den are coprime and den is monic.
+    Arithmetic results come back through _reduced or make_rat, so constants
+    collapse to plain Qi values and code elsewhere can treat Qi and RatT
+    uniformly.  RatT.lift(c) wraps a constant as c/1 without collapsing it;
+    that operand is reduced too, and it compares and hashes like c.
+
+    make_rat's polynomial gcd runs only where a common factor can arise:
+    for a sum or difference of two fractions whose denominators are both
+    non-constant, for a product of two non-constant values that are not
+    both polynomials, and for a quotient of two non-constant values.  Every
+    other result is reduced by construction and skips the gcd; for instance
+    (n + p*d)/d shares no factor with d, and a constant c divided by n/d is
+    c*d/n with n made monic.
     """
 
     __slots__ = ("num", "den")
@@ -365,12 +387,19 @@ class RatT:
         p = _as_qipoly(v)
         if p is None:
             return None
-        return RatT(p, QiPoly((QI_ONE,)))
+        return RatT(p, _POLY_ONE)
+
+    def _is_const(self):
+        return self.den.degree() == 0 and self.num.degree() <= 0
 
     def __add__(self, other):
         o = RatT.lift(other)
         if o is None:
             return NotImplemented
+        if o.den.degree() == 0:
+            return _reduced(self.num + o.num * self.den, self.den)
+        if self.den.degree() == 0:
+            return _reduced(self.num * o.den + o.num, o.den)
         return make_rat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -379,6 +408,10 @@ class RatT:
         o = RatT.lift(other)
         if o is None:
             return NotImplemented
+        if o.den.degree() == 0:
+            return _reduced(self.num - o.num * self.den, self.den)
+        if self.den.degree() == 0:
+            return _reduced(self.num * o.den - o.num, o.den)
         return make_rat(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
@@ -391,6 +424,12 @@ class RatT:
         o = RatT.lift(other)
         if o is None:
             return NotImplemented
+        # p * (n/d) is reduced when p is a constant or d is 1
+        if o.den.degree() == 0 and (o.num.degree() <= 0
+                                    or self.den.degree() == 0):
+            return _reduced(self.num * o.num, self.den)
+        if self._is_const():
+            return _reduced(self.num * o.num, o.den)
         return make_rat(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -401,6 +440,11 @@ class RatT:
             return NotImplemented
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if o._is_const():
+            return _reduced(self.num * (QI_ONE / o.num.lead()), self.den)
+        if self._is_const():
+            inv = QI_ONE / o.num.lead()
+            return _reduced(o.den * (self.num.lead() * inv), o.num * inv)
         return make_rat(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -417,9 +461,13 @@ class RatT:
             return NotImplemented
         if k < 0:
             return (1 / self) ** (-k)
-        out, base = Qi(1), self
-        for _ in range(k):
-            out = base * out
+        out, base = QI_ONE, self
+        while k:
+            if k & 1:
+                out = base * out
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -429,6 +477,8 @@ class RatT:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
+        if self._is_const():
+            return hash(self.num.lead())
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -448,11 +498,20 @@ class RatT:
         return None
 
     def __str__(self):
-        if self.den == QiPoly((QI_ONE,)):
+        if self.den == _POLY_ONE:
             return "(%s)" % self.num
         return "((%s)/(%s))" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _reduced(num: QiPoly, den: QiPoly):
+    """num/den for coprime num and monic den; constants come back as Qi."""
+    if num.is_zero():
+        return QI_ZERO
+    if den.degree() == 0 and num.degree() == 0:
+        return num.coeffs[0]
+    return RatT(num, den)
 
 
 def make_rat(num: QiPoly, den: QiPoly):
@@ -466,14 +525,10 @@ def make_rat(num: QiPoly, den: QiPoly):
         num = num.divmod(g)[0]
         den = den.divmod(g)[0]
     lead_inv = QI_ONE / den.lead()
-    num = num * lead_inv
-    den = den * lead_inv
-    if den.degree() == 0 and num.degree() <= 0:
-        return num.coeffs[0] if num.coeffs else QI_ZERO
-    return RatT(num, den)
+    return _reduced(num * lead_inv, den * lead_inv)
 
 
-T_PARAM = RatT(QiPoly((QI_ZERO, QI_ONE)), QiPoly((QI_ONE,)))
+T_PARAM = RatT(QiPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
 
 # The scalar field as used throughout the package.
 Scalar = (Qi, RatT)

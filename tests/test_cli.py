@@ -217,6 +217,88 @@ def test_run_json_report(tmp_path, capsys):
         assert set(rec) == {"id", "anchor", "status", "residual", "millis"}
 
 
+# A script in t whose residuals print rational functions as scalars, as
+# Grassmann coefficients, as matrix entries and inside curve components.
+T_SCRIPT = """\
+set generators 2
+let p = t + 1/2
+let q = t - 3
+let a = p / q
+assert_eq(a, a + 1)
+assert_zero(p * q)
+assert_zero(1 / a + (2 + 1i)*g1)
+assert_zero(a^3 - 1/(t^2 + 1)*g1*g2)
+assert_zero((t + 2i)^(-2)*g1 + 3/a)
+assert_eq(a * q, p + 1/t)
+let m = mul(sl2[[t, 2], [1/2, (1 + 1)/t]], susy(t*g1, 3*g2))
+assert_zero(m)
+assert_zero(inv(m))
+let c = curve(1; phi = (t*z + 1) / (z + 2); psi = (t*g2) / ((z + 2)^2))
+assert_zero(torus(2, c))
+assert_zero(act(m, c))
+assert_eq(mul(m, m), m)
+assert_error(1 / (t - t))
+1 / (p - p)
+"""
+
+# (id, anchor, status, residual) of each record of `sgk run --format json`
+T_SCRIPT_CHECKS = [
+    ("assert-1", "line-5", "fail",
+      "-1"),
+    ("assert-2", "line-6", "fail",
+      "(-3/2 + -5/2*t + t^2)"),
+    ("assert-3", "line-7", "fail",
+      "((-3 + t)/(1/2 + t)) + (2+1i)*g1"),
+    ("assert-4", "line-8", "fail",
+      "((1/8 + 3/4*t + 3/2*t^2 + t^3)/(-27 + 27*t + -9*t^2 + t^3)"
+      ") + ((-1)/(1 + t^2))*g1*g2"),
+    ("assert-5", "line-9", "fail",
+      "((-9 + 3*t)/(1/2 + t)) + ((1)/(-4 + (0+4i)*t + t^2))*g1"),
+    ("assert-6", "line-10", "fail",
+      "((-1)/(t))"),
+    ("assert-7", "line-12", "fail",
+      "sc[[(t) + (3/2*t^2)*g1*g2, 2 + (3*t)*g1*g2, (2*t)*g1 + (-3"
+      "*t)*g2], [1/2 + (3/4*t)*g1*g2, ((2)/(t)) + 3*g1*g2, 2*g1 -"
+      " 3/2*g2], [(t)*g1, 3*g2, 1 + (-3*t)*g1*g2]]"),
+    ("assert-8", "line-13", "fail",
+      "sc[[((2)/(t)) + 3*g1*g2, -2 + (-3*t)*g1*g2, 3*g2], [-1/2 +"
+      " (-3/4*t)*g1*g2, (t) + (3/2*t^2)*g1*g2, (-1*t)*g1], [-2*g1"
+      " + 3/2*g2, (2*t)*g1 + (-3*t)*g2, 1 + (-3*t)*g1*g2]]"),
+    ("assert-9", "line-15", "fail",
+      "curve(1; phi = ((1) + ((t))*z) / ((2) + (1)*z); psi = (((2"
+      "*t)*g2)) / ((4) + (4)*z + (1)*z^2))"),
+    ("assert-10", "line-16", "fail",
+      "curve(1; phi = ((((-1/8*t^2)/(-1/2 + t)) + ((1/8*t^4)/(1/4"
+      " + -1*t + t^2))*g1*g2)) / ((((1/8*t + -1/2*t^2)/(-1/2 + t)"
+      ") + ((1/8*t^3)/(1/4 + -1*t + t^2))*g1*g2) + (1)*z); psi = "
+      "((((-1/8*t^3)/(-1/2 + t))*g1 + ((1/16*t^4)/(1/4 + -1*t + t"
+      "^2))*g2) + (((-3/16*t^2 + 1/4*t^3)/(1/4 + -1*t + t^2))*g2)"
+      "*z) / ((((1/64*t^2 + -1/8*t^3 + 1/4*t^4)/(1/4 + -1*t + t^2"
+      ")) + ((1/32*t^4 + -1/8*t^5)/(-1/8 + 3/4*t + -3/2*t^2 + t^3"
+      "))*g1*g2) + (((1/4*t + -1*t^2)/(-1/2 + t)) + ((1/4*t^3)/(1"
+      "/4 + -1*t + t^2))*g1*g2)*z + (1)*z^2))"),
+    ("assert-11", "line-17", "fail",
+      "values differ"),
+    ("assert-12", "line-18", "pass",
+      None),
+    ("stmt-19", "line-19", "error",
+      "line 19:3: not invertible: body is zero"),
+]
+
+
+def test_run_json_report_pins_t_forms(tmp_path, capsys):
+    script = tmp_path / "t.sgk"
+    script.write_text(T_SCRIPT)
+    assert main(["run", str(script), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    for rec in payload["checks"]:
+        del rec["millis"]
+    keys = ("id", "anchor", "status", "residual")
+    assert payload == {
+        "ok": False, "generators": 2,
+        "checks": [dict(zip(keys, row)) for row in T_SCRIPT_CHECKS]}
+
+
 def test_repl_evaluates_lines(monkeypatch, capsys):
     lines = iter(["let a = 2", "a * 3", "assert_eq(a, 2)", "exit"])
     monkeypatch.setattr(builtins, "input", lambda prompt="": next(lines))

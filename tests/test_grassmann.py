@@ -1,14 +1,16 @@
 """Arithmetic in the exact coefficient scalars and the Grassmann algebra."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
-                           SuperNumber, T_PARAM, random_qi,
+                           SuperNumber, T_PARAM, make_rat, random_qi,
                            random_supernumber, scalar_sqrt)
 
 
@@ -69,6 +71,10 @@ def test_ratt_normalization_and_arithmetic():
     assert not (t - t)
     with pytest.raises(ZeroDivisionError):
         _ = one / (t - t)
+    for x, zero in ((1, RatT.lift(0)), (t, 0), (RatT.lift(2), Qi(0))):
+        with pytest.raises(ZeroDivisionError,
+                           match="division by zero rational function"):
+            _ = x / zero
 
 
 def test_ratt_needs_explicit_lift():
@@ -77,15 +83,101 @@ def test_ratt_needs_explicit_lift():
     assert v + T_PARAM == T_PARAM + v
 
 
-@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4))
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-3, 9))
 @settings(max_examples=100, deadline=None)
 def test_ratt_evaluation_consistency(a, b, k):
-    # (a + b t)^k expands exactly
-    f = (RatT.lift(a) + RatT.lift(b) * T_PARAM) ** k
-    g = RatT.lift(1)
-    for _ in range(k):
-        g = g * (RatT.lift(a) + RatT.lift(b) * T_PARAM)
-    assert f == g
+    # (a + b t)^k expands exactly; k < 0 is the reciprocal of the product
+    base = RatT.lift(a) + RatT.lift(b) * T_PARAM
+    if k < 0 and not base:
+        with pytest.raises(ZeroDivisionError):
+            _ = base ** k
+        return
+    g = Qi(1)
+    for _ in range(abs(k)):
+        g = g * base
+    if k < 0:
+        g = 1 / g
+    f = base ** k
+    assert f == g and str(f) == str(g)
+
+
+def test_constant_ratt_hashes_like_its_qi():
+    for c in (Qi(2), Qi(0), Qi(Fraction(-1, 3), 2)):
+        lifted = RatT.lift(c)
+        assert lifted == c and hash(lifted) == hash(c)
+        assert {c: 1}[lifted] == 1
+        assert len({SuperNumber.scalar(2, c),
+                    SuperNumber.scalar(2, lifted)}) == 1
+
+
+# Reduced operands of every kind the RatT arithmetic meets.  Each RatT is
+# canonical: coprime numerator and monic denominator.  Half of the
+# polynomials are products of t and t + i, so that operands often share a
+# factor.
+small_qi = st.builds(Qi, st.integers(-3, 3), st.integers(-2, 2))
+linear_factor = st.sampled_from([QiPoly((c, 1)) for c in (0, Qi(0, 1))])
+nonconstant_poly = st.one_of(
+    st.builds(lambda cs, lead: QiPoly(cs + [lead]),
+              st.lists(small_qi, min_size=1, max_size=2),
+              small_qi.filter(bool)),
+    st.builds(lambda fs, c: functools.reduce(operator.mul, fs, QiPoly((c,))),
+              st.lists(linear_factor, min_size=1, max_size=2),
+              small_qi.filter(bool)),
+)
+plain_scalars = st.one_of(st.integers(-3, 3), small_fraction, qi_values)
+ratt_operands = st.one_of(
+    qi_values.map(RatT.lift),               # uncollapsed constants
+    nonconstant_poly.map(RatT.lift),        # polynomials
+    st.builds(make_rat,
+              st.one_of(st.lists(small_qi, max_size=3).map(QiPoly),
+                        nonconstant_poly),
+              nonconstant_poly).filter(
+        lambda v: isinstance(v, RatT) and v.den.degree() > 0),
+)
+
+# each operator with the make_rat route it must agree with
+RATT_ROUTES = {
+    "+": (operator.add,
+          lambda a, b: make_rat(a.num * b.den + b.num * a.den, a.den * b.den)),
+    "-": (operator.sub,
+          lambda a, b: make_rat(a.num * b.den - b.num * a.den, a.den * b.den)),
+    "*": (operator.mul, lambda a, b: make_rat(a.num * b.num, a.den * b.den)),
+    "/": (operator.truediv,
+          lambda a, b: make_rat(a.num * b.den, a.den * b.num)),
+}
+
+
+_T_OVER = make_rat(QiPoly((0, 1)), QiPoly((Qi(0, 1), 1)))   # t/(t + i)
+
+
+@given(st.one_of(st.tuples(ratt_operands, ratt_operands),
+                 st.tuples(ratt_operands, plain_scalars),
+                 st.tuples(plain_scalars, ratt_operands)),
+       st.sampled_from(sorted(RATT_ROUTES)))
+@example(pair=(1 / T_PARAM, T_PARAM), op="*")
+@example(pair=(_T_OVER, T_PARAM), op="/")
+@example(pair=(T_PARAM, _T_OVER), op="/")
+@settings(max_examples=400, deadline=None)
+def test_ratt_fast_paths_match_make_rat(pair, op):
+    # a plain scalar on the left runs the reflected RatT operator
+    x, y = pair
+    a, b = RatT.lift(x), RatT.lift(y)
+    fast, reference = RATT_ROUTES[op]
+    if op == "/" and not b:
+        with pytest.raises(ZeroDivisionError,
+                           match="division by zero rational function"):
+            fast(x, y)
+        return
+    got, want = fast(x, y), reference(a, b)
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    if isinstance(want, Qi):
+        assert got == want
+        return
+    assert (got.num, got.den) == (want.num, want.den)
+    assert max(got.num.degree(), got.den.degree()) > 0
+    assert got.den.lead() == Qi(1)
+    assert got.num.gcd(got.den).degree() == 0
 
 
 def test_scalar_sqrt_ratt():
