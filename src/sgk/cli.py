@@ -35,6 +35,8 @@ Grammar sketch (statements are separated by newlines or semicolons):
 
 Inside a `curve` literal the name `z` is the coordinate; `t` is always the
 transcendental scalar parameter, `g1` .. `g8` the odd generators.
+Expressions nest at most MAX_NESTING levels deep (each "(", "[", sign and
+exponent is one level); deeper input is a syntax error.
 """
 
 from __future__ import annotations
@@ -157,12 +159,19 @@ def tokenize(text):
 _LITERAL_HEADS = ("sec", "curve", "cfg", "chart1", "chart2", "tree",
                   "treecfg")
 
+# Deepest sub-expression nesting the parser accepts.  Every nested "(", "[",
+# unary sign and exponent passes through parse_unary, which counts one level
+# each; the limit keeps both recursive descent and evaluation well inside
+# Python's recursion limit, so deep input gets a CLIError, not a crash.
+MAX_NESTING = 100
+
 
 class Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
         self.depth = 0
+        self.nesting = 0
 
     def _skip_nested_newlines(self):
         while self.depth > 0 and self.toks[self.pos].kind == "newline":
@@ -261,13 +270,20 @@ class Parser:
 
     def parse_unary(self):
         t = self.peek()
+        if self.nesting > MAX_NESTING:
+            raise CLIError("expression nested deeper than %d levels"
+                           % MAX_NESTING, t.line, t.col)
+        self.nesting += 1
         if t.kind == "-":
             self.advance()
-            return ("neg", self.parse_unary(), t.line, t.col)
-        if t.kind == "+":
+            node = ("neg", self.parse_unary(), t.line, t.col)
+        elif t.kind == "+":
             self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            node = self.parse_unary()
+        else:
+            node = self.parse_power()
+        self.nesting -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()

@@ -472,8 +472,7 @@ def phi_deformation_dim(d: int) -> int:
 
 
 def random_curve(rng, n, d, reduced=False) -> SuperCurve:
-    from .grassmann import random_supernumber
-    from .polyrat import ScalarPoly
+    from .grassmann import ScalarPoly, random_supernumber
 
     while True:
         bp = [random_qi(rng) for _ in range(d)] + [random_qi(rng, nonzero=True)]

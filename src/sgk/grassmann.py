@@ -4,7 +4,10 @@ Values are elements of Lambda_n (x) C for 0 <= n <= 8, written on the basis
 of products of anticommuting generators g1, ..., gn.  Coefficients are exact:
 Gaussian rationals (class Qi), optionally extended by a single transcendental
 even parameter t (class RatT, a reduced fraction of polynomials in t over the
-Gaussian rationals).  There is no floating point anywhere in this module.
+Gaussian rationals).  ScalarPoly is the one dense polynomial class over these
+scalars: RatT stores its numerator and denominator in it, and body-level
+coprimality checks run on it.  There is no floating point anywhere in this
+module.
 
 A SuperNumber is stored as a mapping from strictly increasing index tuples to
 nonzero scalar coefficients, so g2*g1 is represented as -1 times the basis
@@ -206,23 +209,30 @@ QI_I = Qi(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Rational functions in one transcendental parameter t over Q(i)
+# Scalar polynomials, and rational functions in one parameter t over Q(i)
 
 
-class QiPoly:
-    """Dense univariate polynomial in t with Qi coefficients."""
+class ScalarPoly:
+    """Dense univariate polynomial with scalar (Qi or RatT) coefficients.
+
+    RatT keeps its numerator and denominator as ScalarPoly values in t with
+    Qi coefficients; coprimality checks on curve bodies use the same class
+    with coefficients that may themselves involve t.  Printed forms use t as
+    the variable.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Qi) else Qi(c) for c in coeffs]
+        # as_scalar is defined below RatT; _POLY_ONE never reaches it
+        cs = [c if isinstance(c, Qi) else as_scalar(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
     def const(c):
-        return QiPoly((c,))
+        return ScalarPoly((c,))
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -240,42 +250,43 @@ class QiPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return QiPoly(out)
+        return ScalarPoly(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return QiPoly([-c for c in self.coeffs])
+        return ScalarPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Qi):
-            return QiPoly([c * other for c in self.coeffs])
+        if not isinstance(other, ScalarPoly):
+            s = other if isinstance(other, Qi) else as_scalar(other)
+            return ScalarPoly([c * s for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return QiPoly()
+            return ScalarPoly()
         out = [QI_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca.is_zero():
                 continue
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
-        return QiPoly(out)
+        return ScalarPoly(out)
 
     def __eq__(self, other):
-        return isinstance(other, QiPoly) and self.coeffs == other.coeffs
+        return isinstance(other, ScalarPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def divmod(self, other):
-        """Exact polynomial division with remainder over Q(i)."""
+        """Exact polynomial division with remainder over the scalar field."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return QiPoly(), self
+            return ScalarPoly(), self
         quo = [QI_ZERO] * (dq + 1)
         inv_lead = QI_ONE / other.lead()
         for k in range(dq, -1, -1):
@@ -284,7 +295,7 @@ class QiPoly:
             if not c.is_zero():
                 for j, oc in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * oc
-        return QiPoly(quo), QiPoly(rem)
+        return ScalarPoly(quo), ScalarPoly(rem)
 
     def gcd(self, other):
         a, b = self, other
@@ -297,7 +308,7 @@ class QiPoly:
     def sqrt(self):
         """Exact polynomial square root, or None."""
         if self.is_zero():
-            return QiPoly()
+            return ScalarPoly()
         d = self.degree()
         if d % 2:
             return None
@@ -318,7 +329,7 @@ class QiPoly:
                 if k + 1 <= j <= m - 1:
                     acc = acc - r[i] * r[j]
             r[k] = acc * inv2rm
-        cand = QiPoly(r)
+        cand = ScalarPoly(r)
         if cand * cand == self:
             return cand
         return None
@@ -344,20 +355,23 @@ class QiPoly:
     __repr__ = __str__
 
 
-_POLY_ONE = QiPoly((QI_ONE,))
+# the former name of ScalarPoly, kept for existing importers
+QiPoly = ScalarPoly
+
+_POLY_ONE = ScalarPoly((QI_ONE,))
 
 
-def _as_qipoly(v):
-    if isinstance(v, QiPoly):
+def _as_poly(v):
+    if isinstance(v, ScalarPoly):
         return v
     q = Qi.coerce(v)
     if q is None:
         return None
-    return QiPoly((q,))
+    return ScalarPoly((q,))
 
 
 class RatT:
-    """A reduced fraction num/den of QiPoly values; the scalar field Q(i)(t).
+    """A reduced fraction num/den of ScalarPoly values: the field Q(i)(t).
 
     Every value is canonical: num and den are coprime and den is monic.
     Arithmetic results come back through _reduced or make_rat, so constants
@@ -376,7 +390,7 @@ class RatT:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: QiPoly, den: QiPoly):
+    def __init__(self, num: ScalarPoly, den: ScalarPoly):
         self.num = num
         self.den = den
 
@@ -384,7 +398,7 @@ class RatT:
     def lift(v):
         if isinstance(v, RatT):
             return v
-        p = _as_qipoly(v)
+        p = _as_poly(v)
         if p is None:
             return None
         return RatT(p, _POLY_ONE)
@@ -505,7 +519,7 @@ class RatT:
     __repr__ = __str__
 
 
-def _reduced(num: QiPoly, den: QiPoly):
+def _reduced(num: ScalarPoly, den: ScalarPoly):
     """num/den for coprime num and monic den; constants come back as Qi."""
     if num.is_zero():
         return QI_ZERO
@@ -514,7 +528,7 @@ def _reduced(num: QiPoly, den: QiPoly):
     return RatT(num, den)
 
 
-def make_rat(num: QiPoly, den: QiPoly):
+def make_rat(num: ScalarPoly, den: ScalarPoly):
     """Reduced Qi-or-RatT value num/den; constants come back as Qi."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in rational function")
@@ -528,7 +542,7 @@ def make_rat(num: QiPoly, den: QiPoly):
     return _reduced(num * lead_inv, den * lead_inv)
 
 
-T_PARAM = RatT(QiPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
+T_PARAM = RatT(ScalarPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
 
 # The scalar field as used throughout the package.
 Scalar = (Qi, RatT)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grassmann import (
+    QI_ONE,
+    QI_ZERO,
     GrassmannError,
-    Qi,
     SuperNumber,
     as_scalar,
     scalar_is_zero,
@@ -26,14 +27,18 @@ from .grassmann import (
 # Scalar-field matrices (lists of lists of Qi / RatT)
 
 
-def field_rank(rows):
-    m = [[as_scalar(c) for c in row] for row in rows]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
+def _gauss_jordan(m, ncols):
+    """Reduce the first `ncols` columns of `m` in place; returns the rank.
+
+    Each pivot is the first nonzero entry at or below the current row in its
+    column; pivot rows are scaled to 1 and the column is cleared above and
+    below, so full-rank square columns end as the identity.
+    """
+    nr = len(m)
     rank = 0
-    col = 0
-    for col in range(nc):
+    for col in range(ncols):
+        if rank == nr:
+            break
         piv = None
         for r in range(rank, nr):
             if not scalar_is_zero(m[r][col]):
@@ -49,9 +54,12 @@ def field_rank(rows):
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
-        if rank == nr:
-            break
     return rank
+
+
+def field_rank(rows):
+    m = [[as_scalar(c) for c in row] for row in rows]
+    return _gauss_jordan(m, len(m[0])) if m else 0
 
 
 def field_solve(rows, rhs):
@@ -59,32 +67,20 @@ def field_solve(rows, rhs):
     n = len(rows)
     m = [[as_scalar(c) for c in row] + [as_scalar(b)]
          for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not scalar_is_zero(m[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise GrassmannError("singular scalar system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [c * inv for c in m[col]]
-        for r in range(n):
-            if r != col and not scalar_is_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    if _gauss_jordan(m, n) < n:
+        raise GrassmannError("singular scalar system")
+    return [row[n] for row in m]
 
 
 def field_inverse(rows):
+    """Inverse of a square scalar matrix, by eliminating [A | I] once."""
     n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Qi(1) if i == j else Qi(0) for i in range(n)]
-        cols.append(field_solve(rows, e))
-    # cols[j] is the j-th column of the inverse
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    m = [[as_scalar(c) for c in row] + [QI_ONE if i == j else QI_ZERO
+                                         for j in range(n)]
+         for i, row in enumerate(rows)]
+    if _gauss_jordan(m, n) < n:
+        raise GrassmannError("singular scalar system")
+    return [row[n:] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,8 @@ def module_rank_report(rows, n_gen=None) -> ModuleRankReport:
     if not rows or not rows[0]:
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
-        return ModuleRankReport(nr, nc, 0, nc, nr, False, _std_basis(nc, n_gen or 0))
+        return ModuleRankReport(nr, nc, 0, nc, nr, False,
+                                _identity(nc, n_gen or 0))
     n = rows[0][0].n
     nr, nc = len(rows), len(rows[0])
     work = [list(r) for r in rows]
@@ -255,7 +252,3 @@ def _identity(k, n):
     zero = SuperNumber.zero(n)
     return [[one if i == j else zero for j in range(k)] for i in range(k)]
 
-
-def _std_basis(k, n):
-    return [[SuperNumber.one(n) if i == j else SuperNumber.zero(n)
-             for i in range(k)] for j in range(k)]

@@ -1,11 +1,10 @@
-"""Polynomials with SuperNumber coefficients, plus body-level field polynomials.
+"""Polynomials with SuperNumber coefficients.
 
-Two layers live here.  ScalarPoly is a dense univariate polynomial over the
-scalar field (Gaussian rationals, possibly with the transcendental t); it
-supports exact division and gcd and is what coprimality checks run on.
 SuperPoly carries full Grassmann coefficients and provides the evaluation,
 derivative, and homogeneous-substitution operations that curve and bundle
-actions are built from.
+actions are built from.  Its body is a grassmann.ScalarPoly, the dense
+polynomial over the scalar field (Gaussian rationals, possibly with the
+transcendental t), and coprimality checks run on those bodies.
 """
 
 from __future__ import annotations
@@ -13,108 +12,10 @@ from __future__ import annotations
 from .grassmann import (
     GrassmannError,
     Qi,
+    ScalarPoly,
     SuperNumber,
-    as_scalar,
     is_scalar,
-    scalar_is_zero,
 )
-
-
-class ScalarPoly:
-    """Dense polynomial over the scalar field, used for body computations."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lead(self):
-        if not self.coeffs:
-            return Qi(0)
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarPoly) and len(self.coeffs) == len(other.coeffs) \
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __add__(self, other):
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] = a[i] + c
-        return ScalarPoly(a)
-
-    def __neg__(self):
-        return ScalarPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if is_scalar(other):
-            s = as_scalar(other)
-            return ScalarPoly([c * s for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ScalarPoly()
-        out = [Qi(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if scalar_is_zero(ca):
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return ScalarPoly(out)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        shift = len(rem) - len(other.coeffs)
-        if shift < 0:
-            return ScalarPoly(), self
-        quo = [Qi(0)] * (shift + 1)
-        inv = 1 / other.lead()
-        for k in range(shift, -1, -1):
-            c = rem[k + other.degree()] * inv
-            quo[k] = c
-            if not scalar_is_zero(c):
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return ScalarPoly(quo), ScalarPoly(rem)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.lead())
-
-    def eval(self, x):
-        x = as_scalar(x)
-        out = as_scalar(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join("(%s)*z^%d" % (c, i)
-                          for i, c in enumerate(self.coeffs)
-                          if not scalar_is_zero(c))
-
-    __repr__ = __str__
 
 
 def coprime_bodies(p: ScalarPoly, q: ScalarPoly) -> bool:
@@ -162,9 +63,6 @@ class SuperPoly:
 
     def body_poly(self) -> ScalarPoly:
         return ScalarPoly([c.body() for c in self.coeffs])
-
-    def body_degree(self):
-        return self.body_poly().degree()
 
     def even_part(self):
         return SuperPoly(self.n, [c.even_part() for c in self.coeffs])

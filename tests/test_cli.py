@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from sgk.cli import (CLIError, Evaluator, ScriptRunner, format_value, main,
-                     parse_text, tokenize, verify_paper)
+from sgk.cli import (MAX_NESTING, CLIError, Evaluator, ScriptRunner,
+                     format_value, main, parse_text, tokenize, verify_paper)
 from sgk.grassmann import Qi, SuperNumber
 
 # literals that must survive parse -> format -> parse unchanged
@@ -81,6 +81,22 @@ def test_parse_rejects_malformed_input():
     ):
         with pytest.raises(CLIError):
             parse_text(bad)
+    # one level past the nesting limit, through each recursive rule
+    deep = MAX_NESTING + 1
+    for bad in ("(" * deep + "2" + ")" * deep,
+                "[" * deep + "2" + "]" * deep,
+                "-" * deep + "2",
+                "^".join(["1"] * (deep + 1))):
+        with pytest.raises(CLIError, match="^line 1:[0-9]+: expression nested "
+                           "deeper than %d levels" % MAX_NESTING):
+            parse_text(bad)
+    # at the limit everything still parses and evaluates
+    k = MAX_NESTING
+    assert _eval_one("(" * k + "2" + ")" * k) == SuperNumber.scalar(3, 2)
+    assert _eval_one("-" * k + "2") == SuperNumber.scalar(3, 2)
+    assert _eval_one("^".join(["1"] * (k + 1))) == SuperNumber.scalar(3, 1)
+    assert format_value(_eval_one("[" * k + "2" + "]" * k)) \
+        == "[" * k + "2" + "]" * k
 
 
 def test_corpus_round_trips():
@@ -197,6 +213,12 @@ def test_run_reports_syntax_errors(tmp_path, capsys):
     script.write_text("let = 3\n")
     assert main(["run", str(script)]) == 1
     assert "syntax error" in capsys.readouterr().err
+    # nesting far past the limit is a syntax error, not a RecursionError
+    script.write_text("(" * 3000 + "1" + ")" * 3000 + "\n")
+    assert main(["run", str(script)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("syntax error: line 1:")
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_run_missing_file(capsys):

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
-                           SuperNumber, T_PARAM, make_rat, random_qi,
-                           random_supernumber, scalar_sqrt)
+                           ScalarPoly, SuperNumber, T_PARAM, make_rat,
+                           random_qi, random_supernumber, scalar_sqrt)
+from sgk.polyrat import coprime_bodies
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +330,32 @@ def test_qipoly_divmod_gcd():
     g = (t * t - one).gcd((t - one) * (t - one))
     qq, rr = (t - one).divmod(g)
     assert rr.is_zero()
+    # body coprimality over Q(i)(t): z - t against (z - t)(z + 1) and z + t
+    z_minus_t = ScalarPoly((-T_PARAM, 1))
+    assert not coprime_bodies(z_minus_t, z_minus_t * ScalarPoly((1, 1)))
+    assert coprime_bodies(z_minus_t, ScalarPoly((T_PARAM, 1)))
+
+
+# polynomials in a variable z whose coefficients mix Qi and RatT values
+scalar_coeffs = st.one_of(small_qi, ratt_operands)
+scalar_polys = st.lists(scalar_coeffs, max_size=3).map(ScalarPoly)
+
+
+@given(scalar_polys, scalar_polys, scalar_polys)
+@settings(max_examples=100, deadline=None)
+def test_scalar_poly_divmod_and_gcd(a, b, common):
+    if not b.is_zero():
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree() < b.degree()
+    # a shared factor makes the gcd nontrivial
+    if not common.is_zero():
+        a, b = a * common, b * common
+    g = a.gcd(b)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.lead() == Qi(1)
+    assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
+    if not (a.is_zero() or b.is_zero()):
+        assert g.degree() >= common.degree()

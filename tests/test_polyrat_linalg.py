@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
-    random_supernumber
+from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
+    random_qi, random_supernumber
 from sgk.linalg import (field_inverse, field_rank, field_solve, mat_mul,
                         mat_vec, module_rank_report, solve_body_invertible)
 from sgk.polyrat import SuperPoly, homog_subst, reverse_coeffs
@@ -138,6 +138,44 @@ def test_field_rank_and_solve():
             for j in range(2)] for i in range(2)]
     assert got == ident
     assert prod is not None  # shape check only
+
+    # random square systems over Q(i) and over Q(i)(t)
+    rng = random.Random(76)
+    draws = (lambda: random_qi(rng),
+             lambda: random_qi(rng) + random_qi(rng) * T_PARAM,
+             lambda: random_qi(rng) / (T_PARAM + random_qi(rng)))
+    for trial in range(30):
+        draw = draws[trial % 3]
+        size = rng.randint(1, 4 if trial % 3 == 0 else 3)
+        a = [[draw() for _ in range(size)] for _ in range(size)]
+        b = [draw() for _ in range(size)]
+        if field_rank(a) < size:
+            with pytest.raises(GrassmannError, match="singular"):
+                field_inverse(a)
+            continue
+        assert _scalar_mat_mul(field_inverse(a), a) == _scalar_identity(size)
+        x = field_solve(a, b)
+        assert _scalar_mat_mul(a, [[v] for v in x]) == [[v] for v in b]
+    # rectangular and rank-deficient inputs
+    t = T_PARAM
+    wide = [[1, t, 0], [0, 1, t]]
+    assert field_rank(wide) == 2
+    assert field_rank([list(col) for col in zip(*wide)]) == 2
+    assert field_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    r1, r2 = [1, t, Qi(0, 1)], [t, 2, t * t]
+    deficient = [r1, r2, [u + t * v for u, v in zip(r1, r2)]]
+    assert field_rank(deficient) == 2
+    with pytest.raises(GrassmannError, match="singular scalar system"):
+        field_inverse(deficient)
+
+
+def _scalar_mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Qi(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _scalar_identity(size):
+    return [[Qi(int(i == j)) for j in range(size)] for i in range(size)]
 
 
 def test_field_solve_singular():

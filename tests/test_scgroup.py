@@ -6,8 +6,8 @@ import pytest
 
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
     random_supernumber
-from sgk.scgroup import (NormalizationError, SCMatrix, act_point, identity,
-                         lift_sl2,
+from sgk.scgroup import (NormalizationError, SCMatrix, act_point,
+                         chart_pullback, identity, lift_sl2,
                          point_multiplier, random_sc_matrix, random_sl2_qi,
                          reflection, same_automorphism,
                          stabilizer_two_points, susy, three_point_normalize,
@@ -184,12 +184,24 @@ def test_lift_acts_as_fractional_linear_map():
 def test_action_is_a_right_action():
     rng = random.Random(87)
     n = 2
-    for _ in range(25):
+    agreed = 0
+    for k in range(25):
         m1 = random_sc_matrix(rng, n)
         m2 = random_sc_matrix(rng, n)
-        pt = ChartPoint(n, 1, random_supernumber(rng, n, parity=0),
+        pt = ChartPoint(n, 1 + k % 2, random_supernumber(rng, n, parity=0),
                         random_supernumber(rng, n, parity=1, max_terms=2))
         assert act_point(m1.mul(m2), pt) == act_point(m2, act_point(m1, pt))
+        # the chart quotient formulas are a second route wherever the image
+        # stays in the point's chart
+        try:
+            img = chart_pullback(m1, pt)
+        except GrassmannError as exc:
+            assert "leaves the chart" in str(exc)
+            continue
+        assert img.chart == pt.chart
+        assert img == act_point(m1, pt)
+        agreed += 1
+    assert agreed >= 20
 
 
 def test_action_covers_infinity():
