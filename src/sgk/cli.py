@@ -36,7 +36,9 @@ Grammar sketch (statements are separated by newlines or semicolons):
 Inside a `curve` literal the name `z` is the coordinate; `t` is always the
 transcendental scalar parameter, `g1` .. `g8` the odd generators.
 Expressions nest at most MAX_NESTING levels deep (each "(", "[", sign and
-exponent is one level); deeper input is a syntax error.
+exponent is one level); deeper input is a syntax error.  An exponent is an
+integer of absolute value at most MAX_EXPONENT; a larger one is an error at
+the "^", raised before any power is computed.
 """
 
 from __future__ import annotations
@@ -164,6 +166,12 @@ _LITERAL_HEADS = ("sec", "curve", "cfg", "chart1", "chart2", "tree",
 # each; the limit keeps both recursive descent and evaluation well inside
 # Python's recursion limit, so deep input gets a CLIError, not a crash.
 MAX_NESTING = 100
+
+# Largest exponent magnitude `^` accepts.  The degree of a power of `t`, or
+# of a rational function in the curve variable, grows with the exponent (the
+# latter is computed by repeated multiplication), so without a bound a
+# single `^` could run for hours.
+MAX_EXPONENT = 1000
 
 
 class Parser:
@@ -571,9 +579,8 @@ class Evaluator:
     def _as_int(self, v, what, line, col):
         if isinstance(v, SuperNumber) and v.soul().is_zero():
             b = v.body()
-            if isinstance(b, Qi) and b.im.numerator == 0 \
-                    and b.re.denominator == 1:
-                return int(b.re)
+            if isinstance(b, Qi) and not b.b and b.d == 1:
+                return b.a
         raise CLIError("%s must be an integer" % what, line, col)
 
     def _arith(self, op, a, b, line, col):
@@ -629,6 +636,9 @@ class Evaluator:
             _, base, expo, line, col = node
             v = self.eval(base, local)
             k = self._as_int(self.eval(expo, local), "exponent", line, col)
+            if abs(k) > MAX_EXPONENT:
+                raise CLIError("exponent exceeds the limit of %d in absolute "
+                               "value" % MAX_EXPONENT, line, col)
             try:
                 if isinstance(v, RatFunc):
                     return v.pow(k)

@@ -9,10 +9,21 @@ scalars: RatT stores its numerator and denominator in it, and body-level
 coprimality checks run on it.  There is no floating point anywhere in this
 module.
 
+A Qi is a canonical integer triple (a, b, d) meaning (a + b*i)/d, with d > 0
+and gcd(a, b, d) == 1; each ring operation works on the integers and divides
+by one gcd.  Qi(re, im) takes ints or Fractions, re and im read back as
+Fractions, and a Qi hashes like its Fraction components.
+
 A SuperNumber is stored as a mapping from strictly increasing index tuples to
 nonzero scalar coefficients, so g2*g1 is represented as -1 times the basis
-monomial (1, 2).  Multiplication signs are computed by counting transpositions
-while merging index tuples.
+monomial (1, 2).  The product of two basis monomials (their merged tuple and
+the sign of the transpositions that sort it, or None when they share a
+generator) is computed once by _merge_indices and kept in the module-level
+table _PRODUCTS, filled as products need it; it holds at most
+4 ** MAX_GENERATORS = 65536 pairs.  The public SuperNumber constructor
+validates indices and coefficients; results the class builds itself (sums,
+products, negation, parity and projection parts) go through the same
+__init__ with _trusted=True, which skips the checks.
 """
 
 from __future__ import annotations
@@ -45,21 +56,46 @@ def _frac_sqrt(f: Fraction):
 
 
 class Qi:
-    """A Gaussian rational re + im*i with Fraction components."""
+    """A Gaussian rational (a + b*i)/d, stored as a canonical integer triple.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples and equality is a tuple comparison.  Ring operations
+    work on the integers and divide by one gcd of the result; a sum of two
+    values over the same denominator skips the cross multiplication, and
+    results over d == 1 skip the gcd.  The components are also readable as
+    Fractions through the re and im properties.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # over the least common denominator the triple is already canonical
+        d = dr if dr == di else dr // math.gcd(dr, di) * di
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
 
     @staticmethod
-    def _of(re, im):
-        """Trusted constructor for components that are already Fractions."""
-        q = object.__new__(Qi)
-        q.re = re
-        q.im = im
+    def _of(a, b, d):
+        """Trusted constructor for a triple that is already canonical."""
+        q = _new_qi(Qi)
+        q.a = a
+        q.b = b
+        q.d = d
         return q
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     # -- helpers
 
@@ -67,53 +103,76 @@ class Qi:
     def coerce(v):
         if isinstance(v, Qi):
             return v
-        if isinstance(v, (int, Fraction)):
-            return Qi(v)
+        if isinstance(v, int):
+            return Qi._of(int(v), 0, 1)
+        if isinstance(v, Fraction):
+            return Qi._of(v.numerator, 0, v.denominator)
         return None
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     # -- ring operations
 
     def __add__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return Qi._of(self.re + o.re, self.im + o.im)
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d == other.d:
+            return _canonical(self.a + other.a, self.b + other.b, d)
+        d2 = other.d
+        return _canonical(self.a * d2 + other.a * d, self.b * d2 + other.b * d,
+                          d * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return Qi._of(self.re - o.re, self.im - o.im)
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d == other.d:
+            return _canonical(self.a - other.a, self.b - other.b, d)
+        d2 = other.d
+        return _canonical(self.a * d2 - other.a * d, self.b * d2 - other.b * d,
+                          d * d2)
 
     def __rsub__(self, other):
         o = Qi.coerce(other)
         if o is None:
             return NotImplemented
-        return Qi._of(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return Qi._of(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if b1 or b2:
+            return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                              self.d * other.d)
+        return _canonical(a1 * a2, 0, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.re * o.re + o.im * o.im
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
+        #   = d2 (a1 + b1 i)(a2 - b2 i) / (d1 (a2^2 + b2^2))
+        n2 = a2 * a2 + b2 * b2
         if not n2:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return Qi._of((self.re * o.re + self.im * o.im) / n2,
-                      (self.im * o.re - self.re * o.im) / n2)
+        d2 = other.d
+        return _canonical(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                          self.d * n2)
 
     def __rtruediv__(self, other):
         o = Qi.coerce(other)
@@ -122,14 +181,14 @@ class Qi:
         return o / self
 
     def __neg__(self):
-        return Qi._of(-self.re, -self.im)
+        return Qi._of(-self.a, -self.b, self.d)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (Qi(1) / self) ** (-k)
-        out, base = Qi(1), self
+            return (QI_ONE / self) ** (-k)
+        out, base = QI_ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -138,23 +197,28 @@ class Qi:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, RatT):
-            return other == self
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not Qi:
+            if isinstance(other, RatT):
+                return other == self
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
+        # the hashes of the Fraction components, so a real value hashes
+        # like the int or Fraction it equals
+        if not self.b:
+            if self.d == 1:
+                return hash(self.a)
+            return hash(Fraction(self.a, self.d))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a or self.b)
 
     def conj(self):
-        return Qi._of(self.re, -self.im)
+        return Qi._of(self.a, -self.b, self.d)
 
     def sqrt(self):
         """An exact square root in Q(i) or None.
@@ -164,35 +228,36 @@ class Qi:
         """
         if self.is_zero():
             return Qi(0)
-        if not self.im:
-            r = _frac_sqrt(self.re)
+        re, im = self.re, self.im
+        if not im:
+            r = _frac_sqrt(re)
             if r is not None:
                 return Qi(r)
-            r = _frac_sqrt(-self.re)
+            r = _frac_sqrt(-re)
             if r is not None:
                 return Qi(0, r)
             return None
-        norm = _frac_sqrt(self.re * self.re + self.im * self.im)
+        norm = _frac_sqrt(re * re + im * im)
         if norm is None:
             return None
-        u2 = (self.re + norm) / 2
+        u2 = (re + norm) / 2
         u = _frac_sqrt(u2)
         if u is None or not u:
             return None
-        v = self.im / (2 * u)
+        v = im / (2 * u)
         cand = Qi(u, v)
         if cand * cand == self:
-            if cand.re < 0 or (not cand.re and cand.im < 0):
+            if cand.a < 0 or (not cand.a and cand.b < 0):
                 cand = -cand
             return cand
         return None
 
     def __str__(self):
-        if not self.im:
+        if not self.b:
             return _frac_str(self.re)
-        return "(%s%s%si)" % (_frac_str(self.re),
-                              "+" if self.im >= 0 else "-",
-                              _frac_str(abs(self.im)))
+        im = self.im
+        return "(%s%s%si)" % (_frac_str(self.re), "+" if im >= 0 else "-",
+                              _frac_str(abs(im)))
 
     __repr__ = __str__
 
@@ -201,6 +266,24 @@ def _frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
+
+
+_new_qi = object.__new__
+
+
+def _canonical(a, b, d):
+    """The Qi (a + b*i)/d for integers a, b and d > 0, divided by their gcd."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    q = _new_qi(Qi)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
 
 
 QI_ZERO = Qi(0)
@@ -588,9 +671,9 @@ def scalar_lex_positive(s):
     s = as_scalar(s)
     if isinstance(s, RatT):
         s = s.num.lead()
-    if s.re:
-        return s.re > 0
-    return s.im > 0
+    if s.a:
+        return s.a > 0
+    return s.b > 0
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +705,29 @@ def _merge_indices(a, b):
     return tuple(out), (-1 if inv & 1 else 1)
 
 
+# _merge_indices(ka, kb), memoized as _PRODUCTS[ka][kb] when a product first
+# needs it.  Index tuples are subsets of 1..MAX_GENERATORS, so the table holds
+# at most 4 ** MAX_GENERATORS = 65536 entries.
+_PRODUCTS = {}
+_UNSEEN = object()
+
+
 class SuperNumber:
-    """An element of Lambda_n (x) C with exact scalar coefficients."""
+    """An element of Lambda_n (x) C with exact scalar coefficients.
+
+    The public constructor validates n, every index tuple and every
+    coefficient, and drops zero coefficients.  Results the class builds
+    itself pass _trusted=True with a dict that already satisfies those
+    invariants, which skips the checks.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=None, *, _trusted=False):
+        if _trusted:
+            self.n = n
+            self.terms = terms
+            return
         if not isinstance(n, int) or not 0 <= n <= MAX_GENERATORS:
             raise GrassmannError(
                 "generator count must be an integer between 0 and %d, got %r"
@@ -683,7 +783,8 @@ class SuperNumber:
         return self.terms.get((), QI_ZERO)
 
     def soul(self):
-        return SuperNumber(self.n, {k: v for k, v in self.terms.items() if k})
+        return SuperNumber(self.n, {k: v for k, v in self.terms.items() if k},
+                           _trusted=True)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
@@ -702,11 +803,11 @@ class SuperNumber:
 
     def even_part(self):
         return SuperNumber(self.n, {k: v for k, v in self.terms.items()
-                                    if not len(k) & 1})
+                                    if not len(k) & 1}, _trusted=True)
 
     def odd_part(self):
         return SuperNumber(self.n, {k: v for k, v in self.terms.items()
-                                    if len(k) & 1})
+                                    if len(k) & 1}, _trusted=True)
 
     def parity_split(self):
         return self.even_part(), self.odd_part()
@@ -714,7 +815,8 @@ class SuperNumber:
     def grade_flip(self):
         """The grade involution: odd terms change sign."""
         return SuperNumber(self.n, {k: (-v if len(k) & 1 else v)
-                                    for k, v in self.terms.items()})
+                                    for k, v in self.terms.items()},
+                           _trusted=True)
 
     def coeff(self, idx):
         return self.terms.get(tuple(idx), QI_ZERO)
@@ -743,12 +845,17 @@ class SuperNumber:
             return NotImplemented
         out = dict(self.terms)
         for k, v in o.terms.items():
-            s = out.get(k, QI_ZERO) + v
-            if scalar_is_zero(s):
-                out.pop(k, None)
+            prev = out.get(k)
+            if prev is None:
+                # 0 + v collapses a RatT constant such as RatT.lift(2) to Qi
+                out[k] = v if type(v) is Qi else QI_ZERO + v
+                continue
+            s = prev + v
+            if s.is_zero():
+                del out[k]
             else:
                 out[k] = s
-        return SuperNumber(self.n, out)
+        return SuperNumber(self.n, out, _trusted=True)
 
     __radd__ = __add__
 
@@ -765,28 +872,37 @@ class SuperNumber:
         return o + (-self)
 
     def __neg__(self):
-        return SuperNumber(self.n, {k: -v for k, v in self.terms.items()})
+        return SuperNumber(self.n, {k: -v for k, v in self.terms.items()},
+                           _trusted=True)
 
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
         out = {}
+        other_terms = o.terms.items()
         for ka, va in self.terms.items():
-            for kb, vb in o.terms.items():
-                merged = _merge_indices(ka, kb)
+            row = _PRODUCTS.get(ka)
+            if row is None:
+                row = _PRODUCTS[ka] = {}
+            for kb, vb in other_terms:
+                merged = row.get(kb, _UNSEEN)
+                if merged is _UNSEEN:
+                    merged = row[kb] = _merge_indices(ka, kb)
                 if merged is None:
                     continue
                 key, sign = merged
                 c = va * vb
-                if sign < 0:
-                    c = -c
-                s = out.get(key, QI_ZERO) + c
-                if scalar_is_zero(s):
-                    out.pop(key, None)
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = -c if sign < 0 else c
+                    continue
+                s = prev - c if sign < 0 else prev + c
+                if s.is_zero():
+                    del out[key]
                 else:
                     out[key] = s
-        return SuperNumber(self.n, out)
+        return SuperNumber(self.n, out, _trusted=True)
 
     def __rmul__(self, other):
         # scalars are central, so reflected multiplication needs no signs

@@ -62,9 +62,23 @@ def field_rank(rows):
     return _gauss_jordan(m, len(m[0])) if m else 0
 
 
+def _square_size(rows):
+    """n for an n x n matrix; GrassmannError naming the shape otherwise."""
+    n = len(rows)
+    widths = sorted({len(row) for row in rows})
+    if n and widths != [n]:
+        raise GrassmannError(
+            "scalar system must be square, got %d rows of %s columns"
+            % (n, "/".join(map(str, widths))))
+    return n
+
+
 def field_solve(rows, rhs):
     """Solve a square scalar system exactly; raises on singular input."""
-    n = len(rows)
+    n = _square_size(rows)
+    if len(rhs) != n:
+        raise GrassmannError(
+            "right-hand side has %d entries for %d equations" % (len(rhs), n))
     m = [[as_scalar(c) for c in row] + [as_scalar(b)]
          for row, b in zip(rows, rhs)]
     if _gauss_jordan(m, n) < n:
@@ -74,7 +88,7 @@ def field_solve(rows, rhs):
 
 def field_inverse(rows):
     """Inverse of a square scalar matrix, by eliminating [A | I] once."""
-    n = len(rows)
+    n = _square_size(rows)
     m = [[as_scalar(c) for c in row] + [QI_ONE if i == j else QI_ZERO
                                          for j in range(n)]
          for i, row in enumerate(rows)]

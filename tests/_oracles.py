@@ -12,10 +12,19 @@ Two oracles for the group action on curves:
 
 Plus the equivariance square for the odd-translation matrix, assembled from
 its displayed block structure.
+
+Two references for the scalar and monomial core: FractionQi, a Gaussian
+rational on a pair of Fractions (the representation Qi had before it moved
+to a canonical integer triple), and reference_product, the schoolbook
+Grassmann product without the memoized monomial table or the trusted
+constructor.
 """
 
+import math
+from fractions import Fraction
+
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import SuperNumber
+from sgk.grassmann import QI_ZERO, SuperNumber, _merge_indices
 from sgk.linalg import mat_mul
 from sgk.polyrat import SuperPoly, homog_subst
 from sgk.superspace import preferred_chart
@@ -191,3 +200,135 @@ def susy1_square(m_quad, cfg):
             block[k + i][k + j] = img.coeff(i)
     rhs = mat_mul(block, m_x)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# The scalar and monomial core
+
+
+def _frac_sqrt(f):
+    if f < 0:
+        return None
+    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _frac_str(f):
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+class FractionQi:
+    """re + im*i with Fraction components, every operation on Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def lift(v):
+        return v if isinstance(v, FractionQi) else FractionQi(v)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def __add__(self, other):
+        o = FractionQi.lift(other)
+        return FractionQi(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = FractionQi.lift(other)
+        return FractionQi(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return FractionQi.lift(other) - self
+
+    def __mul__(self, other):
+        o = FractionQi.lift(other)
+        return FractionQi(self.re * o.re - self.im * o.im,
+                          self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = FractionQi.lift(other)
+        n2 = o.re * o.re + o.im * o.im
+        if not n2:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionQi((self.re * o.re + self.im * o.im) / n2,
+                          (self.im * o.re - self.re * o.im) / n2)
+
+    def __rtruediv__(self, other):
+        return FractionQi.lift(other) / self
+
+    def __neg__(self):
+        return FractionQi(-self.re, -self.im)
+
+    def __pow__(self, k):
+        base = FractionQi(1) / self if k < 0 else self
+        out = FractionQi(1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        o = FractionQi.lift(other)
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def conj(self):
+        return FractionQi(self.re, -self.im)
+
+    def sqrt(self):
+        """The root whose first nonzero part is positive, or None."""
+        if self.is_zero():
+            return FractionQi(0)
+        if not self.im:
+            r = _frac_sqrt(self.re)
+            if r is not None:
+                return FractionQi(r)
+            r = _frac_sqrt(-self.re)
+            return None if r is None else FractionQi(0, r)
+        norm = _frac_sqrt(self.re * self.re + self.im * self.im)
+        if norm is None:
+            return None
+        u = _frac_sqrt((self.re + norm) / 2)
+        if not u:
+            return None
+        cand = FractionQi(u, self.im / (2 * u))
+        return cand if cand * cand == self else None
+
+    def __str__(self):
+        if not self.im:
+            return _frac_str(self.re)
+        return "(%s%s%si)" % (_frac_str(self.re),
+                              "+" if self.im >= 0 else "-",
+                              _frac_str(abs(self.im)))
+
+
+def reference_product(x, y):
+    """x * y term pair by term pair through _merge_indices, with no memo,
+    built by the validating constructor (which drops zero coefficients)."""
+    out = {}
+    for ka, va in x.terms.items():
+        for kb, vb in y.terms.items():
+            merged = _merge_indices(ka, kb)
+            if merged is None:
+                continue
+            key, sign = merged
+            c = va * vb
+            if sign < 0:
+                c = -c
+            out[key] = out.get(key, QI_ZERO) + c
+    return SuperNumber(x.n, out)

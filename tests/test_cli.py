@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from sgk.cli import (MAX_NESTING, CLIError, Evaluator, ScriptRunner,
-                     format_value, main, parse_text, tokenize, verify_paper)
+from sgk.cli import (MAX_EXPONENT, MAX_NESTING, CLIError, Evaluator,
+                     RatFunc, ScriptRunner, format_value, main, parse_text,
+                     tokenize, verify_paper)
 from sgk.grassmann import Qi, SuperNumber
 
 # literals that must survive parse -> format -> parse unchanged
@@ -113,6 +114,38 @@ def test_power_parsing():
     assert _eval_one("2 ^ -2") == SuperNumber.scalar(3, Qi(1) / Qi(4))
     assert _eval_one("2 ^ 3 ^ 2") == SuperNumber.scalar(3, Qi(512))
     assert _eval_one("-2 ^ 2") == SuperNumber.scalar(3, Qi(-4))
+
+
+def test_exponent_limit(tmp_path, capsys, monkeypatch):
+    # at the limit a cheap scalar base still evaluates, in both signs
+    k = MAX_EXPONENT
+    assert _eval_one("2^%d" % k) == SuperNumber.scalar(3, Qi(2 ** k))
+    assert _eval_one("(-2)^-%d" % k) \
+        == SuperNumber.scalar(3, Qi(1) / Qi(2 ** k))
+
+    # one over the limit is refused at the "^" before any power is taken
+    def no_work(*args):
+        raise AssertionError("a power was computed")
+
+    for name in ("__pow__", "invert"):
+        monkeypatch.setattr(SuperNumber, name, no_work)
+    monkeypatch.setattr(RatFunc, "pow", no_work)
+    for text, col in (("t^%d" % (k + 1), 2),
+                      ("g1 + 2^-%d" % (k + 1), 7),
+                      ("(t + 1)^(1000 * 1000000)", 8),
+                      ("curve(1; phi = (z + 1)^%d / (1); psi = (g1) / (1))"
+                       % (k + 1), 23)):
+        with pytest.raises(CLIError, match="^line 1:%d: exponent exceeds the "
+                           "limit of %d in absolute value$" % (col, k)):
+            _eval_one(text)
+    monkeypatch.undo()
+
+    script = tmp_path / "big.sgk"
+    script.write_text("let a = 2\nassert_eq(a^%d, 1)\n" % (k + 1))
+    assert main(["run", str(script)]) == 1
+    captured = capsys.readouterr()
+    assert "line 2:12: exponent exceeds the limit" in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_imaginary_literal():

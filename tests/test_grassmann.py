@@ -1,6 +1,7 @@
 """Arithmetic in the exact coefficient scalars and the Grassmann algebra."""
 
 import functools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, make_rat,
-                           random_qi, random_supernumber, scalar_sqrt)
+                           _merge_indices, random_qi, random_supernumber,
+                           scalar_sqrt)
 from sgk.polyrat import coprime_bodies
+
+from _oracles import FractionQi, reference_product
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +363,111 @@ def test_scalar_poly_divmod_and_gcd(a, b, common):
     assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
     if not (a.is_zero() or b.is_zero()):
         assert g.degree() >= common.degree()
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the integer core against the paths it replaced
+
+
+# small denominators make equal-denominator sums common; wide ones make
+# large cross products and gcds
+qi_parts = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-10 ** 9, max_value=10 ** 9,
+                 max_denominator=10 ** 6))
+
+
+def _same(got, want):
+    assert isinstance(got, Qi)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+@given(st.tuples(qi_parts, qi_parts), st.tuples(qi_parts, qi_parts),
+       st.integers(-5, 5), st.one_of(st.integers(-4, 4), qi_parts))
+@example(x=(0, 0), y=(0, 0), k=-2, plain=0)
+@example(x=(Fraction(1, 6), 0), y=(Fraction(-5, 6), Fraction(1, 6)), k=0,
+         plain=Fraction(1, 6))
+@settings(max_examples=400, deadline=None)
+def test_qi_matches_fraction_pair_reference(x, y, k, plain):
+    a, b = Qi(*x), Qi(*y)
+    ra, rb = FractionQi(*x), FractionQi(*y)
+    _same(a, ra)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same(op(a, b), op(ra, rb))
+        _same(op(a, plain), op(ra, plain))
+        _same(op(plain, a), op(plain, ra))
+    _same(-a, -ra)
+    _same(a.conj(), ra.conj())
+    for num, den, rnum, rden in ((a, b, ra, rb), (plain, a, plain, ra),
+                                 (a, plain, ra, plain)):
+        if FractionQi.lift(rden).is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _ = num / den
+        else:
+            _same(num / den, rnum / rden)
+    if k < 0 and ra.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            _ = a ** k
+    else:
+        _same(a ** k, ra ** k)
+    # a square always has a root; a itself usually has none
+    _same((a * a).sqrt(), (ra * ra).sqrt())
+    root, rroot = a.sqrt(), ra.sqrt()
+    assert (root is None) == (rroot is None)
+    if root is not None:
+        _same(root, rroot)
+    for other, rother in ((plain, FractionQi(plain)), (b, rb),
+                          (RatT.lift(plain), FractionQi(plain)),
+                          (RatT.lift(b), rb)):
+        assert (a == other) == (ra == rother)
+        assert (other == a) == (a == other)
+    assert Qi(plain) == plain and hash(Qi(plain)) == hash(plain)
+    assert Qi(plain) == RatT.lift(plain)
+
+
+@st.composite
+def supernumber_pairs(draw):
+    n = draw(st.sampled_from((0, 2, 4, 8)))
+    coeffs = draw(st.sampled_from((small_qi, ratt_operands,
+                                   st.one_of(small_qi, ratt_operands))))
+    monomials = st.sets(st.integers(1, n), max_size=n).map(
+        lambda s: tuple(sorted(s))) if n else st.just(())
+    terms = st.dictionaries(monomials, coeffs, max_size=12 if n == 8 else 6)
+    return SuperNumber(n, draw(terms)), SuperNumber(n, draw(terms))
+
+
+def _inversion_sign(ka, kb):
+    flips = sum(1 for i in ka for j in kb if i > j)
+    return -1 if flips & 1 else 1
+
+
+@given(supernumber_pairs())
+@example(pair=(SuperNumber(2, {(1,): 1, (2,): 2}),
+               SuperNumber(2, {(1,): 3, (2,): Qi(0, 1)})))
+@settings(max_examples=200, deadline=None)
+def test_supernumber_product_matches_reference(pair):
+    x, y = pair
+    want = reference_product(x, y)
+    # the second product reads every monomial pair from the memo table
+    for got in (x * y, x * y):
+        assert got.n == want.n and got.terms == want.terms
+        assert {k: type(v) for k, v in got.terms.items()} \
+            == {k: type(v) for k, v in want.terms.items()}
+        assert str(got) == str(want) and hash(got) == hash(want)
+        assert not any(v.is_zero() for v in got.terms.values())
+    for ka in x.terms:
+        for kb in y.terms:
+            merged = _merge_indices(ka, kb)
+            if set(ka) & set(kb):
+                assert merged is None
+            else:
+                assert merged == (tuple(sorted(ka + kb)),
+                                  _inversion_sign(ka, kb))
+    # the other results the class builds itself through the trusted path
+    for got in (x + y, x - y, -x, x.soul(), x.even_part(), x.odd_part(),
+                x.grade_flip()):
+        again = SuperNumber(got.n, dict(got.terms))
+        assert got.terms == again.terms and str(got) == str(again)
+    assert (x + y) - y == x and x + (-x) == SuperNumber.zero(x.n)

@@ -169,6 +169,25 @@ def test_field_rank_and_solve():
         field_inverse(deficient)
 
 
+def test_field_solve_and_inverse_reject_non_square_shapes():
+    wide = [[1, 2, 3], [4, 5, 7]]
+    tall = [[1, 2], [3, 4], [5, 6]]
+    ragged = [[1, 2], [3]]
+    for rows, shape in ((wide, "2 rows of 3 columns"),
+                        (tall, "3 rows of 2 columns"),
+                        (ragged, "2 rows of 1/2 columns")):
+        with pytest.raises(GrassmannError, match="square, got " + shape):
+            field_solve(rows, [1] * len(rows))
+        with pytest.raises(GrassmannError, match="square, got " + shape):
+            field_inverse(rows)
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(GrassmannError,
+                           match="right-hand side has %d entries for 2 "
+                                 "equations" % len(rhs)):
+            field_solve([[1, 2], [3, 4]], rhs)
+    assert field_solve([], []) == [] and field_inverse([]) == []
+
+
 def _scalar_mat_mul(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Qi(0))
              for j in range(len(b[0]))] for i in range(len(a))]
