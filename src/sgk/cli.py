@@ -38,7 +38,11 @@ transcendental scalar parameter, `g1` .. `g8` the odd generators.
 Expressions nest at most MAX_NESTING levels deep (each "(", "[", sign and
 exponent is one level); deeper input is a syntax error.  An exponent is an
 integer of absolute value at most MAX_EXPONENT; a larger one is an error at
-the "^", raised before any power is computed.
+the "^", raised before any power is computed.  Scalars stay below
+MAX_SCALAR_BITS: a longer number literal is an error at the literal, and an
+operator, power or function call whose result would be larger, as
+estimated from the operands, is an error at that operator or call before it
+runs.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .curves import (MarkedConfig, P1Point, SuperCurve, act_config,
                      eval_curve_at_superpoint, random_config, random_curve,
                      same_orbit, susy1_report, torus_act_config,
                      torus_act_curve)
-from .grassmann import GrassmannError, Qi, SuperNumber, T_PARAM
+from .grassmann import GrassmannError, Qi, RatT, SuperNumber, T_PARAM
 from .linalg import field_rank, mat_mul
 from .polyrat import SuperPoly
 from .scgroup import (SCMatrix, act_point, identity, lift_sl2,
@@ -126,6 +130,9 @@ def tokenize(text):
             j = i
             while j < size and text[j].isdigit():
                 j += 1
+            if j - i > _MAX_LITERAL_DIGITS:
+                raise CLIError("number literal exceeds the scalar size limit "
+                               "of %d bits" % MAX_SCALAR_BITS, line, col)
             if j < size and text[j] == "i" and \
                     (j + 1 >= size or not (text[j + 1].isalnum()
                                            or text[j + 1] == "_")):
@@ -172,6 +179,17 @@ MAX_NESTING = 100
 # latter is computed by repeated multiplication), so without a bound a
 # single `^` could run for hours.
 MAX_EXPONENT = 1000
+
+# Largest size, in bits, of the scalars a script may build.  Python refuses
+# to turn an int of more than 4300 decimal digits (about 14,000 bits) into a
+# string, so a larger coefficient could be computed but never printed.  The
+# evaluator estimates a result's size from its operands before it runs the
+# operation (see _bits), and the limit leaves room below the printing bound
+# for the slack of that estimate.
+MAX_SCALAR_BITS = 8192
+
+# A decimal literal of d digits has at most d * log2(10) < 10 * d / 3 bits.
+_MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 
 
 class Parser:
@@ -506,6 +524,41 @@ class RatFunc:
         return "(%s) / (%s)" % (self.num, self.den)
 
 
+def _bits(v):
+    """The size of a value's scalars, for the MAX_SCALAR_BITS estimate.
+
+    A Gaussian rational counts the bit length of its widest integer; any
+    other value the sum over its scalar coefficients (0 for values without
+    any).  A coefficient of a sum or product of two values is then at most
+    _bits(a) + _bits(b) bits wide, give or take a carry per term, because
+    each term of one operand meets each term of the other at most once.
+    """
+    if isinstance(v, Qi):
+        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length())
+    if isinstance(v, (RatT, RatFunc)):
+        return sum(map(_bits, v.num.coeffs + v.den.coeffs))
+    if isinstance(v, SuperNumber):
+        return sum(map(_bits, v.terms.values()))
+    if isinstance(v, SCMatrix):
+        return sum(_bits(x) for row in v.rows() for x in row)
+    return 0
+
+
+def _inverse_bits(v):
+    """_bits of 1/v.  Inverting a Gaussian rational squares its norm, and
+    the inverse of a number with a soul sums up to one power of the soul
+    per further term; a rational expression inverts by swapping."""
+    if isinstance(v, SuperNumber):
+        return 2 * len(v.terms) * _bits(v)
+    return _bits(v)
+
+
+def _check_size(bits, line, col):
+    if bits > MAX_SCALAR_BITS:
+        raise CLIError("result would exceed the scalar size limit of %d bits"
+                       % MAX_SCALAR_BITS, line, col)
+
+
 def _typename(v):
     names = {
         SuperNumber: "number", SCMatrix: "matrix", Section: "section",
@@ -628,6 +681,8 @@ class Evaluator:
             _, op, lhs, rhs, line, col = node
             a = self.eval(lhs, local)
             b = self.eval(rhs, local)
+            _check_size(_bits(a) + (_inverse_bits(b) if op == "/"
+                                    else _bits(b)), line, col)
             try:
                 return self._arith(op, a, b, line, col)
             except GrassmannError as exc:
@@ -639,6 +694,8 @@ class Evaluator:
             if abs(k) > MAX_EXPONENT:
                 raise CLIError("exponent exceeds the limit of %d in absolute "
                                "value" % MAX_EXPONENT, line, col)
+            _check_size(abs(k) * (_inverse_bits(v) if k < 0 else _bits(v)),
+                        line, col)
             try:
                 if isinstance(v, RatFunc):
                     return v.pow(k)
@@ -753,6 +810,7 @@ class Evaluator:
         if len(args) != arity:
             raise CLIError("%s takes %d argument(s), got %d"
                            % (name, arity, len(args)), line, col)
+        _check_size(sum(map(_bits, args)), line, col)
         try:
             return impl(self, args)
         except CLIError:

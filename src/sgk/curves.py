@@ -60,9 +60,6 @@ class P1Point:
         if not self.U.body() and not self.V.body():
             raise GrassmannError("target point with no invertible coordinate")
 
-    def body_pair(self):
-        return (self.U.body(), self.V.body())
-
     def __eq__(self, other):
         if not isinstance(other, P1Point):
             return NotImplemented
@@ -176,11 +173,6 @@ class SuperCurve:
             self.d, c.P, c.Q, c.r, qq)
 
     __repr__ = __str__
-
-
-def curve_phi_psi(cur: SuperCurve):
-    """The component fields as (numerator, denominator) pairs."""
-    return (cur.P, cur.Q), (cur.r, cur.Q * cur.Q)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,21 @@ generator) is computed once by _merge_indices and kept in the module-level
 table _PRODUCTS, filled as products need it; it holds at most
 4 ** MAX_GENERATORS = 65536 pairs.  The public SuperNumber constructor
 validates indices and coefficients; results the class builds itself (sums,
-products, negation, parity and projection parts) go through the same
-__init__ with _trusted=True, which skips the checks.
+products, negation, parity and projection parts, inverses) and the
+constructors scalar, zero and one (and coerce, which goes through scalar)
+go through the same __init__ with _trusted=True, which skips the checks;
+those constructors still check n and coerce and drop a zero scalar.  A
+product with a body-only operand scales the other operand's coefficients
+without monomial merging, and the inverse of a body-only value is the
+scalar inverse.
+
+dot(n, xs, ys) is the package's one sum-of-products kernel: it returns
+x1*y1 + x2*y2 + ... as one SuperNumber, accumulating every product into a
+single term dict through the loop the product itself runs (_accumulate), so
+no SuperNumber is built per product or per partial sum.  The left factor of
+each product comes from xs, which fixes the signs of odd-by-odd terms.
+Group products, point actions, SuperPoly products and the Grassmann linear
+solver are built on it.
 """
 
 from __future__ import annotations
@@ -712,6 +725,41 @@ _PRODUCTS = {}
 _UNSEEN = object()
 
 
+def _accumulate(out, ta, tb):
+    """Add the product of the term dicts ta and tb, ta on the left, into the
+    term dict out, deleting every coefficient whose sum reaches zero."""
+    get = out.get
+    other_terms = tb.items()
+    for ka, va in ta.items():
+        row = _PRODUCTS.get(ka)
+        if row is None:
+            row = _PRODUCTS[ka] = {}
+        for kb, vb in other_terms:
+            merged = row.get(kb, _UNSEEN)
+            if merged is _UNSEEN:
+                merged = row[kb] = _merge_indices(ka, kb)
+            if merged is None:
+                continue
+            key, sign = merged
+            c = va * vb
+            prev = get(key)
+            if prev is None:
+                out[key] = -c if sign < 0 else c
+                continue
+            s = prev - c if sign < 0 else prev + c
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
+
+
+def _check_generators(n):
+    if not isinstance(n, int) or not 0 <= n <= MAX_GENERATORS:
+        raise GrassmannError(
+            "generator count must be an integer between 0 and %d, got %r"
+            % (MAX_GENERATORS, n))
+
+
 class SuperNumber:
     """An element of Lambda_n (x) C with exact scalar coefficients.
 
@@ -728,10 +776,7 @@ class SuperNumber:
             self.n = n
             self.terms = terms
             return
-        if not isinstance(n, int) or not 0 <= n <= MAX_GENERATORS:
-            raise GrassmannError(
-                "generator count must be an integer between 0 and %d, got %r"
-                % (MAX_GENERATORS, n))
+        _check_generators(n)
         self.n = n
         clean = {}
         for idx, coeff in (terms or {}).items():
@@ -749,15 +794,19 @@ class SuperNumber:
 
     @staticmethod
     def scalar(n, c):
-        return SuperNumber(n, {(): c})
+        _check_generators(n)
+        c = c if type(c) is Qi else as_scalar(c)
+        return SuperNumber(n, {} if c.is_zero() else {(): c}, _trusted=True)
 
     @staticmethod
     def zero(n):
-        return SuperNumber(n, {})
+        _check_generators(n)
+        return SuperNumber(n, {}, _trusted=True)
 
     @staticmethod
     def one(n):
-        return SuperNumber(n, {(): 1})
+        _check_generators(n)
+        return SuperNumber(n, {(): QI_ONE}, _trusted=True)
 
     @staticmethod
     def gen(n, i):
@@ -879,29 +928,19 @@ class SuperNumber:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        # a body-only factor scales the other one: every monomial product is
+        # trivial, and a product of nonzero field elements is nonzero
+        a, b = self.terms, o.terms
+        if len(a) == 1 and () in a:
+            s = a[()]
+            return SuperNumber(self.n, {k: s * v for k, v in b.items()},
+                               _trusted=True)
+        if len(b) == 1 and () in b:
+            s = b[()]
+            return SuperNumber(self.n, {k: v * s for k, v in a.items()},
+                               _trusted=True)
         out = {}
-        other_terms = o.terms.items()
-        for ka, va in self.terms.items():
-            row = _PRODUCTS.get(ka)
-            if row is None:
-                row = _PRODUCTS[ka] = {}
-            for kb, vb in other_terms:
-                merged = row.get(kb, _UNSEEN)
-                if merged is _UNSEEN:
-                    merged = row[kb] = _merge_indices(ka, kb)
-                if merged is None:
-                    continue
-                key, sign = merged
-                c = va * vb
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = -c if sign < 0 else c
-                    continue
-                s = prev - c if sign < 0 else prev + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
+        _accumulate(out, a, b)
         return SuperNumber(self.n, out, _trusted=True)
 
     def __rmul__(self, other):
@@ -944,6 +983,8 @@ class SuperNumber:
         if scalar_is_zero(b):
             raise GrassmannError("not invertible: body is zero")
         binv = 1 / b
+        if len(self.terms) == 1:
+            return SuperNumber(self.n, {(): binv}, _trusted=True)
         u = SuperNumber.one(self.n) - self * binv
         # u is nilpotent: u^(n+1) = 0, so the geometric series terminates
         out = SuperNumber.one(self.n)
@@ -1026,6 +1067,29 @@ def mul(x: SuperNumber, y: SuperNumber) -> SuperNumber:
     return x * y
 
 
+def dot(n, xs, ys) -> SuperNumber:
+    """The sum of x * y over the pairs of zip(xs, ys), as one SuperNumber.
+
+    The left factor of each product comes from xs, which fixes the signs of
+    odd-by-odd products.  All pairs accumulate into one term dict through
+    the monomial table _PRODUCTS, the loop the product itself runs, so the
+    result equals sum((x * y for x, y in zip(xs, ys)), SuperNumber.zero(n))
+    without building a SuperNumber per product or per partial sum.  Every
+    entry must be a SuperNumber over n generators.
+    """
+    _check_generators(n)
+    out = {}
+    for x, y in zip(xs, ys):
+        if x.n != y.n:
+            raise GrassmannError(
+                "generator count mismatch: %d vs %d" % (x.n, y.n))
+        if x.n != n:
+            raise GrassmannError(
+                "generator count mismatch: %d vs %d" % (n, x.n))
+        _accumulate(out, x.terms, y.terms)
+    return SuperNumber(n, out, _trusted=True)
+
+
 def invert(x: SuperNumber) -> SuperNumber:
     return x.invert()
 
@@ -1049,13 +1113,14 @@ def embed(x: SuperNumber, m: int) -> SuperNumber:
 
 def random_qi(rng, nonzero=False):
     while True:
-        re = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-        im = Fraction(0)
+        p, q = rng.randint(-4, 4), rng.choice((1, 1, 2, 3))
+        r, s = 0, 1
         if rng.random() < 0.25:
-            im = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
-        q = Qi(re, im)
-        if not nonzero or not q.is_zero():
-            return q
+            r, s = rng.randint(-3, 3), rng.choice((1, 2))
+        # p/q + (r/s) i over the denominator q*s
+        x = _canonical(p * s, r * q, q * s)
+        if not nonzero or not x.is_zero():
+            return x
 
 
 def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):

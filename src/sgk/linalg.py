@@ -19,6 +19,7 @@ from .grassmann import (
     GrassmannError,
     SuperNumber,
     as_scalar,
+    dot,
     scalar_is_zero,
 )
 
@@ -139,25 +140,19 @@ def solve_body_invertible(rows, rhs):
     if not rows:
         return []
     n_gen = rows[0][0].n
-    size = len(rows)
-    body = [[c.body() for c in row] for row in rows]
-    binv = field_inverse(body)
+    if len(rhs) != len(rows):
+        raise GrassmannError(
+            "right-hand side has %d entries for %d equations"
+            % (len(rhs), len(rows)))
+    binv = [[SuperNumber.scalar(n_gen, c) for c in row]
+            for row in field_inverse([[c.body() for c in row] for row in rows])]
+    souls = [[c.soul() for c in row] for row in rows]
 
     def apply_binv(vec):
-        return [
-            sum((SuperNumber.scalar(n_gen, binv[i][j]) * vec[j]
-                 for j in range(size)), SuperNumber.zero(n_gen))
-            for i in range(size)
-        ]
+        return [dot(n_gen, row, vec) for row in binv]
 
     def apply_soul(vec):
-        out = []
-        for i in range(size):
-            acc = SuperNumber.zero(n_gen)
-            for j in range(size):
-                acc = acc + rows[i][j].soul() * vec[j]
-            out.append(acc)
-        return out
+        return [dot(n_gen, row, vec) for row in souls]
 
     term = apply_binv([SuperNumber.coerce(n_gen, b) for b in rhs])
     x = term

@@ -14,6 +14,7 @@ from .grassmann import (
     Qi,
     ScalarPoly,
     SuperNumber,
+    dot,
     is_scalar,
 )
 
@@ -117,13 +118,12 @@ class SuperPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return SuperPoly(self.n)
-        zero = SuperNumber.zero(self.n)
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            # coefficient k is the sum of a[i] * b[k - i]
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            out.append(dot(self.n, a[lo:hi + 1],
+                           [b[k - i] for i in range(lo, hi + 1)]))
         return SuperPoly(self.n, out)
 
     def __rmul__(self, other):

@@ -26,6 +26,7 @@ from .grassmann import (
     GrassmannError,
     Qi,
     SuperNumber,
+    dot,
     random_qi,
     scalar_lex_positive,
 )
@@ -38,14 +39,14 @@ class NormalizationError(GrassmannError):
 
 def _even(n, v, what):
     x = SuperNumber.coerce(n, v)
-    if x.odd_part():
+    if any(len(k) & 1 for k in x.terms):
         raise GrassmannError("%s must be even" % what)
     return x
 
 
 def _odd(n, v, what):
     x = SuperNumber.coerce(n, v)
-    if x.even_part():
+    if any(not len(k) & 1 for k in x.terms):
         raise GrassmannError("%s must be odd" % what)
     return x
 
@@ -111,10 +112,8 @@ class SCMatrix:
     def mul(self, other: "SCMatrix") -> "SCMatrix":
         if self.n != other.n:
             raise GrassmannError("generator count mismatch in product")
-        A, B = self.rows(), other.rows()
-        C = [[sum((A[i][k] * B[k][j] for k in range(3)),
-                  SuperNumber.zero(self.n))
-              for j in range(3)] for i in range(3)]
+        cols = list(zip(*other.rows()))
+        C = [[dot(self.n, row, col) for col in cols] for row in self.rows()]
         return SCMatrix.from_rows(self.n, C, validate=False)
 
     def __mul__(self, other):
@@ -249,10 +248,7 @@ def act_point(m: SCMatrix, pt):
     if P.n != m.n:
         raise GrassmannError("generator count mismatch between matrix and point")
     v = (P.Z1, P.Z2, P.Theta)
-    R = m.rows()
-    out = [sum((v[i] * R[i][j] for i in range(3)), SuperNumber.zero(m.n))
-           for j in range(3)]
-    img = ProjPoint(m.n, out[0], out[1], out[2])
+    img = ProjPoint(m.n, *(dot(m.n, v, col) for col in zip(*m.rows())))
     if not want_chart:
         return img
     c = img.chart1()
@@ -421,25 +417,6 @@ def slice_normalize_one_point(p1):
     q1 = act_point(m1, P).chart1()
     m2 = susy(n, -q1.pi, 0)
     return m1.mul(m2)
-
-
-def stabilizer_one_point(n, a, c, beta):
-    """The family [[a, c, -a beta], [0, 1/a, 0], [0, beta, 1]] fixing the
-    pointed origin; a invertible even, c even, beta odd."""
-    a = _even(n, a, "a")
-    c = _even(n, c, "c")
-    beta = _odd(n, beta, "beta")
-    if not a.body():
-        raise GrassmannError("diagonal parameter must be invertible")
-    ainv = a.invert()
-    zero = SuperNumber.zero(n)
-    one = SuperNumber.one(n)
-    return SCMatrix.from_rows(
-        n,
-        [[a, c, -a * beta],
-         [zero, ainv, zero],
-         [zero, beta, one]],
-        validate=True)
 
 
 def stabilizer_two_points(n, a):

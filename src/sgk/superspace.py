@@ -15,8 +15,7 @@ from .grassmann import GrassmannError, SuperNumber
 
 
 def _want_parity(x: SuperNumber, parity: int, what: str):
-    part = x.even_part() if parity == 0 else x.odd_part()
-    if part != x:
+    if any((len(k) & 1) != parity for k in x.terms):
         raise GrassmannError("%s must be %s" % (what, "even" if parity == 0 else "odd"))
     return x
 
@@ -55,9 +54,6 @@ class ProjPoint:
 
     def embed(self, m):
         return ProjPoint(m, self.Z1.embed(m), self.Z2.embed(m), self.Theta.embed(m))
-
-    def body_triple(self):
-        return (self.Z1.body(), self.Z2.body(), self.Theta.body())
 
     def __eq__(self, other):
         if not isinstance(other, (ProjPoint, ChartPoint)):
@@ -134,11 +130,6 @@ def point_one(n):
 
 def point_infty(n):
     return ChartPoint(n, 2, 0, 0)
-
-
-def standard_triple(n):
-    """The reference triple (0, 1, infinity) with vanishing odd parts."""
-    return (point_zero(n), point_one(n), point_infty(n))
 
 
 def torus_param(n, t) -> SuperNumber:

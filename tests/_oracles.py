@@ -13,18 +13,20 @@ Two oracles for the group action on curves:
 Plus the equivariance square for the odd-translation matrix, assembled from
 its displayed block structure.
 
-Two references for the scalar and monomial core: FractionQi, a Gaussian
+References for the scalar and monomial core: FractionQi, a Gaussian
 rational on a pair of Fractions (the representation Qi had before it moved
-to a canonical integer triple), and reference_product, the schoolbook
-Grassmann product without the memoized monomial table or the trusted
-constructor.
+to a canonical integer triple); reference_product, the schoolbook Grassmann
+product without the memoized monomial table, the body-only fast paths or the
+trusted constructor; reference_invert, the terminating geometric series on
+those products; and fraction_random_qi, random_qi as it was drawn through
+two Fractions.
 """
 
 import math
 from fractions import Fraction
 
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import QI_ZERO, SuperNumber, _merge_indices
+from sgk.grassmann import QI_ZERO, Qi, SuperNumber, _merge_indices
 from sgk.linalg import mat_mul
 from sgk.polyrat import SuperPoly, homog_subst
 from sgk.superspace import preferred_chart
@@ -332,3 +334,30 @@ def reference_product(x, y):
                 c = -c
             out[key] = out.get(key, QI_ZERO) + c
     return SuperNumber(x.n, out)
+
+
+def reference_invert(x):
+    """1/x as (1/b) * sum_k u^k with u = 1 - x/b and b the body of x, every
+    product taken by reference_product; u is nilpotent, so n + 1 terms
+    suffice."""
+    n = x.n
+    binv = SuperNumber(n, {(): 1 / x.body()})
+    one = SuperNumber(n, {(): 1})
+    u = one - reference_product(x, binv)
+    out, power = one, u
+    for _ in range(n):
+        out = out + power
+        power = reference_product(power, u)
+    return reference_product(out, binv)
+
+
+def fraction_random_qi(rng, nonzero=False):
+    """random_qi with its real and imaginary parts drawn as Fractions."""
+    while True:
+        re = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        im = Fraction(0)
+        if rng.random() < 0.25:
+            im = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        q = Qi(re, im)
+        if not nonzero or not q.is_zero():
+            return q

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from sgk.cli import (MAX_EXPONENT, MAX_NESTING, CLIError, Evaluator,
-                     RatFunc, ScriptRunner, format_value, main, parse_text,
-                     tokenize, verify_paper)
+from sgk.cli import (_MAX_LITERAL_DIGITS, MAX_EXPONENT, MAX_NESTING,
+                     MAX_SCALAR_BITS, CLIError, Evaluator, RatFunc,
+                     ScriptRunner, format_value, main, parse_text, tokenize,
+                     verify_paper)
 from sgk.grassmann import Qi, SuperNumber
 
 # literals that must survive parse -> format -> parse unchanged
@@ -146,6 +147,72 @@ def test_exponent_limit(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "line 2:12: exponent exceeds the limit" in captured.out + captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_scalar_size_limit(tmp_path, capsys, monkeypatch):
+    limit = MAX_SCALAR_BITS
+
+    def run(text, **values):
+        ev = Evaluator(3)
+        ev.vars.update({k: SuperNumber.scalar(3, v) for k, v in values.items()})
+        return ev.eval(parse_text(text)[0][1])
+
+    # operands built outside the checks: a = 2^8100 has 8101 bits, so the
+    # estimate bits(a) + bits(b) reaches the limit exactly for b = 2^(limit
+    # - 8102) and passes it by one for b twice that; p = 2^100 has 101 bits,
+    # and a power counts |k| * bits(base), twice that for a negative k
+    a, top = 2 ** 8100, limit - 8102
+    kp, kq = limit // 101, limit // 202
+    under = [("x * b", 2 ** (8100 + top), dict(x=a, b=2 ** top)),
+             ("x + b", a + 2 ** top, dict(x=a, b=2 ** top)),
+             ("mul(x, b)", 2 ** (8100 + top), dict(x=a, b=2 ** top)),
+             ("x / b", Qi(a, 0) / 2 ** (top // 2 - 1),
+              dict(x=a, b=2 ** (top // 2 - 1))),
+             ("p^%d" % kp, 2 ** (100 * kp), dict(p=2 ** 100)),
+             ("p^-%d" % kq, Qi(1) / 2 ** (100 * kq), dict(p=2 ** 100)),
+             ("9" * _MAX_LITERAL_DIGITS, int("9" * _MAX_LITERAL_DIGITS), {})]
+    for text, want, values in under:
+        got = run(text, **values)
+        assert got == SuperNumber.scalar(3, want), text
+        assert str(got)  # the coefficient still prints
+    over = [("x * b", 3, dict(x=a, b=2 ** (top + 1))),
+            ("x - b", 3, dict(x=a, b=2 ** (top + 1))),
+            ("x / b", 3, dict(x=a, b=2 ** (top // 2))),
+            ("p^%d" % (kp + 1), 2, dict(p=2 ** 100)),
+            ("p^-%d" % (kq + 1), 2, dict(p=2 ** 100)),
+            ("g1 * (p^%d)" % (kp + 1), 8, dict(p=2 ** 100)),
+            # a call counts the sum of its arguments' sizes
+            ("mul(x, b)", 1, dict(x=a, b=2 ** (top + 1)))]
+
+    # over the limit is refused at the operator before anything is computed
+    def no_work(*args):
+        raise AssertionError("an operation was computed")
+
+    for name in ("__add__", "__sub__", "__mul__", "__pow__", "invert"):
+        monkeypatch.setattr(SuperNumber, name, no_work)
+    for text, col, values in over:
+        with pytest.raises(CLIError, match="^line 1:%d: result would exceed "
+                           "the scalar size limit of %d bits$" % (col, limit)):
+            run(text, **values)
+    monkeypatch.undo()
+    with pytest.raises(CLIError, match="^line 1:5: number literal exceeds the "
+                       "scalar size limit of %d bits$" % limit):
+        tokenize("1 + " + "9" * (_MAX_LITERAL_DIGITS + 1))
+
+    for text, message in (
+            ("let a = (2^1000)^1000\na\n",
+             "line 1:17: result would exceed the scalar size limit"),
+            ("let m = sl2[[2^1000, 0], [0, 2^-1000]]\nlet a = mul(m, m)\n"
+             "let b = mul(a, a)\nlet c = mul(b, b)\nlet d = mul(c, c)\nd\n",
+             "line 4:9: result would exceed the scalar size limit"),
+            ("let b = %s\nb\n" % ("7" * (_MAX_LITERAL_DIGITS + 1)),
+             "line 1:9: number literal exceeds the scalar size limit")):
+        script = tmp_path / "big.sgk"
+        script.write_text(text)
+        assert main(["run", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_imaginary_literal():

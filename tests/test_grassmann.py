@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
-                           ScalarPoly, SuperNumber, T_PARAM, make_rat,
+                           ScalarPoly, SuperNumber, T_PARAM, dot, make_rat,
                            _merge_indices, random_qi, random_supernumber,
                            scalar_sqrt)
 from sgk.polyrat import coprime_bodies
 
-from _oracles import FractionQi, reference_product
+from _oracles import (FractionQi, fraction_random_qi, reference_invert,
+                      reference_product)
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +444,40 @@ def _inversion_sign(ka, kb):
     return -1 if flips & 1 else 1
 
 
-@given(supernumber_pairs())
+def _same_element(got, want):
+    assert got.n == want.n and got.terms == want.terms
+    assert {k: type(v) for k, v in got.terms.items()} \
+        == {k: type(v) for k, v in want.terms.items()}
+    assert str(got) == str(want) and hash(got) == hash(want)
+    assert not any(v.is_zero() for v in got.terms.values())
+
+
+@given(supernumber_pairs(), st.one_of(small_qi, ratt_operands))
 @example(pair=(SuperNumber(2, {(1,): 1, (2,): 2}),
-               SuperNumber(2, {(1,): 3, (2,): Qi(0, 1)})))
+               SuperNumber(2, {(1,): 3, (2,): Qi(0, 1)})), c=Qi(2))
+@example(pair=(SuperNumber(4, {(): RatT.lift(2), (1, 2): T_PARAM}),
+               SuperNumber(4, {(3,): Qi(1, 1)})), c=RatT.lift(2))
 @settings(max_examples=200, deadline=None)
-def test_supernumber_product_matches_reference(pair):
+def test_supernumber_product_matches_reference(pair, c):
     x, y = pair
     want = reference_product(x, y)
     # the second product reads every monomial pair from the memo table
     for got in (x * y, x * y):
-        assert got.n == want.n and got.terms == want.terms
-        assert {k: type(v) for k, v in got.terms.items()} \
-            == {k: type(v) for k, v in want.terms.items()}
-        assert str(got) == str(want) and hash(got) == hash(want)
-        assert not any(v.is_zero() for v in got.terms.values())
+        _same_element(got, want)
+    # a body-only operand on either side takes the scaling fast path
+    s = SuperNumber(x.n, {(): c})
+    for left, right in ((s, y), (x, s), (s, s)):
+        _same_element(left * right, reference_product(left, right))
+    # invert, with the body-only shortcut, against the geometric series
+    for v in (x, s):
+        if v.body():
+            _same_element(v.invert(), reference_invert(v))
+    # the trusted constructors against the validating one
+    for v in (c, x.body(), 0, 5, Fraction(-2, 3), RatT.lift(2)):
+        _same_element(SuperNumber.scalar(x.n, v), SuperNumber(x.n, {(): v}))
+        _same_element(SuperNumber.coerce(x.n, v), SuperNumber(x.n, {(): v}))
+    _same_element(SuperNumber.one(x.n), SuperNumber(x.n, {(): 1}))
+    _same_element(SuperNumber.zero(x.n), SuperNumber(x.n, {}))
     for ka in x.terms:
         for kb in y.terms:
             merged = _merge_indices(ka, kb)
@@ -471,3 +492,81 @@ def test_supernumber_product_matches_reference(pair):
         again = SuperNumber(got.n, dict(got.terms))
         assert got.terms == again.terms and str(got) == str(again)
     assert (x + y) - y == x and x + (-x) == SuperNumber.zero(x.n)
+
+
+def test_trusted_constructors_reject_what_the_validating_one_rejects():
+    for bad in (-1, MAX_GENERATORS + 1, 2.0, "3", None):
+        with pytest.raises(GrassmannError) as want:
+            SuperNumber(bad, {})
+        for make in (SuperNumber.zero, SuperNumber.one,
+                     lambda n: SuperNumber.scalar(n, 2),
+                     lambda n: SuperNumber.coerce(n, 2)):
+            with pytest.raises(GrassmannError) as got:
+                make(bad)
+            assert str(got.value) == str(want.value)
+    with pytest.raises(GrassmannError, match="^not a scalar: 'x'$"):
+        SuperNumber.scalar(2, "x")
+
+
+@st.composite
+def dot_cases(draw):
+    n = draw(st.sampled_from((0, 2, 4, 8)))
+    coeffs = draw(st.sampled_from((
+        small_qi, ratt_operands,
+        st.one_of(small_qi, ratt_operands, st.just(RatT.lift(2))))))
+    monomials = st.sets(st.integers(1, n), max_size=n).map(
+        lambda s: tuple(sorted(s))) if n else st.just(())
+    element = st.one_of(
+        st.dictionaries(monomials, coeffs, max_size=8 if n == 8 else 5),
+        st.builds(lambda c: {(): c}, coeffs),
+        st.just({})).map(lambda terms: SuperNumber(n, terms))
+    size = draw(st.integers(0, 4))
+    xs = draw(st.lists(element, min_size=size, max_size=size))
+    ys = draw(st.lists(element, min_size=size, max_size=size))
+    return n, xs, ys
+
+
+_G = {i: SuperNumber.gen(4, i) for i in range(1, 5)}
+
+
+@given(dot_cases())
+# odd by odd: swapping the factors, or dropping the sign, changes the result
+@example(case=(4, [_G[2], _G[1] + _G[3]], [_G[1], _G[2] * _G[3]]))
+# g1*g2 + g2*g1 cancels to zero and must leave no zero coefficient behind
+@example(case=(4, [_G[1], _G[2]], [_G[2], _G[1]]))
+@example(case=(4, [SuperNumber.scalar(4, RatT.lift(2)), SuperNumber.zero(4)],
+               [_G[1] * RatT.lift(2), _G[2]]))
+@example(case=(8, [], []))
+@settings(max_examples=200, deadline=None)
+def test_dot_matches_sum_of_products(case):
+    n, xs, ys = case
+    got = dot(n, xs, ys)
+    _same_element(got, sum((x * y for x, y in zip(xs, ys)),
+                           SuperNumber.zero(n)))
+    # the product shares its monomial loop with dot; the schoolbook
+    # reference shares none
+    _same_element(got, sum((reference_product(x, y) for x, y in zip(xs, ys)),
+                           SuperNumber.zero(n)))
+
+
+def test_dot_rejects_generator_count_mismatch():
+    x2, x3 = SuperNumber.one(2), SuperNumber.gen(3, 1)
+    for n, xs, ys in ((2, [x2], [x3]), (2, [x3], [x2]), (2, [x3], [x3]),
+                      (3, [x2, x3], [x2, x3])):
+        with pytest.raises(GrassmannError) as want:
+            sum((x * y for x, y in zip(xs, ys)), SuperNumber.zero(n))
+        with pytest.raises(GrassmannError) as got:
+            dot(n, xs, ys)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("generator count mismatch: ")
+
+
+def test_random_qi_draws_match_the_two_fraction_construction():
+    for seed in (0, 406):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for i in range(200):
+            got = random_qi(rng, nonzero=bool(i & 1))
+            want = fraction_random_qi(ref, nonzero=bool(i & 1))
+            assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        # the same calls on the generator, so every later draw matches too
+        assert rng.getstate() == ref.getstate()

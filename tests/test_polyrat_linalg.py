@@ -214,6 +214,9 @@ def test_solve_body_invertible_random():
         rhs = [random_supernumber(rng, n, max_terms=2) for _ in range(size)]
         sol = solve_body_invertible(mat, rhs)
         assert mat_vec(mat, sol) == rhs
+    for short_or_long in (rhs[1:], rhs + rhs[:1]):
+        with pytest.raises(GrassmannError, match="right-hand side has"):
+            solve_body_invertible(mat, short_or_long)
 
 
 def test_module_rank_report_full_and_degenerate():

@@ -6,14 +6,15 @@ import pytest
 
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
     random_supernumber
-from sgk.scgroup import (NormalizationError, SCMatrix, act_point,
+from sgk.scgroup import (NormalizationError, SCMatrix, _even, _odd, act_point,
                          chart_pullback, identity, lift_sl2,
                          point_multiplier, random_sc_matrix, random_sl2_qi,
                          reflection, same_automorphism,
                          stabilizer_two_points, susy, three_point_normalize,
                          torus_matrix)
-from sgk.superspace import (ChartPoint, as_proj, point_infty, point_one,
-                            point_zero, preferred_chart)
+from sgk.superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
+                            point_infty, point_one, point_zero,
+                            preferred_chart)
 
 
 def _gens(n, *idx):
@@ -22,6 +23,38 @@ def _gens(n, *idx):
 
 # ---------------------------------------------------------------------------
 # Membership and constructors
+
+
+def test_parity_checks_reject_mixed_and_wrong_parity():
+    n = 3
+    g1, g2, g3 = _gens(n, 1, 2, 3)
+    even, odd = 2 + g1 * g2, g3 + g1 * g2 * g3
+    mixed = even + g1
+    zero = SuperNumber.zero(n)
+    for v in (even, zero, 5):
+        assert _even(n, v, "a") == SuperNumber.coerce(n, v)
+        assert _want_parity(SuperNumber.coerce(n, v), 0, "Z1") \
+            == SuperNumber.coerce(n, v)
+    for v in (odd, zero):
+        assert _odd(n, v, "alpha") is v
+        assert _want_parity(v, 1, "Theta") is v
+    for v in (odd, mixed):
+        with pytest.raises(GrassmannError, match="^a must be even$"):
+            _even(n, v, "a")
+        with pytest.raises(GrassmannError, match="^Z1 must be even$"):
+            _want_parity(v, 0, "Z1")
+    for v in (even, mixed, 1):
+        with pytest.raises(GrassmannError, match="^alpha must be odd$"):
+            _odd(n, v, "alpha")
+        with pytest.raises(GrassmannError, match="^Theta must be odd$"):
+            _want_parity(SuperNumber.coerce(n, v), 1, "Theta")
+    # and through the public constructors that call them
+    with pytest.raises(GrassmannError, match="^gamma must be odd$"):
+        SCMatrix(n, 1, 0, 0, 1, 1, 0, 0, 1, 0, validate=False)
+    with pytest.raises(GrassmannError, match="^Theta must be odd$"):
+        ProjPoint(n, 1, 1, mixed)
+    with pytest.raises(GrassmannError, match="^base coordinate must be even$"):
+        ChartPoint(n, 1, odd, 0)
 
 
 def test_constructors_are_valid():

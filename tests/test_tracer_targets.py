@@ -2,10 +2,11 @@
 
 A rename or merge in the package would otherwise surface only when a traced
 benchmark run fails, so every name the tracer patches is resolved here the
-way its `install` resolves it, without patching anything.  A second test
-installs the tracer in a fresh interpreter and checks that a product, which
-SuperNumber builds through its trusted constructor, still reaches the
-construction counters.
+way its `install` resolves it, without patching anything.  Two more tests
+install the tracer in a fresh interpreter and check that values SuperNumber
+builds through its trusted constructor, a product and the entries of a
+group product summed by grassmann.dot, still reach the construction
+counters.
 """
 
 import importlib
@@ -44,26 +45,21 @@ def test_tracer_targets_resolve():
     assert cli.SUITE and all(callable(fn) for _, _, fn in cli.SUITE)
 
 
-def test_tracer_counts_products_from_the_trusted_constructor():
+def _traced(body):
+    """Run `body` in a fresh interpreter with the tracer installed as `tr`,
+    which `body` switches on and off itself; returns the JSON object `body`
+    assigns to `out`."""
     # a fresh interpreter, so the patching leaves this process alone
-    script = textwrap.dedent("""
-        import importlib.util, json, sys
-        spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        import sgk
-        from sgk.grassmann import Qi, SuperNumber
-        tr = tracer.Tracer()
-        tracer.install(tr)
-        x = SuperNumber(4, {(): 1, (1,): 2, (2, 3): Qi(0, 1)})
-        y = SuperNumber(4, {(): 3, (4,): -1, (1, 2): 5})
-        tr.active = True
-        p = x * y
-        tr.active = False
-        print(json.dumps({"init": tr.sn_init, "peak": tr.sn_peak_terms,
-                          "mul": tr.calls[tr.names.index("grassmann.sn_mul")],
-                          "terms": len(p.terms)}))
-    """)
+    script = "\n".join([
+        "import importlib.util, json, sys",
+        "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])",
+        "tracer = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(tracer)",
+        "import sgk",
+        "tr = tracer.Tracer()",
+        "tracer.install(tr)",
+        textwrap.dedent(body),
+        "print(json.dumps(out))"])
     src = str(pathlib.Path(sgk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -71,6 +67,40 @@ def test_tracer_counts_products_from_the_trusted_constructor():
     run = subprocess.run([sys.executable, "-c", script, str(TRACER)],
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout)
+    return json.loads(run.stdout)
+
+
+def test_tracer_counts_products_from_the_trusted_constructor():
+    got = _traced("""
+        from sgk.grassmann import Qi, SuperNumber
+        x = SuperNumber(4, {(): 1, (1,): 2, (2, 3): Qi(0, 1)})
+        y = SuperNumber(4, {(): 3, (4,): -1, (1, 2): 5})
+        tr.active = True
+        p = x * y
+        tr.active = False
+        out = {"init": tr.sn_init, "peak": tr.sn_peak_terms,
+               "mul": tr.calls[tr.names.index("grassmann.sn_mul")],
+               "terms": len(p.terms)}
+    """)
     # one product, one SuperNumber built, and the counter saw its 7 terms
     assert got == {"init": 1, "peak": 7, "mul": 1, "terms": 7}
+
+
+def test_tracer_counts_the_entries_of_a_group_product():
+    got = _traced("""
+        import random
+        from sgk.scgroup import random_sc_matrix
+        rng = random.Random(5)
+        m1, m2 = random_sc_matrix(rng, 4), random_sc_matrix(rng, 4)
+        tr.active = True
+        m = m1.mul(m2)
+        tr.active = False
+        out = {"init": tr.sn_init, "peak": tr.sn_peak_terms,
+               "mul": tr.calls[tr.names.index("grassmann.sn_mul")],
+               "group_mul": tr.calls[tr.names.index("scgroup.mul")],
+               "terms": max(len(x.terms) for row in m.rows() for x in row)}
+    """)
+    # grassmann.dot builds each of the nine entries once, through the
+    # constructor the tracer counts, and calls no SuperNumber product
+    assert got["init"] == 9 and got["mul"] == 0 and got["group_mul"] == 1
+    assert got["peak"] == got["terms"] > 1
