@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .grassmann import GrassmannError, SuperNumber
 from .linalg import ModuleRankReport, module_rank_report
-from .polyrat import SuperPoly, homog_subst
+from .polyrat import SuperPoly, chart2_poly, homog_subst
 from .superspace import ChartPoint, preferred_chart
 
 
@@ -42,13 +42,10 @@ class Section:
         self.frame1 = poly
 
     def frame2(self) -> SuperPoly:
-        """The second-chart polynomial: coefficients reversed with signs."""
-        zero = SuperNumber.zero(self.n)
-        out = [zero] * (self.k + 1)
-        for j in range(self.k + 1):
-            c = self.frame1.coeff(self.k - j)
-            out[j] = -c if j % 2 else c
-        return SuperPoly(self.n, out)
+        """The second-chart polynomial: (-1)^k times the chart-2 form of
+        frame1, so that frame2(-1/z) = z^(-k) frame1(z)."""
+        p = chart2_poly(self.frame1, self.k)
+        return -p if self.k & 1 else p
 
     def eval_at(self, pt) -> SuperNumber:
         """The section's coefficient in the frame of the point's chart."""

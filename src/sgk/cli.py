@@ -175,9 +175,8 @@ _LITERAL_HEADS = ("sec", "curve", "cfg", "chart1", "chart2", "tree",
 MAX_NESTING = 100
 
 # Largest exponent magnitude `^` accepts.  The degree of a power of `t`, or
-# of a rational function in the curve variable, grows with the exponent (the
-# latter is computed by repeated multiplication), so without a bound a
-# single `^` could run for hours.
+# of a rational function in the curve variable, grows linearly with the
+# exponent, so without a bound a single `^` could run for hours.
 MAX_EXPONENT = 1000
 
 # Largest size, in bits, of the scalars a script may build.  Python refuses
@@ -509,16 +508,12 @@ class RatFunc:
         return RatFunc(self.n, -self.num, self.den)
 
     def pow(self, k):
-        base = self
+        num, den = self.num, self.den
         if k < 0:
-            base = RatFunc(self.n, SuperPoly.const(self.n, 1),
-                           SuperPoly.const(self.n, 1)).div(self)
-            k = -k
-        out = RatFunc(self.n, SuperPoly.const(self.n, 1),
-                      SuperPoly.const(self.n, 1))
-        for _ in range(k):
-            out = out.mul(base)
-        return out
+            if num.is_zero():
+                raise GrassmannError("division by zero")
+            num, den, k = den, num, -k
+        return RatFunc(self.n, num ** k, den ** k)
 
     def __str__(self):
         return "(%s) / (%s)" % (self.num, self.den)

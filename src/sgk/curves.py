@@ -28,7 +28,7 @@ from .bundles import wronskian
 from .bundles import susy1_matrix as _susy1_rows
 from .grassmann import GrassmannError, Qi, SuperNumber, random_qi
 from .linalg import field_rank, module_rank_report, solve_body_invertible
-from .polyrat import SuperPoly, coprime_bodies, homog_subst
+from .polyrat import SuperPoly, chart2_poly, coprime_bodies, homog_subst
 from .scgroup import SCMatrix, act_point, reflection
 from .scgroup import slice_normalize_one_point as _slice_one
 from .scgroup import slice_normalize_two_points as _slice_two
@@ -55,7 +55,7 @@ class P1Point:
         self.n = n
         self.U = SuperNumber.coerce(n, U)
         self.V = SuperNumber.coerce(n, V)
-        if self.U.odd_part() or self.V.odd_part():
+        if not (self.U.is_even() and self.V.is_even()):
             raise GrassmannError("target coordinates must be even")
         if not self.U.body() and not self.V.body():
             raise GrassmannError("target point with no invertible coordinate")
@@ -76,7 +76,7 @@ def _even_poly(n, coeffs, what):
     p = coeffs if isinstance(coeffs, SuperPoly) else SuperPoly(n, coeffs)
     if p.n != n:
         raise GrassmannError("generator count mismatch in %s" % what)
-    if any(c.odd_part() for c in p.coeffs):
+    if not all(c.is_even() for c in p.coeffs):
         raise GrassmannError("%s must have even coefficients" % what)
     return p
 
@@ -85,7 +85,7 @@ def _odd_poly(n, coeffs, what):
     p = coeffs if isinstance(coeffs, SuperPoly) else SuperPoly(n, coeffs)
     if p.n != n:
         raise GrassmannError("generator count mismatch in %s" % what)
-    if any(c.even_part() for c in p.coeffs):
+    if not all(c.is_odd() for c in p.coeffs):
         raise GrassmannError("%s must have odd coefficients" % what)
     return p
 
@@ -179,13 +179,6 @@ class SuperCurve:
 # Evaluation
 
 
-def _chart2_poly(poly: SuperPoly, total: int) -> SuperPoly:
-    """The second-chart polynomial: substitute z -> -1/z and clear z^total."""
-    n = poly.n
-    return homog_subst(poly, SuperPoly.const(n, -1),
-                       SuperPoly.linear(n, 0, 1), total)
-
-
 def eval_curve_at_superpoint(cur: SuperCurve, pt) -> P1Point:
     """The image phi(p) + pi psi(p) of a domain point, as a target point.
 
@@ -201,10 +194,9 @@ def eval_curve_at_superpoint(cur: SuperCurve, pt) -> P1Point:
         P, Q, r = cur.P, cur.Q, cur.r
         sign = Qi(1)
     else:
-        P = _chart2_poly(cur.P, d)
-        Q = _chart2_poly(cur.Q, d)
-        r = _chart2_poly(cur.r, 2 * d - 1) if not cur.r.is_zero() \
-            else SuperPoly.zero(cur.n)
+        P = chart2_poly(cur.P, d)
+        Q = chart2_poly(cur.Q, d)
+        r = chart2_poly(cur.r, 2 * d - 1)
         sign = Qi(-1)
     p, pi = cp.p, cp.pi
     Pv, Qv, rv = P.eval(p), Q.eval(p), r.eval(p)
@@ -281,7 +273,7 @@ def act_susy_on_curve(alpha, beta, cur: SuperCurve) -> SuperCurve:
     n = cur.n
     alpha = SuperNumber.coerce(n, alpha)
     beta = SuperNumber.coerce(n, beta)
-    if alpha.even_part() or beta.even_part():
+    if not (alpha.is_odd() and beta.is_odd()):
         raise GrassmannError("shear parameters must be odd")
     h = SuperPoly.linear(n, -alpha, beta)
     X1, Y1 = _gauge_pair(cur)

@@ -53,6 +53,20 @@ class GrassmannError(ValueError):
     """Raised for malformed or incompatible Grassmann-algebra operands."""
 
 
+def square_and_multiply(x, k, one):
+    """x ** k for an int k >= 0, starting from `one`; the base is squared
+    only while bits of k remain.  Qi, RatT, SuperNumber and SuperPoly powers
+    all run this loop."""
+    out = one
+    while k:
+        if k & 1:
+            out = x * out
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -201,13 +215,7 @@ class Qi:
             return NotImplemented
         if k < 0:
             return (QI_ONE / self) ** (-k)
-        out, base = QI_ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, QI_ONE)
 
     def __eq__(self, other):
         if type(other) is not Qi:
@@ -571,14 +579,7 @@ class RatT:
             return NotImplemented
         if k < 0:
             return (1 / self) ** (-k)
-        out, base = QI_ONE, self
-        while k:
-            if k & 1:
-                out = base * out
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return square_and_multiply(self, k, QI_ONE)
 
     def __eq__(self, other):
         o = RatT.lift(other)
@@ -845,10 +846,10 @@ class SuperNumber:
         return ps.pop()
 
     def is_even(self):
-        return self.parity() == 0
+        return not any(len(k) & 1 for k in self.terms)
 
     def is_odd(self):
-        return self.parity() == 1 or self.is_zero()
+        return all(len(k) & 1 for k in self.terms)
 
     def even_part(self):
         return SuperNumber(self.n, {k: v for k, v in self.terms.items()
@@ -968,14 +969,7 @@ class SuperNumber:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        out = SuperNumber.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, SuperNumber.one(self.n))
 
     def invert(self):
         """Multiplicative inverse; requires an invertible body."""
@@ -998,7 +992,7 @@ class SuperNumber:
 
     def sqrt_even(self):
         """Square root of an even element whose body has a scalar root."""
-        if self.parity() != 0:
+        if not self.is_even():
             raise GrassmannError("square root needs an even element")
         b = self.body()
         root = scalar_sqrt(b)

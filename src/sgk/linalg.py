@@ -1,12 +1,14 @@
 """Exact linear algebra over the scalar field and over the Grassmann algebra.
 
-Field-level routines run Gaussian elimination with exact arithmetic.  The
-Grassmann-level solver splits a matrix into body plus nilpotent soul and
-inverts through the terminating geometric series, which is enough for every
-square system this package meets (their bodies are always invertible).  Rank
-and kernel/cokernel data for rectangular Grassmann matrices are computed by
-pivoting on body-unit entries; a matrix whose residue needs a soul pivot is
-reported as degenerate rather than silently mis-ranked.
+One Gauss-Jordan loop reduces every matrix: it pivots on units (nonzero
+scalars, or SuperNumbers with a nonzero body) and multiplies from the left,
+so odd entries keep their signs.  The field routines and module_rank_report
+read their results off its reduced form; a Grassmann matrix whose leftover
+rows are nonzero (soul entries only) is reported as degenerate rather than
+silently mis-ranked.  The square Grassmann solver splits a matrix into body
+plus nilpotent soul and inverts through the terminating geometric series,
+which suffices because every square system this package meets has an
+invertible body.
 """
 
 from __future__ import annotations
@@ -20,47 +22,54 @@ from .grassmann import (
     SuperNumber,
     as_scalar,
     dot,
-    scalar_is_zero,
 )
 
 
 # ---------------------------------------------------------------------------
-# Scalar-field matrices (lists of lists of Qi / RatT)
+# Elimination (entries Qi / RatT, or SuperNumber)
+
+
+def _unit(x):
+    """True for a nonzero scalar or a SuperNumber with a nonzero body."""
+    return not (x.body() if isinstance(x, SuperNumber) else x).is_zero()
 
 
 def _gauss_jordan(m, ncols):
-    """Reduce the first `ncols` columns of `m` in place; returns the rank.
+    """Reduce the first `ncols` columns of `m` in place; returns the list of
+    pivot columns.
 
-    Each pivot is the first nonzero entry at or below the current row in its
-    column; pivot rows are scaled to 1 and the column is cleared above and
-    below, so full-rank square columns end as the identity.
+    Each pivot is the first unit at or below the current row in its column.
+    Pivot rows are scaled from the left (inv * c) to a leading 1 and the
+    column is cleared above and below with a - f * b, f on the left, since
+    odd entries anticommute; full-rank square columns end as the identity.
     """
     nr = len(m)
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nr:
             break
         piv = None
         for r in range(rank, nr):
-            if not scalar_is_zero(m[r][col]):
+            if _unit(m[r][col]):
                 piv = r
                 break
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = 1 / m[rank][col]
-        m[rank] = [c * inv for c in m[rank]]
+        prow = m[rank] = [inv * c for c in m[rank]]
         for r in range(nr):
-            if r != rank and not scalar_is_zero(m[r][col]):
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+            f = m[r][col]
+            if r != rank and not f.is_zero():
+                m[r] = [a - f * b for a, b in zip(m[r], prow)]
+        pivots.append(col)
+    return pivots
 
 
 def field_rank(rows):
     m = [[as_scalar(c) for c in row] for row in rows]
-    return _gauss_jordan(m, len(m[0])) if m else 0
+    return len(_gauss_jordan(m, len(m[0]))) if m else 0
 
 
 def _square_size(rows):
@@ -82,7 +91,7 @@ def field_solve(rows, rhs):
             "right-hand side has %d entries for %d equations" % (len(rhs), n))
     m = [[as_scalar(c) for c in row] + [as_scalar(b)]
          for row, b in zip(rows, rhs)]
-    if _gauss_jordan(m, n) < n:
+    if len(_gauss_jordan(m, n)) < n:
         raise GrassmannError("singular scalar system")
     return [row[n] for row in m]
 
@@ -93,7 +102,7 @@ def field_inverse(rows):
     m = [[as_scalar(c) for c in row] + [QI_ONE if i == j else QI_ZERO
                                          for j in range(n)]
          for i, row in enumerate(rows)]
-    if _gauss_jordan(m, n) < n:
+    if len(_gauss_jordan(m, n)) < n:
         raise GrassmannError("singular scalar system")
     return [row[n:] for row in m]
 
@@ -179,85 +188,33 @@ class ModuleRankReport:
 
 
 def module_rank_report(rows, n_gen=None) -> ModuleRankReport:
-    """Pivot on body-unit entries to split off the free part of the map.
+    """Rank data of a Grassmann matrix, read off its reduced form.
 
-    When the leftover block (after all body pivots are used) is nonzero, its
-    image sits inside the soul and the kernel/cokernel are not free modules;
-    such inputs are flagged degenerate and the reported ranks refer to the
-    free part only.
+    The rank is the number of body-unit pivots.  When a row left without a
+    pivot is still nonzero, its entries sit inside the soul and the kernel
+    and cokernel are not free modules: such inputs are flagged degenerate,
+    the ranks refer to the free part only and no kernel basis is given.
+    Otherwise each free column j gives the kernel vector
+    e_j - sum_i work[i][j] e_(p_i), p_i the pivot column of row i.  n_gen
+    is the generator count assumed when the matrix has no entries.
     """
-    if not rows or not rows[0]:
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        return ModuleRankReport(nr, nc, 0, nc, nr, False,
-                                _identity(nc, n_gen or 0))
-    n = rows[0][0].n
-    nr, nc = len(rows), len(rows[0])
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    n = rows[0][0].n if nc else n_gen or 0
     work = [list(r) for r in rows]
-    # track column operations so a kernel basis can be reconstructed
-    colops = _identity(nc, n)
-    rank = 0
-    used_rows = set()
-    used_cols = set()
-    for _ in range(min(nr, nc)):
-        piv = None
-        for i in range(nr):
-            if i in used_rows:
-                continue
-            for j in range(nc):
-                if j in used_cols:
-                    continue
-                if not scalar_is_zero(work[i][j].body()):
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        inv = work[pi][pj].invert()
-        # clear the pivot row across all other columns (column operations)
-        for j in range(nc):
-            if j == pj or j in used_cols:
-                continue
-            f = inv * work[pi][j]
-            for i in range(nr):
-                work[i][j] = work[i][j] - work[i][pj] * f
-            for i in range(nc):
-                colops[i][j] = colops[i][j] - colops[i][pj] * f
-        # clear the pivot column down the other rows (row operations; these
-        # do not touch colops)
-        for i in range(nr):
-            if i == pi:
-                continue
-            f = work[i][pj] * inv
-            for j in range(nc):
-                work[i][j] = work[i][j] - f * work[pi][j]
-        used_rows.add(pi)
-        used_cols.add(pj)
-        rank += 1
-    residue_nonzero = any(
-        not work[i][j].is_zero()
-        for i in range(nr) if i not in used_rows
-        for j in range(nc) if j not in used_cols
-    )
+    pivots = _gauss_jordan(work, nc)
+    rank = len(pivots)
+    degenerate = any(not c.is_zero() for row in work[rank:] for c in row)
     kernel_basis = []
-    for j in range(nc):
-        if j not in used_cols and not residue_nonzero:
-            kernel_basis.append([colops[i][j] for i in range(nc)])
-    return ModuleRankReport(
-        rows=nr,
-        cols=nc,
-        rank=rank,
-        kernel_rank=nc - rank if not residue_nonzero else 0,
-        coker_rank=nr - rank,
-        degenerate=residue_nonzero,
-        kernel_basis=kernel_basis,
-    )
-
-
-def _identity(k, n):
-    one = SuperNumber.one(n)
-    zero = SuperNumber.zero(n)
-    return [[one if i == j else zero for j in range(k)] for i in range(k)]
-
+    if not degenerate:
+        zero, one = SuperNumber.zero(n), SuperNumber.one(n)
+        for j in range(nc):
+            if j in pivots:
+                continue
+            v = [zero] * nc
+            v[j] = one
+            for i, p in enumerate(pivots):
+                v[p] = -work[i][j]
+            kernel_basis.append(v)
+    return ModuleRankReport(nr, nc, rank, 0 if degenerate else nc - rank,
+                            nr - rank, degenerate, kernel_basis)

@@ -16,6 +16,7 @@ from .grassmann import (
     SuperNumber,
     dot,
     is_scalar,
+    square_and_multiply,
 )
 
 
@@ -137,14 +138,7 @@ class SuperPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = SuperPoly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, SuperPoly.const(self.n, 1))
 
     def __eq__(self, other):
         if isinstance(other, SuperPoly):
@@ -236,3 +230,11 @@ def reverse_coeffs(poly: SuperPoly, total: int) -> SuperPoly:
     for i, c in enumerate(poly.coeffs):
         cs[total - i] = c
     return SuperPoly(poly.n, cs)
+
+
+def chart2_poly(poly: SuperPoly, total: int) -> SuperPoly:
+    """The second-chart form of a degree-`total` polynomial: substitute
+    z -> -1/z and clear z^total, giving sum_j (-1)^j c_j z^(total - j),
+    the reversal of poly(-z)."""
+    alternating = [-c if j & 1 else c for j, c in enumerate(poly.coeffs)]
+    return reverse_coeffs(SuperPoly(poly.n, alternating), total)

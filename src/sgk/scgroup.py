@@ -30,25 +30,12 @@ from .grassmann import (
     random_qi,
     scalar_lex_positive,
 )
-from .superspace import ChartPoint, ProjPoint, as_proj, reduced_bodies_distinct
+from .superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
+                         reduced_bodies_distinct)
 
 
 class NormalizationError(GrassmannError):
     """A normal form does not exist over the exact scalar field."""
-
-
-def _even(n, v, what):
-    x = SuperNumber.coerce(n, v)
-    if any(len(k) & 1 for k in x.terms):
-        raise GrassmannError("%s must be even" % what)
-    return x
-
-
-def _odd(n, v, what):
-    x = SuperNumber.coerce(n, v)
-    if any(not len(k) & 1 for k in x.terms):
-        raise GrassmannError("%s must be odd" % what)
-    return x
 
 
 class SCMatrix:
@@ -60,15 +47,15 @@ class SCMatrix:
     def __init__(self, n, a, b, c, d, e, alpha, beta, gamma, delta,
                  validate=True):
         self.n = n
-        self.a = _even(n, a, "a")
-        self.b = _even(n, b, "b")
-        self.c = _even(n, c, "c")
-        self.d = _even(n, d, "d")
-        self.e = _even(n, e, "e")
-        self.alpha = _odd(n, alpha, "alpha")
-        self.beta = _odd(n, beta, "beta")
-        self.gamma = _odd(n, gamma, "gamma")
-        self.delta = _odd(n, delta, "delta")
+        self.a = _want_parity(n, a, 0, "a")
+        self.b = _want_parity(n, b, 0, "b")
+        self.c = _want_parity(n, c, 0, "c")
+        self.d = _want_parity(n, d, 0, "d")
+        self.e = _want_parity(n, e, 0, "e")
+        self.alpha = _want_parity(n, alpha, 1, "alpha")
+        self.beta = _want_parity(n, beta, 1, "beta")
+        self.gamma = _want_parity(n, gamma, 1, "gamma")
+        self.delta = _want_parity(n, delta, 1, "delta")
         if validate:
             bad = {k: v for k, v in self.check().items() if not v.is_zero()}
             if bad:
@@ -195,7 +182,8 @@ def identity(n):
 
 def lift_sl2(n, a, b, c, d):
     """The even automorphism acting as z -> (a z + b)/(c z + d); a d - b c = 1."""
-    a, b, c, d = (_even(n, v, "matrix entry") for v in (a, b, c, d))
+    a, b, c, d = (_want_parity(n, v, 0, "matrix entry")
+                  for v in (a, b, c, d))
     det = a * d - b * c
     if det != SuperNumber.one(n):
         raise GrassmannError("Moebius lift needs determinant one, got %s" % det)
@@ -210,8 +198,8 @@ def susy(n, alpha, beta):
     These elements do not form a subgroup once two or more generators are
     in play; composing two of them picks up an even Moebius part.
     """
-    alpha = _odd(n, alpha, "alpha")
-    beta = _odd(n, beta, "beta")
+    alpha = _want_parity(n, alpha, 1, "alpha")
+    beta = _want_parity(n, beta, 1, "beta")
     one = SuperNumber.one(n)
     zero = SuperNumber.zero(n)
     diag = one + alpha * beta / 2
@@ -324,10 +312,6 @@ def _homog(pt):
     return P.Z1, P.Z2, P.Theta
 
 
-def _distinct_bodies(ps):
-    return reduced_bodies_distinct(ps)
-
-
 def three_point_normalize(p1, p2, p3):
     """The unique automorphism sending the triple to (0, 1, infinity).
 
@@ -342,7 +326,7 @@ def three_point_normalize(p1, p2, p3):
     n = as_proj(p1).n
     if any(as_proj(p).n != n for p in pts):
         raise GrassmannError("points live over different generator counts")
-    if not _distinct_bodies(pts):
+    if not reduced_bodies_distinct(pts):
         raise NormalizationError("marked points must have distinct bodies")
     (X1, Y1, _), (X2, Y2, _), (X3, Y3, _) = map(_homog, pts)
     u = X2 * Y3 - X3 * Y2
@@ -393,7 +377,7 @@ def slice_normalize_two_points(p1, p2):
     diag(a, 1/a, 1) together with the odd stabilizer of the slice.
     """
     n = as_proj(p1).n
-    if not _distinct_bodies((p1, p2)):
+    if not reduced_bodies_distinct((p1, p2)):
         raise NormalizationError("marked points must have distinct bodies")
     (X1, Y1, _), (X2, Y2, _) = map(_homog, (p1, p2))
     w = X1 * Y2 - X2 * Y1
@@ -421,7 +405,7 @@ def slice_normalize_one_point(p1):
 
 def stabilizer_two_points(n, a):
     """The residual torus diag(a, 1/a, 1) of the two-point slice."""
-    a = _even(n, a, "a")
+    a = _want_parity(n, a, 0, "a")
     if not a.body():
         raise GrassmannError("diagonal parameter must be invertible")
     return lift_sl2(n, a, 0, 0, a.invert())

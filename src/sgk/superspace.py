@@ -14,9 +14,13 @@ from __future__ import annotations
 from .grassmann import GrassmannError, SuperNumber
 
 
-def _want_parity(x: SuperNumber, parity: int, what: str):
-    if any((len(k) & 1) != parity for k in x.terms):
-        raise GrassmannError("%s must be %s" % (what, "even" if parity == 0 else "odd"))
+def _want_parity(n, v, parity: int, what: str) -> SuperNumber:
+    """v as an element of Lambda_n that is even (parity 0) or odd (parity
+    1); zero is both.  GrassmannError "<what> must be even/odd" otherwise."""
+    x = SuperNumber.coerce(n, v)
+    if not (x.is_odd() if parity else x.is_even()):
+        raise GrassmannError(
+            "%s must be %s" % (what, "odd" if parity else "even"))
     return x
 
 
@@ -27,9 +31,9 @@ class ProjPoint:
 
     def __init__(self, n, Z1, Z2, Theta):
         self.n = n
-        self.Z1 = _want_parity(SuperNumber.coerce(n, Z1), 0, "Z1")
-        self.Z2 = _want_parity(SuperNumber.coerce(n, Z2), 0, "Z2")
-        self.Theta = _want_parity(SuperNumber.coerce(n, Theta), 1, "Theta")
+        self.Z1 = _want_parity(n, Z1, 0, "Z1")
+        self.Z2 = _want_parity(n, Z2, 0, "Z2")
+        self.Theta = _want_parity(n, Theta, 1, "Theta")
         if not self.Z1.body() and not self.Z2.body():
             raise GrassmannError("homogeneous coordinates with no invertible entry")
 
@@ -76,8 +80,8 @@ class ChartPoint:
             raise GrassmannError("chart must be 1 or 2")
         self.n = n
         self.chart = chart
-        self.p = _want_parity(SuperNumber.coerce(n, p), 0, "base coordinate")
-        self.pi = _want_parity(SuperNumber.coerce(n, pi), 1, "odd coordinate")
+        self.p = _want_parity(n, p, 0, "base coordinate")
+        self.pi = _want_parity(n, pi, 1, "odd coordinate")
 
     def to_proj(self):
         one = SuperNumber.one(self.n)
@@ -135,7 +139,7 @@ def point_infty(n):
 def torus_param(n, t) -> SuperNumber:
     """Validate a torus parameter: an even invertible element."""
     tt = SuperNumber.coerce(n, t)
-    if not tt.body() or tt.parity() != 0:
+    if not tt.body() or not tt.is_even():
         raise GrassmannError("torus parameter must be even and invertible")
     return tt
 

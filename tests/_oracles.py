@@ -20,14 +20,20 @@ product without the memoized monomial table, the body-only fast paths or the
 trusted constructor; reference_invert, the terminating geometric series on
 those products; and fraction_random_qi, random_qi as it was drawn through
 two Fractions.
+
+reference_module_rank_report is the rank report as it was computed before
+module_rank_report became a reading of the one Gauss-Jordan loop: a full
+pivot search on body units with row and column operations, and a tracker of
+the column operations from which the kernel basis is read.
 """
 
 import math
 from fractions import Fraction
 
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import QI_ZERO, Qi, SuperNumber, _merge_indices
-from sgk.linalg import mat_mul
+from sgk.grassmann import QI_ZERO, Qi, SuperNumber, _merge_indices, \
+    scalar_is_zero
+from sgk.linalg import ModuleRankReport, mat_mul
 from sgk.polyrat import SuperPoly, homog_subst
 from sgk.superspace import preferred_chart
 
@@ -361,3 +367,88 @@ def fraction_random_qi(rng, nonzero=False):
         q = Qi(re, im)
         if not nonzero or not q.is_zero():
             return q
+
+
+def reference_module_rank_report(rows, n_gen=None) -> ModuleRankReport:
+    """Pivot on body-unit entries to split off the free part of the map.
+
+    When the leftover block (after all body pivots are used) is nonzero, its
+    image sits inside the soul and the kernel/cokernel are not free modules;
+    such inputs are flagged degenerate and the reported ranks refer to the
+    free part only.
+    """
+    if not rows or not rows[0]:
+        nr = len(rows)
+        nc = len(rows[0]) if rows else 0
+        return ModuleRankReport(nr, nc, 0, nc, nr, False,
+                                _identity(nc, n_gen or 0))
+    n = rows[0][0].n
+    nr, nc = len(rows), len(rows[0])
+    work = [list(r) for r in rows]
+    # track column operations so a kernel basis can be reconstructed
+    colops = _identity(nc, n)
+    rank = 0
+    used_rows = set()
+    used_cols = set()
+    for _ in range(min(nr, nc)):
+        piv = None
+        for i in range(nr):
+            if i in used_rows:
+                continue
+            for j in range(nc):
+                if j in used_cols:
+                    continue
+                if not scalar_is_zero(work[i][j].body()):
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        inv = work[pi][pj].invert()
+        # clear the pivot row across all other columns (column operations)
+        for j in range(nc):
+            if j == pj or j in used_cols:
+                continue
+            f = inv * work[pi][j]
+            for i in range(nr):
+                work[i][j] = work[i][j] - work[i][pj] * f
+            for i in range(nc):
+                colops[i][j] = colops[i][j] - colops[i][pj] * f
+        # clear the pivot column down the other rows (row operations; these
+        # do not touch colops)
+        for i in range(nr):
+            if i == pi:
+                continue
+            f = work[i][pj] * inv
+            for j in range(nc):
+                work[i][j] = work[i][j] - f * work[pi][j]
+        used_rows.add(pi)
+        used_cols.add(pj)
+        rank += 1
+    residue_nonzero = any(
+        not work[i][j].is_zero()
+        for i in range(nr) if i not in used_rows
+        for j in range(nc) if j not in used_cols
+    )
+    kernel_basis = []
+    for j in range(nc):
+        if j not in used_cols and not residue_nonzero:
+            kernel_basis.append([colops[i][j] for i in range(nc)])
+    return ModuleRankReport(
+        rows=nr,
+        cols=nc,
+        rank=rank,
+        kernel_rank=nc - rank if not residue_nonzero else 0,
+        coker_rank=nr - rank,
+        degenerate=residue_nonzero,
+        kernel_basis=kernel_basis,
+    )
+
+
+def _identity(k, n):
+    one = SuperNumber.one(n)
+    zero = SuperNumber.zero(n)
+    return [[one if i == j else zero for j in range(k)] for i in range(k)]
+

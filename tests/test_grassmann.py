@@ -1,9 +1,11 @@
 """Arithmetic in the exact coefficient scalars and the Grassmann algebra."""
 
 import functools
+import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, dot, make_rat,
                            _merge_indices, random_qi, random_supernumber,
                            scalar_sqrt)
-from sgk.polyrat import coprime_bodies
+from sgk.cli import RatFunc
+from sgk.polyrat import SuperPoly, coprime_bodies
 
 from _oracles import (FractionQi, fraction_random_qi, reference_invert,
                       reference_product)
@@ -105,6 +108,64 @@ def test_ratt_evaluation_consistency(a, b, k):
         g = 1 / g
     f = base ** k
     assert f == g and str(f) == str(g)
+
+
+@st.composite
+def power_bases(draw):
+    """A base of each kind with a power: Qi, RatT, SuperNumber, SuperPoly
+    and the curve-literal RatFunc, together with the value 1 of its kind,
+    its inverse (raising as x ** -k must) and its product."""
+    kind = draw(st.sampled_from(("Qi", "RatT", "SuperNumber", "SuperPoly",
+                                 "RatFunc")))
+    if kind == "Qi":
+        return draw(small_qi), Qi(1), lambda x: 1 / x, operator.mul
+    if kind == "RatT":
+        return draw(ratt_operands), Qi(1), lambda x: 1 / x, operator.mul
+    n = draw(st.sampled_from((0, 2, 3)))
+    monomials = [k for size in range(n + 1)
+                 for k in itertools.combinations(range(1, n + 1), size)]
+    element = st.dictionaries(
+        st.sampled_from(monomials),
+        st.one_of(small_qi, small_qi.map(lambda c: c * T_PARAM)),
+        max_size=3).map(lambda terms: SuperNumber(n, terms))
+    if kind == "SuperNumber":
+        return (draw(element), SuperNumber.one(n), SuperNumber.invert,
+                operator.mul)
+    polys = st.lists(element, max_size=3).map(lambda cs: SuperPoly(n, cs))
+    one = SuperPoly.const(n, 1)
+    if kind == "SuperPoly":
+        return draw(polys), one, None, operator.mul
+    x = RatFunc(n, draw(polys), draw(polys.filter(lambda p: not p.is_zero())))
+    return (x, RatFunc(n, one, one), RatFunc(n, one, one).div,
+            RatFunc.mul)
+
+
+@given(power_bases(), st.integers(-4, 12))
+@settings(max_examples=200, deadline=None)
+def test_powers_match_repeated_multiplication(case, k):
+    x, one, invert, mul = case
+    power = x.pow if isinstance(x, RatFunc) else x.__pow__
+    if k < 0 and invert is None:
+        # SuperPoly has no negative powers
+        with pytest.raises(TypeError):
+            _ = x ** k
+        return
+    try:
+        base = invert(x) if k < 0 else x
+        want = one
+        for _ in range(abs(k)):
+            want = mul(want, base)
+    except (ZeroDivisionError, GrassmannError) as err:
+        # a zero base, or a RatFunc denominator whose power vanishes
+        with pytest.raises(type(err), match="^%s$" % re.escape(str(err))):
+            power(k)
+        return
+    got = power(k)
+    assert type(got) is type(want) and str(got) == str(want)
+    if isinstance(x, RatFunc):
+        assert (got.num, got.den) == (want.num, want.den)
+    else:
+        assert got == want
 
 
 def test_constant_ratt_hashes_like_its_qi():

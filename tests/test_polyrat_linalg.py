@@ -1,14 +1,19 @@
 """Polynomials over the Grassmann algebra and exact linear algebra."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_module_rank_report
+from sgk.bundles import Section
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
     random_qi, random_supernumber
 from sgk.linalg import (field_inverse, field_rank, field_solve, mat_mul,
                         mat_vec, module_rank_report, solve_body_invertible)
-from sgk.polyrat import SuperPoly, homog_subst, reverse_coeffs
+from sgk.polyrat import SuperPoly, chart2_poly, homog_subst, reverse_coeffs
 
 
 def _rand_poly(rng, n, max_deg):
@@ -116,6 +121,30 @@ def test_reverse_coeffs():
     assert reverse_coeffs(p, 2) == SuperPoly(n, [3, 2, 1])
     # padding up to the stated total degree
     assert reverse_coeffs(p, 3) == SuperPoly(n, [0, 3, 2, 1])
+
+
+small_qi = st.builds(Qi, st.integers(-3, 3), st.integers(-1, 1))
+small_scalars = st.one_of(small_qi, st.builds(lambda a, b: a + b * T_PARAM,
+                                              small_qi, small_qi))
+
+
+@given(st.sampled_from((0, 2, 3)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_chart2_poly_and_frame2_match_the_substitution(n, data):
+    monomials = [k for size in range(n + 1)
+                 for k in itertools.combinations(range(1, n + 1), size)]
+    element = st.dictionaries(st.sampled_from(monomials), small_scalars,
+                              max_size=3).map(lambda t: SuperNumber(n, t))
+    p = SuperPoly(n, data.draw(st.lists(element, max_size=5)))
+    total = p.degree() + data.draw(st.integers(0, 2))
+    want = homog_subst(p, SuperPoly.const(n, -1), SuperPoly.linear(n, 0, 1),
+                       total)
+    got = chart2_poly(p, total)
+    assert got == want and str(got) == str(want)
+    if total >= 0:
+        sign = -1 if total & 1 else 1
+        frame2 = Section(n, total, p).frame2()
+        assert frame2 == want * sign and str(frame2) == str(want * sign)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +262,61 @@ def test_module_rank_report_full_and_degenerate():
     # a column that is soul-only cannot be ranked over the field
     rep3 = module_rank_report([[soul, zero], [zero, one]])
     assert rep3.degenerate
+
+
+@st.composite
+def grassmann_matrices(draw):
+    """Matrices over Lambda_n, n <= 4, with even or mixed-parity entries that
+    are zero, soul-only, arbitrary or units, sometimes with a second row
+    that is a unit multiple of the first."""
+    n = draw(st.integers(0, 4))
+    even = draw(st.booleans())
+    souls = [k for size in range(1, n + 1)
+             for k in itertools.combinations(range(1, n + 1), size)
+             if not (even and size & 1)]
+    coeffs = st.builds(Qi, st.integers(-2, 2), st.integers(-1, 1))
+    units = st.builds(Qi, st.integers(1, 3), st.integers(-1, 1))
+    soul = st.dictionaries(st.sampled_from(souls), coeffs, max_size=3) \
+        if souls else st.just({})
+    terms = st.one_of(
+        st.just({}), soul,
+        st.builds(lambda s, b: {**s, (): b}, soul, coeffs),
+        st.builds(lambda s, b: {**s, (): b}, soul, units))
+    entries = terms.map(lambda t: SuperNumber(n, t))
+    nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr >= 2 and draw(st.booleans()):
+        c = SuperNumber(n, draw(st.builds(lambda s, b: {**s, (): b},
+                                          soul, units)))
+        rows[1] = [c * x for x in rows[0]]
+    return n, rows
+
+
+_g = [SuperNumber.gen(3, i) for i in (1, 2, 3)]
+
+
+@given(grassmann_matrices())
+# odd entries: clearing must keep the factor on the left
+@example(case=(3, [[_g[0], 1 + _g[1]], [1 + _g[2], _g[0] * _g[1]]]))
+@example(case=(3, [[_g[0] * _g[1], _g[2]], [_g[2], _g[0]]]))
+@example(case=(2, [[], []]))
+@example(case=(2, []))
+@settings(max_examples=300, deadline=None)
+def test_module_rank_report_matches_reference(case):
+    n, rows = case
+    got = module_rank_report(rows, n)
+    want = reference_module_rank_report(rows, n)
+    assert (got.rows, got.cols, got.rank, got.kernel_rank, got.coker_rank,
+            got.degenerate, len(got.kernel_basis)) \
+        == (want.rows, want.cols, want.rank, want.kernel_rank,
+            want.coker_rank, want.degenerate, len(want.kernel_basis))
+    for v in got.kernel_basis:
+        assert len(v) == got.cols and all(x.n == n for x in v)
+        assert all(x.is_zero() for x in mat_vec(rows, v))
+    if got.cols:
+        assert field_rank([[x.body() for x in row] for row in rows]) \
+            == got.rank
 
 
 def test_mat_helpers():

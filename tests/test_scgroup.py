@@ -6,7 +6,8 @@ import pytest
 
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
     random_supernumber
-from sgk.scgroup import (NormalizationError, SCMatrix, _even, _odd, act_point,
+from sgk.curves import P1Point, SuperCurve, act_susy_on_curve
+from sgk.scgroup import (NormalizationError, SCMatrix, act_point,
                          chart_pullback, identity, lift_sl2,
                          point_multiplier, random_sc_matrix, random_sl2_qi,
                          reflection, same_automorphism,
@@ -14,7 +15,7 @@ from sgk.scgroup import (NormalizationError, SCMatrix, _even, _odd, act_point,
                          torus_matrix)
 from sgk.superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
                             point_infty, point_one, point_zero,
-                            preferred_chart)
+                            preferred_chart, torus_param)
 
 
 def _gens(n, *idx):
@@ -32,29 +33,57 @@ def test_parity_checks_reject_mixed_and_wrong_parity():
     mixed = even + g1
     zero = SuperNumber.zero(n)
     for v in (even, zero, 5):
-        assert _even(n, v, "a") == SuperNumber.coerce(n, v)
-        assert _want_parity(SuperNumber.coerce(n, v), 0, "Z1") \
-            == SuperNumber.coerce(n, v)
+        assert SuperNumber.coerce(n, v).is_even()
+        assert _want_parity(n, v, 0, "Z1") == SuperNumber.coerce(n, v)
     for v in (odd, zero):
-        assert _odd(n, v, "alpha") is v
-        assert _want_parity(v, 1, "Theta") is v
+        assert v.is_odd()
+        assert _want_parity(n, v, 1, "Theta") is v
     for v in (odd, mixed):
-        with pytest.raises(GrassmannError, match="^a must be even$"):
-            _even(n, v, "a")
+        assert not v.is_even()
         with pytest.raises(GrassmannError, match="^Z1 must be even$"):
-            _want_parity(v, 0, "Z1")
+            _want_parity(n, v, 0, "Z1")
     for v in (even, mixed, 1):
-        with pytest.raises(GrassmannError, match="^alpha must be odd$"):
-            _odd(n, v, "alpha")
+        assert not SuperNumber.coerce(n, v).is_odd()
         with pytest.raises(GrassmannError, match="^Theta must be odd$"):
-            _want_parity(SuperNumber.coerce(n, v), 1, "Theta")
+            _want_parity(n, v, 1, "Theta")
     # and through the public constructors that call them
+    with pytest.raises(GrassmannError, match="^a must be even$"):
+        SCMatrix(n, mixed, 0, 0, 1, 1, 0, 0, 0, 0, validate=False)
     with pytest.raises(GrassmannError, match="^gamma must be odd$"):
         SCMatrix(n, 1, 0, 0, 1, 1, 0, 0, 1, 0, validate=False)
+    with pytest.raises(GrassmannError, match="^matrix entry must be even$"):
+        lift_sl2(n, 1, g1, 0, 1)
     with pytest.raises(GrassmannError, match="^Theta must be odd$"):
         ProjPoint(n, 1, 1, mixed)
     with pytest.raises(GrassmannError, match="^base coordinate must be even$"):
         ChartPoint(n, 1, odd, 0)
+    # the curve, shear, torus and square-root sites
+    cur = SuperCurve(n, 1, [zero, 1], [1], [odd])
+    for v in (odd, mixed):
+        with pytest.raises(GrassmannError,
+                           match="^target coordinates must be even$"):
+            P1Point(n, 1, v)
+        with pytest.raises(GrassmannError,
+                           match="^numerator must have even coefficients$"):
+            SuperCurve(n, 1, [1, v], [1])
+        with pytest.raises(GrassmannError,
+                           match="^torus parameter must be even and "
+                                 "invertible$"):
+            torus_param(n, 2 + v)
+        with pytest.raises(GrassmannError,
+                           match="^square root needs an even element$"):
+            (2 + v).sqrt_even()
+    for v in (even, mixed):
+        with pytest.raises(GrassmannError,
+                           match="^odd numerator must have odd coefficients$"):
+            SuperCurve(n, 1, [zero, 1], [1], [odd, v])
+        with pytest.raises(GrassmannError,
+                           match="^shear parameters must be odd$"):
+            act_susy_on_curve(odd, v, cur)
+    assert P1Point(n, even, 1) == P1Point(n, even, 1)
+    assert torus_param(n, 2 + even) == 2 + even
+    assert (2 + even).sqrt_even() ** 2 == 2 + even
+    assert act_susy_on_curve(zero, odd, cur).d == 1
 
 
 def test_constructors_are_valid():
