@@ -1,693 +1,77 @@
 """Exact arithmetic in a complex Grassmann algebra with few generators.
 
 Values are elements of Lambda_n (x) C for 0 <= n <= 8, written on the basis
-of products of anticommuting generators g1, ..., gn.  Coefficients are exact:
-Gaussian rationals (class Qi), optionally extended by a single transcendental
-even parameter t (class RatT, a reduced fraction of polynomials in t over the
-Gaussian rationals).  ScalarPoly is the one dense polynomial class over these
-scalars: RatT stores its numerator and denominator in it, and body-level
-coprimality checks run on it.  There is no floating point anywhere in this
-module.
+of products of anticommuting generators g1, ..., gn, with the exact scalars
+of sgk.scalars as coefficients (Gaussian rationals Qi, and rational
+functions RatT in one parameter t); this module re-exports those names.
 
-A Qi is a canonical integer triple (a, b, d) meaning (a + b*i)/d, with d > 0
-and gcd(a, b, d) == 1; each ring operation works on the integers and divides
-by one gcd.  Qi(re, im) takes ints or Fractions, re and im read back as
-Fractions, and a Qi hashes like its Fraction components.
+A SuperNumber built from real Qi coefficients is stored in integer form,
+the layout of FLINT's fmpq_poly: one common denominator d > 0 and one
+integer numerator per nonzero term, keyed by the monomial's int bitmask,
+bit i - 1 standing for g_i.  The form is canonical, gcd(d, every numerator)
+== 1, so two values in integer form are equal exactly when their fields
+are.  g2*g1 is -1 times the monomial 0b11: the sign of a product of
+disjoint monomials ka, kb is read off a row of bytes built for ka on first
+use (_sign_row), and ka & kb != 0 marks a vanishing product.  Products,
+sums and dot of integer-form values run their loops on the ints and divide
+the result by one gcd.  A value with an imaginary part or a RatT
+coefficient keeps a dict from masks to scalars instead, and so does every
+result of arithmetic with such an operand, even when its coefficients come
+out real; that arithmetic runs the same loop (_accumulate) on the scalars,
+reading an integer-form operand's coefficients as Qi.  SuperNumber.terms is
+a read-only mapping from increasing index tuples to Qi/RatT coefficients,
+converted on demand, in the order the terms were made; a sum that reaches
+zero deletes its term at once, so a term made again later goes to the end.
 
-A SuperNumber is stored as a mapping from strictly increasing index tuples to
-nonzero scalar coefficients, so g2*g1 is represented as -1 times the basis
-monomial (1, 2).  The product of two basis monomials (their merged tuple and
-the sign of the transpositions that sort it, or None when they share a
-generator) is computed once by _merge_indices and kept in the module-level
-table _PRODUCTS, filled as products need it; it holds at most
-4 ** MAX_GENERATORS = 65536 pairs.  The public SuperNumber constructor
-validates indices and coefficients; results the class builds itself (sums,
-products, negation, parity and projection parts, inverses) and the
-constructors scalar, zero and one (and coerce, which goes through scalar)
-go through the same __init__ with _trusted=True, which skips the checks;
-those constructors still check n and coerce and drop a zero scalar.  A
-product with a body-only operand scales the other operand's coefficients
-without monomial merging, and the inverse of a body-only value is the
-scalar inverse.
+The public SuperNumber constructor validates indices and coefficients;
+results the class builds itself (sums, products, negation, parity and
+projection parts, inverses) and the constructors scalar, zero and one (and
+coerce, which goes through scalar) pass their fields positionally to the
+same __init__, which skips the checks; those constructors still check n and
+coerce and drop a zero scalar.  A product with a body-only operand scales
+the other operand's numerators without monomial merging, and the inverse of
+a body-only value is the scalar inverse.
 
 dot(n, xs, ys) is the package's one sum-of-products kernel: it returns
-x1*y1 + x2*y2 + ... as one SuperNumber, accumulating every product into a
-single term dict through the loop the product itself runs (_accumulate), so
-no SuperNumber is built per product or per partial sum.  The left factor of
-each product comes from xs, which fixes the signs of odd-by-odd terms.
-Group products, point actions, SuperPoly products and the Grassmann linear
-solver are built on it.
+x1*y1 + x2*y2 + ... as one SuperNumber, accumulating every product over the
+lcm of the pairs' denominators into a single dict through the loop the
+product itself runs, so no SuperNumber is built per product or per partial
+sum.  The left factor of each product comes from xs, which fixes the signs
+of odd-by-odd terms.  Group products, point actions, SuperPoly products and
+the Grassmann linear solver are built on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+
+from .scalars import (  # noqa: F401  (re-exported scalar layer)
+    QI_I,
+    QI_ONE,
+    QI_ZERO,
+    T_PARAM,
+    GrassmannError,
+    Qi,
+    QiPoly,
+    RatT,
+    Scalar,
+    ScalarPoly,
+    as_scalar,
+    is_scalar,
+    make_rat,
+    scalar_is_zero,
+    scalar_lex_positive,
+    scalar_sqrt,
+    scalar_str,
+    square_and_multiply,
+)
+from .scalars import _canonical
 
 
 MAX_GENERATORS = 8
-
-
-class GrassmannError(ValueError):
-    """Raised for malformed or incompatible Grassmann-algebra operands."""
-
-
-def square_and_multiply(x, k, one):
-    """x ** k for an int k >= 0, starting from `one`; the base is squared
-    only while bits of k remain.  Qi, RatT, SuperNumber and SuperPoly powers
-    all run this loop."""
-    out = one
-    while k:
-        if k & 1:
-            out = x * out
-        k >>= 1
-        if k:
-            x = x * x
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-
-
-def _frac_sqrt(f: Fraction):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if f < 0:
-        return None
-    num, den = f.numerator, f.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-class Qi:
-    """A Gaussian rational (a + b*i)/d, stored as a canonical integer triple.
-
-    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
-    have equal triples and equality is a tuple comparison.  Ring operations
-    work on the integers and divide by one gcd of the result; a sum of two
-    values over the same denominator skips the cross multiplication, and
-    results over d == 1 skip the gcd.  The components are also readable as
-    Fractions through the re and im properties.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-            return
-        re, im = Fraction(re), Fraction(im)
-        dr, di = re.denominator, im.denominator
-        # over the least common denominator the triple is already canonical
-        d = dr if dr == di else dr // math.gcd(dr, di) * di
-        self.a = re.numerator * (d // dr)
-        self.b = im.numerator * (d // di)
-        self.d = d
-
-    @staticmethod
-    def _of(a, b, d):
-        """Trusted constructor for a triple that is already canonical."""
-        q = _new_qi(Qi)
-        q.a = a
-        q.b = b
-        q.d = d
-        return q
-
-    @property
-    def re(self):
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self):
-        return Fraction(self.b, self.d)
-
-    # -- helpers
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, Qi):
-            return v
-        if isinstance(v, int):
-            return Qi._of(int(v), 0, 1)
-        if isinstance(v, Fraction):
-            return Qi._of(v.numerator, 0, v.denominator)
-        return None
-
-    def is_zero(self):
-        return not self.a and not self.b
-
-    # -- ring operations
-
-    def __add__(self, other):
-        if type(other) is not Qi:
-            other = Qi.coerce(other)
-            if other is None:
-                return NotImplemented
-        d = self.d
-        if d == other.d:
-            return _canonical(self.a + other.a, self.b + other.b, d)
-        d2 = other.d
-        return _canonical(self.a * d2 + other.a * d, self.b * d2 + other.b * d,
-                          d * d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not Qi:
-            other = Qi.coerce(other)
-            if other is None:
-                return NotImplemented
-        d = self.d
-        if d == other.d:
-            return _canonical(self.a - other.a, self.b - other.b, d)
-        d2 = other.d
-        return _canonical(self.a * d2 - other.a * d, self.b * d2 - other.b * d,
-                          d * d2)
-
-    def __rsub__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if type(other) is not Qi:
-            other = Qi.coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if b1 or b2:
-            return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                              self.d * other.d)
-        return _canonical(a1 * a2, 0, self.d * other.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not Qi:
-            other = Qi.coerce(other)
-            if other is None:
-                return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
-        #   = d2 (a1 + b1 i)(a2 - b2 i) / (d1 (a2^2 + b2^2))
-        n2 = a2 * a2 + b2 * b2
-        if not n2:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        d2 = other.d
-        return _canonical(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
-                          self.d * n2)
-
-    def __rtruediv__(self, other):
-        o = Qi.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return Qi._of(-self.a, -self.b, self.d)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (QI_ONE / self) ** (-k)
-        return square_and_multiply(self, k, QI_ONE)
-
-    def __eq__(self, other):
-        if type(other) is not Qi:
-            if isinstance(other, RatT):
-                return other == self
-            other = Qi.coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __hash__(self):
-        # the hashes of the Fraction components, so a real value hashes
-        # like the int or Fraction it equals
-        if not self.b:
-            if self.d == 1:
-                return hash(self.a)
-            return hash(Fraction(self.a, self.d))
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def conj(self):
-        return Qi._of(self.a, -self.b, self.d)
-
-    def sqrt(self):
-        """An exact square root in Q(i) or None.
-
-        The returned root is the one whose first nonzero part (real, then
-        imaginary) is positive, which makes the choice deterministic.
-        """
-        if self.is_zero():
-            return Qi(0)
-        re, im = self.re, self.im
-        if not im:
-            r = _frac_sqrt(re)
-            if r is not None:
-                return Qi(r)
-            r = _frac_sqrt(-re)
-            if r is not None:
-                return Qi(0, r)
-            return None
-        norm = _frac_sqrt(re * re + im * im)
-        if norm is None:
-            return None
-        u2 = (re + norm) / 2
-        u = _frac_sqrt(u2)
-        if u is None or not u:
-            return None
-        v = im / (2 * u)
-        cand = Qi(u, v)
-        if cand * cand == self:
-            if cand.a < 0 or (not cand.a and cand.b < 0):
-                cand = -cand
-            return cand
-        return None
-
-    def __str__(self):
-        if not self.b:
-            return _frac_str(self.re)
-        im = self.im
-        return "(%s%s%si)" % (_frac_str(self.re), "+" if im >= 0 else "-",
-                              _frac_str(abs(im)))
-
-    __repr__ = __str__
-
-
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
-_new_qi = object.__new__
-
-
-def _canonical(a, b, d):
-    """The Qi (a + b*i)/d for integers a, b and d > 0, divided by their gcd."""
-    if d != 1:
-        g = math.gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
-    q = _new_qi(Qi)
-    q.a = a
-    q.b = b
-    q.d = d
-    return q
-
-
-QI_ZERO = Qi(0)
-QI_ONE = Qi(1)
-QI_I = Qi(0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Scalar polynomials, and rational functions in one parameter t over Q(i)
-
-
-class ScalarPoly:
-    """Dense univariate polynomial with scalar (Qi or RatT) coefficients.
-
-    RatT keeps its numerator and denominator as ScalarPoly values in t with
-    Qi coefficients; coprimality checks on curve bodies use the same class
-    with coefficients that may themselves involve t.  Printed forms use t as
-    the variable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        # as_scalar is defined below RatT; _POLY_ONE never reaches it
-        cs = [c if isinstance(c, Qi) else as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c):
-        return ScalarPoly((c,))
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else QI_ZERO
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ScalarPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ScalarPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, ScalarPoly):
-            s = other if isinstance(other, Qi) else as_scalar(other)
-            return ScalarPoly([c * s for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ScalarPoly()
-        out = [QI_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return ScalarPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def divmod(self, other):
-        """Exact polynomial division with remainder over the scalar field."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return ScalarPoly(), self
-        quo = [QI_ZERO] * (dq + 1)
-        inv_lead = QI_ONE / other.lead()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] * inv_lead
-            quo[k] = c
-            if not c.is_zero():
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return ScalarPoly(quo), ScalarPoly(rem)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (QI_ONE / a.lead())
-
-    def sqrt(self):
-        """Exact polynomial square root, or None."""
-        if self.is_zero():
-            return ScalarPoly()
-        d = self.degree()
-        if d % 2:
-            return None
-        m = d // 2
-        lead_root = self.lead().sqrt()
-        if lead_root is None:
-            return None
-        # Solve for the root coefficients top down.  The t^(m+k) coefficient
-        # of r^2 is 2*r_m*r_k plus a convolution of already known r_i with
-        # k < i < m, so each step is a single division by 2*r_m.
-        r = [QI_ZERO] * (m + 1)
-        r[m] = lead_root
-        inv2rm = QI_ONE / (Qi(2) * lead_root)
-        for k in range(m - 1, -1, -1):
-            acc = self.coeffs[m + k] if m + k < len(self.coeffs) else QI_ZERO
-            for i in range(k + 1, m):
-                j = m + k - i
-                if k + 1 <= j <= m - 1:
-                    acc = acc - r[i] * r[j]
-            r[k] = acc * inv2rm
-        cand = ScalarPoly(r)
-        if cand * cand == self:
-            return cand
-        return None
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                tpow = "t" if i == 1 else "t^%d" % i
-                if c == QI_ONE:
-                    parts.append(tpow)
-                else:
-                    parts.append("%s*%s" % (cs, tpow))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-# the former name of ScalarPoly, kept for existing importers
-QiPoly = ScalarPoly
-
-_POLY_ONE = ScalarPoly((QI_ONE,))
-
-
-def _as_poly(v):
-    if isinstance(v, ScalarPoly):
-        return v
-    q = Qi.coerce(v)
-    if q is None:
-        return None
-    return ScalarPoly((q,))
-
-
-class RatT:
-    """A reduced fraction num/den of ScalarPoly values: the field Q(i)(t).
-
-    Every value is canonical: num and den are coprime and den is monic.
-    Arithmetic results come back through _reduced or make_rat, so constants
-    collapse to plain Qi values and code elsewhere can treat Qi and RatT
-    uniformly.  RatT.lift(c) wraps a constant as c/1 without collapsing it;
-    that operand is reduced too, and it compares and hashes like c.
-
-    make_rat's polynomial gcd runs only where a common factor can arise:
-    for a sum or difference of two fractions whose denominators are both
-    non-constant, for a product of two non-constant values that are not
-    both polynomials, and for a quotient of two non-constant values.  Every
-    other result is reduced by construction and skips the gcd; for instance
-    (n + p*d)/d shares no factor with d, and a constant c divided by n/d is
-    c*d/n with n made monic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ScalarPoly, den: ScalarPoly):
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def lift(v):
-        if isinstance(v, RatT):
-            return v
-        p = _as_poly(v)
-        if p is None:
-            return None
-        return RatT(p, _POLY_ONE)
-
-    def _is_const(self):
-        return self.den.degree() == 0 and self.num.degree() <= 0
-
-    def __add__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        if o.den.degree() == 0:
-            return _reduced(self.num + o.num * self.den, self.den)
-        if self.den.degree() == 0:
-            return _reduced(self.num * o.den + o.num, o.den)
-        return make_rat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        if o.den.degree() == 0:
-            return _reduced(self.num - o.num * self.den, self.den)
-        if self.den.degree() == 0:
-            return _reduced(self.num * o.den - o.num, o.den)
-        return make_rat(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        # p * (n/d) is reduced when p is a constant or d is 1
-        if o.den.degree() == 0 and (o.num.degree() <= 0
-                                    or self.den.degree() == 0):
-            return _reduced(self.num * o.num, self.den)
-        if self._is_const():
-            return _reduced(self.num * o.num, o.den)
-        return make_rat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        if o._is_const():
-            return _reduced(self.num * (QI_ONE / o.num.lead()), self.den)
-        if self._is_const():
-            inv = QI_ONE / o.num.lead()
-            return _reduced(o.den * (self.num.lead() * inv), o.num * inv)
-        return make_rat(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return RatT(-self.num, self.den)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (1 / self) ** (-k)
-        return square_and_multiply(self, k, QI_ONE)
-
-    def __eq__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        if self._is_const():
-            return hash(self.num.lead())
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def sqrt(self):
-        rn = self.num.sqrt()
-        rd = self.den.sqrt()
-        if rn is None or rd is None:
-            return None
-        root = make_rat(rn, rd)
-        if root * root == self:
-            return root
-        return None
-
-    def __str__(self):
-        if self.den == _POLY_ONE:
-            return "(%s)" % self.num
-        return "((%s)/(%s))" % (self.num, self.den)
-
-    __repr__ = __str__
-
-
-def _reduced(num: ScalarPoly, den: ScalarPoly):
-    """num/den for coprime num and monic den; constants come back as Qi."""
-    if num.is_zero():
-        return QI_ZERO
-    if den.degree() == 0 and num.degree() == 0:
-        return num.coeffs[0]
-    return RatT(num, den)
-
-
-def make_rat(num: ScalarPoly, den: ScalarPoly):
-    """Reduced Qi-or-RatT value num/den; constants come back as Qi."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator in rational function")
-    if num.is_zero():
-        return QI_ZERO
-    g = num.gcd(den)
-    if g.degree() > 0:
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
-    lead_inv = QI_ONE / den.lead()
-    return _reduced(num * lead_inv, den * lead_inv)
-
-
-T_PARAM = RatT(ScalarPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
-
-# The scalar field as used throughout the package.
-Scalar = (Qi, RatT)
-
-
-def as_scalar(v):
-    """Coerce an int, Fraction, Qi, or RatT into a scalar; error otherwise."""
-    if isinstance(v, (Qi, RatT)):
-        return v
-    q = Qi.coerce(v)
-    if q is None:
-        raise GrassmannError("not a scalar: %r" % (v,))
-    return q
-
-
-def is_scalar(v):
-    return isinstance(v, (int, Fraction, Qi, RatT))
-
-
-def scalar_is_zero(s):
-    if isinstance(s, RatT):
-        return s.is_zero()
-    return as_scalar(s).is_zero()
-
-
-def scalar_sqrt(s):
-    """Exact square root of a scalar, or None when it leaves the field."""
-    s = as_scalar(s)
-    return s.sqrt()
-
-
-def scalar_str(s):
-    return str(as_scalar(s))
-
-
-def scalar_lex_positive(s):
-    """Deterministic positivity used by normal-form sign conventions.
-
-    Gaussian rationals: positive real part wins, then positive imaginary
-    part.  Rational functions: decided on the leading numerator coefficient.
-    Zero counts as not positive.
-    """
-    s = as_scalar(s)
-    if isinstance(s, RatT):
-        s = s.num.lead()
-    if s.a:
-        return s.a > 0
-    return s.b > 0
 
 
 # ---------------------------------------------------------------------------
@@ -719,39 +103,85 @@ def _merge_indices(a, b):
     return tuple(out), (-1 if inv & 1 else 1)
 
 
-# _merge_indices(ka, kb), memoized as _PRODUCTS[ka][kb] when a product first
-# needs it.  Index tuples are subsets of 1..MAX_GENERATORS, so the table holds
-# at most 4 ** MAX_GENERATORS = 65536 entries.
-_PRODUCTS = {}
-_UNSEEN = object()
+# A monomial is an int bitmask, bit i - 1 standing for g_i.  _KEYS[m] is the
+# increasing index tuple of mask m and _MASKS maps the tuple back.  The
+# byte tables _ODD, _EVEN, _SOUL and _ALL select masks by degree: odd, even,
+# nonzero, any.
+def _index_tuples():
+    keys = [()]
+    for g in range(1, MAX_GENERATORS + 1):
+        # a mask with top bit g - 1 is a lower mask with g appended
+        keys += [k + (g,) for k in keys]
+    return tuple(keys)
+
+
+_KEYS = _index_tuples()
+_MASKS = {k: m for m, k in enumerate(_KEYS)}
+_ODD = bytes(len(k) & 1 for k in _KEYS)
+_EVEN = bytes(1 - p for p in _ODD)
+_SOUL = bytes(1 if m else 0 for m in range(1 << MAX_GENERATORS))
+_ALL = bytes([1]) * (1 << MAX_GENERATORS)
+
+# _SIGNS[ka][kb] is 1 when g_ka * g_kb = -g_(ka|kb) for disjoint ka and kb,
+# that is when an odd number of pairs i in ka, j in kb have i > j.  A row is
+# built by _sign_row when a product first needs it.
+_SIGNS = [None] * (1 << MAX_GENERATORS)
+
+
+def _sign_row(ka):
+    # the sign parity is a sum over the generators j of kb of the parity of
+    # the generators of ka above j
+    above = [bin(ka >> (j + 1)).count("1") & 1 for j in range(MAX_GENERATORS)]
+    row = bytearray(1 << MAX_GENERATORS)
+    for kb in range(1, len(row)):
+        low = kb & -kb
+        row[kb] = row[kb ^ low] ^ above[low.bit_length() - 1]
+    row = _SIGNS[ka] = bytes(row)
+    return row
 
 
 def _accumulate(out, ta, tb):
-    """Add the product of the term dicts ta and tb, ta on the left, into the
-    term dict out, deleting every coefficient whose sum reaches zero."""
+    """Add the product of the mask-keyed coefficient dicts ta and tb, ta on
+    the left, into out, deleting every coefficient whose sum reaches zero.
+
+    The coefficients may be ints, Qi or RatT values: the loop only
+    multiplies, adds, negates and tests them for zero."""
     get = out.get
     other_terms = tb.items()
     for ka, va in ta.items():
-        row = _PRODUCTS.get(ka)
-        if row is None:
-            row = _PRODUCTS[ka] = {}
+        signs = _SIGNS[ka]
+        if signs is None:
+            signs = _sign_row(ka)
         for kb, vb in other_terms:
-            merged = row.get(kb, _UNSEEN)
-            if merged is _UNSEEN:
-                merged = row[kb] = _merge_indices(ka, kb)
-            if merged is None:
+            if ka & kb:
                 continue
-            key, sign = merged
+            key = ka | kb
             c = va * vb
             prev = get(key)
             if prev is None:
-                out[key] = -c if sign < 0 else c
+                out[key] = -c if signs[kb] else c
                 continue
-            s = prev - c if sign < 0 else prev + c
-            if s.is_zero():
-                del out[key]
-            else:
+            s = prev - c if signs[kb] else prev + c
+            if s:
                 out[key] = s
+            else:
+                del out[key]
+
+
+def _product(ta, tb):
+    """The coefficient dict of the product of the coefficient dicts ta and
+    tb, ints or scalars.  A body-only factor scales the other one: every
+    monomial product is trivial, and a product of nonzero coefficients is
+    nonzero."""
+    if len(ta) == 1 and 0 in ta:
+        s = ta[0]
+        return {k: s * v for k, v in tb.items()}
+    if len(tb) == 1 and 0 in tb:
+        s = tb[0]
+        return {k: v * s for k, v in ta.items()}
+    out = {}
+    _accumulate(out, ta, tb)
+    return out
 
 
 def _check_generators(n):
@@ -761,21 +191,110 @@ def _check_generators(n):
             % (MAX_GENERATORS, n))
 
 
+def _fields(terms):
+    """(numerators, denominator) of the value with the mask-keyed nonzero
+    scalar coefficients `terms`: the integer form when every coefficient is
+    a real Qi, else (terms, 0)."""
+    d = 1
+    for v in terms.values():
+        if type(v) is not Qi or v.b:
+            return terms, 0
+        if d % v.d:
+            d = d // math.gcd(d, v.d) * v.d
+    # over the least common denominator no prime divides every numerator,
+    # since it would divide the numerator and the denominator of one Qi
+    return {k: v.a * (d // v.d) for k, v in terms.items()}, d
+
+
+def _normal(n, d, num):
+    """The integer-form value num / d, divided by the gcd of d and every
+    numerator."""
+    if d != 1:
+        g = d
+        for v in num.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                break
+        else:
+            d //= g
+            num = {k: v // g for k, v in num.items()}
+    return SuperNumber(n, num, d)
+
+
+def _scaled(x, f):
+    """The numerators of the integer-form x, times f."""
+    return x._num if f == 1 else {k: v * f for k, v in x._num.items()}
+
+
+class _TermsView(Mapping):
+    """A SuperNumber's terms: a read-only mapping from increasing index
+    tuples to its nonzero coefficients (Qi or RatT), in the order its terms
+    were made.  Coefficients are converted when they are read."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x):
+        self._x = x
+
+    def __len__(self):
+        return len(self._x._num)
+
+    def __iter__(self):
+        return map(_KEYS.__getitem__, self._x._num)
+
+    def __contains__(self, idx):
+        return _MASKS.get(idx, -1) in self._x._num
+
+    def __getitem__(self, idx):
+        m = _MASKS.get(idx, -1)
+        if m not in self._x._num:
+            raise KeyError(idx)
+        return self._x._coeff(m)
+
+    def _dict(self):
+        return {_KEYS[k]: v for k, v in self._x._scalars().items()}
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._x._scalars().values()
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
 class SuperNumber:
     """An element of Lambda_n (x) C with exact scalar coefficients.
 
-    The public constructor validates n, every index tuple and every
-    coefficient, and drops zero coefficients.  Results the class builds
-    itself pass _trusted=True with a dict that already satisfies those
-    invariants, which skips the checks.
+    A value built from real Qi coefficients, and every result of arithmetic
+    on such values, has the integer form: one denominator _d > 0 and, in
+    _num, one int numerator per nonzero term, keyed by the monomial's
+    bitmask in the order the terms were made.  The form is canonical: no
+    numerator is zero and gcd(_d, every numerator) == 1.  A value with an
+    imaginary part or a RatT coefficient anywhere, and every result of
+    arithmetic with such a value, has _d == 0 and keeps its nonzero
+    scalars, keyed the same way, in _num; == compares the scalars whenever
+    one side has this form.  The terms property reads either as a mapping
+    from index tuples to scalars.  _scalar_terms is that dict from masks to
+    scalars once it exists: _num itself for the scalar form, and for the
+    integer form the Qi coefficients it was built from by the public
+    constructor or scalar, or else the ones converted on first use.
+
+    The public constructor SuperNumber(n, terms) validates n, every index
+    tuple and every coefficient, and drops zero coefficients.  Results the
+    class builds itself pass their fields, SuperNumber(n, _num, _d), which
+    already satisfy those invariants and skip the checks.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_d", "_num", "_scalar_terms")
 
-    def __init__(self, n, terms=None, *, _trusted=False):
-        if _trusted:
+    def __init__(self, n, terms=None, _den=None):
+        if _den is not None:
             self.n = n
-            self.terms = terms
+            self._num = terms
+            self._d = _den
+            self._scalar_terms = None if _den else terms
             return
         _check_generators(n)
         self.n = n
@@ -788,26 +307,38 @@ class SuperNumber:
                 raise GrassmannError("indices must be strictly increasing, got %r" % (idx,))
             coeff = as_scalar(coeff)
             if not scalar_is_zero(coeff):
-                clean[idx] = coeff
-        self.terms = clean
+                clean[_MASKS[idx]] = coeff
+        self._num, self._d = _fields(clean)
+        self._scalar_terms = clean
 
     # -- constructors
 
     @staticmethod
     def scalar(n, c):
         _check_generators(n)
-        c = c if type(c) is Qi else as_scalar(c)
-        return SuperNumber(n, {} if c.is_zero() else {(): c}, _trusted=True)
+        if type(c) is not Qi:
+            c = as_scalar(c)
+            if type(c) is not Qi:
+                if c.is_zero():
+                    return SuperNumber(n, {}, 1)
+                return SuperNumber(n, {0: c}, 0)
+        if c.b:
+            return SuperNumber(n, {0: c}, 0)
+        if not c.a:
+            return SuperNumber(n, {}, 1)
+        x = SuperNumber(n, {0: c.a}, c.d)
+        x._scalar_terms = {0: c}
+        return x
 
     @staticmethod
     def zero(n):
         _check_generators(n)
-        return SuperNumber(n, {}, _trusted=True)
+        return SuperNumber(n, {}, 1)
 
     @staticmethod
     def one(n):
         _check_generators(n)
-        return SuperNumber(n, {(): QI_ONE}, _trusted=True)
+        return SuperNumber(n, {0: 1}, 1)
 
     @staticmethod
     def gen(n, i):
@@ -824,21 +355,55 @@ class SuperNumber:
             return v
         return SuperNumber.scalar(n, v)
 
+    # -- coefficients
+
+    @property
+    def terms(self):
+        return _TermsView(self)
+
+    def _coeff(self, m):
+        """The coefficient of the monomial with mask m."""
+        made = self._scalar_terms
+        if made is not None:
+            return made.get(m, QI_ZERO)
+        v = self._num.get(m)
+        return QI_ZERO if v is None else _canonical(v, 0, self._d)
+
+    def _scalars(self):
+        """The coefficients as a dict from masks to scalars, made once."""
+        out = self._scalar_terms
+        if out is None:
+            d = self._d
+            out = {k: _canonical(v, 0, d) for k, v in self._num.items()}
+            self._scalar_terms = out
+        return out
+
+    def _part(self, keep):
+        """The sum of the terms whose masks m have keep[m] set."""
+        num = {k: v for k, v in self._num.items() if keep[k]}
+        if not self._d:
+            return SuperNumber(self.n, num, 0)
+        return _normal(self.n, self._d, num)
+
+    def _signed(self, flip):
+        """The value with the terms whose masks m have flip[m] set negated."""
+        num = {k: -v if flip[k] else v for k, v in self._num.items()}
+        return SuperNumber(self.n, num, self._d)
+
     # -- structure queries
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def body(self):
-        return self.terms.get((), QI_ZERO)
+        return self._coeff(0)
 
     def soul(self):
-        return SuperNumber(self.n, {k: v for k, v in self.terms.items() if k},
-                           _trusted=True)
+        return self._part(_SOUL)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
-        ps = {len(k) & 1 for k in self.terms}
+        ps = set(map(_ODD.__getitem__, self._num))
         if not ps:
             return 0
         if len(ps) > 1:
@@ -846,30 +411,33 @@ class SuperNumber:
         return ps.pop()
 
     def is_even(self):
-        return not any(len(k) & 1 for k in self.terms)
+        for k in self._num:
+            if _ODD[k]:
+                return False
+        return True
 
     def is_odd(self):
-        return all(len(k) & 1 for k in self.terms)
+        for k in self._num:
+            if not _ODD[k]:
+                return False
+        return True
 
     def even_part(self):
-        return SuperNumber(self.n, {k: v for k, v in self.terms.items()
-                                    if not len(k) & 1}, _trusted=True)
+        return self._part(_EVEN)
 
     def odd_part(self):
-        return SuperNumber(self.n, {k: v for k, v in self.terms.items()
-                                    if len(k) & 1}, _trusted=True)
+        return self._part(_ODD)
 
     def parity_split(self):
         return self.even_part(), self.odd_part()
 
     def grade_flip(self):
         """The grade involution: odd terms change sign."""
-        return SuperNumber(self.n, {k: (-v if len(k) & 1 else v)
-                                    for k, v in self.terms.items()},
-                           _trusted=True)
+        return self._signed(_ODD)
 
     def coeff(self, idx):
-        return self.terms.get(tuple(idx), QI_ZERO)
+        m = _MASKS.get(tuple(idx))
+        return QI_ZERO if m is None else self._coeff(m)
 
     def embed(self, m):
         if m < self.n:
@@ -893,21 +461,58 @@ class SuperNumber:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in o.terms.items():
+        da, db = self._d, o._d
+        # x + 0 keeps the fields of x; 0 + v on scalars may collapse a RatT
+        if not o._num:
+            return SuperNumber(self.n, self._num, da)
+        if not self._num and db:
+            return SuperNumber(self.n, o._num, db)
+        if not (da and db):
+            return self._add_scalars(o)
+        if da == db:
+            d, fb = da, 1
+            out = dict(self._num)
+        else:
+            d = da // math.gcd(da, db) * db
+            fa, fb = d // da, d // db
+            out = _scaled(self, fa) if fa != 1 else dict(self._num)
+        # over the lcm of two canonical denominators a sum of disjoint
+        # terms is canonical; only a sum with shared monomials needs _normal
+        shared = False
+        get = out.get
+        for k, v in o._num.items():
+            if fb != 1:
+                v *= fb
+            prev = get(k)
+            if prev is not None:
+                shared = True
+                v += prev
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+        if shared and d != 1:
+            return _normal(self.n, d, out)
+        return SuperNumber(self.n, out, d)
+
+    __radd__ = __add__
+
+    def _add_scalars(self, o):
+        """self + o on scalar coefficients, for a value without the integer
+        form on either side."""
+        out = dict(self._scalars())
+        for k, v in o._scalars().items():
             prev = out.get(k)
             if prev is None:
                 # 0 + v collapses a RatT constant such as RatT.lift(2) to Qi
                 out[k] = v if type(v) is Qi else QI_ZERO + v
                 continue
             s = prev + v
-            if s.is_zero():
-                del out[k]
-            else:
+            if s:
                 out[k] = s
-        return SuperNumber(self.n, out, _trusted=True)
-
-    __radd__ = __add__
+            else:
+                del out[k]
+        return SuperNumber(self.n, out, 0)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -922,27 +527,22 @@ class SuperNumber:
         return o + (-self)
 
     def __neg__(self):
-        return SuperNumber(self.n, {k: -v for k, v in self.terms.items()},
-                           _trusted=True)
+        return self._signed(_ALL)
 
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        # a body-only factor scales the other one: every monomial product is
-        # trivial, and a product of nonzero field elements is nonzero
-        a, b = self.terms, o.terms
-        if len(a) == 1 and () in a:
-            s = a[()]
-            return SuperNumber(self.n, {k: s * v for k, v in b.items()},
-                               _trusted=True)
-        if len(b) == 1 and () in b:
-            s = b[()]
-            return SuperNumber(self.n, {k: v * s for k, v in a.items()},
-                               _trusted=True)
-        out = {}
-        _accumulate(out, a, b)
-        return SuperNumber(self.n, out, _trusted=True)
+        if not (self._num and o._num):
+            return SuperNumber(self.n, {}, 1)
+        d = self._d * o._d
+        if not d:
+            return SuperNumber(self.n, _product(self._scalars(), o._scalars()),
+                               0)
+        out = _product(self._num, o._num)
+        if d == 1:
+            return SuperNumber(self.n, out, 1)
+        return _normal(self.n, d, out)
 
     def __rmul__(self, other):
         # scalars are central, so reflected multiplication needs no signs
@@ -977,8 +577,8 @@ class SuperNumber:
         if scalar_is_zero(b):
             raise GrassmannError("not invertible: body is zero")
         binv = 1 / b
-        if len(self.terms) == 1:
-            return SuperNumber(self.n, {(): binv}, _trusted=True)
+        if len(self._num) == 1:
+            return SuperNumber.scalar(self.n, binv)
         u = SuperNumber.one(self.n) - self * binv
         # u is nilpotent: u^(n+1) = 0, so the geometric series terminates
         out = SuperNumber.one(self.n)
@@ -1015,7 +615,11 @@ class SuperNumber:
 
     def __eq__(self, other):
         if isinstance(other, SuperNumber):
-            return self.n == other.n and self.terms == other.terms
+            if self.n != other.n:
+                return False
+            if self._d and other._d:
+                return self._d == other._d and self._num == other._num
+            return self._scalars() == other._scalars()
         if is_scalar(other):
             return self == SuperNumber.scalar(self.n, other)
         return NotImplemented
@@ -1037,10 +641,11 @@ class SuperNumber:
         return "%s*%s" % (scalar_str(coeff), mono)
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
-        keys = sorted(self.terms, key=lambda k: (len(k), k))
-        parts = [self._term_str(k, self.terms[k]) for k in keys]
+        terms = self._scalars()
+        keys = sorted(terms, key=lambda m: (len(_KEYS[m]), _KEYS[m]))
+        parts = [self._term_str(_KEYS[m], terms[m]) for m in keys]
         out = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -1065,23 +670,45 @@ def dot(n, xs, ys) -> SuperNumber:
     """The sum of x * y over the pairs of zip(xs, ys), as one SuperNumber.
 
     The left factor of each product comes from xs, which fixes the signs of
-    odd-by-odd products.  All pairs accumulate into one term dict through
-    the monomial table _PRODUCTS, the loop the product itself runs, so the
-    result equals sum((x * y for x, y in zip(xs, ys)), SuperNumber.zero(n))
-    without building a SuperNumber per product or per partial sum.  Every
-    entry must be a SuperNumber over n generators.
+    odd-by-odd products.  All pairs accumulate into one coefficient dict
+    through the loop the product itself runs, so the result equals
+    sum((x * y for x, y in zip(xs, ys)), SuperNumber.zero(n)) without
+    building a SuperNumber per product or per partial sum.  When every entry
+    has the integer form, the lcm d of the pairs' denominators is computed
+    first and each pair's left numerators are scaled by d // (x._d * y._d),
+    so every product is summed over d; otherwise every pair runs on its
+    scalar coefficients.  Every entry must be a SuperNumber over n
+    generators.
     """
     _check_generators(n)
-    out = {}
-    for x, y in zip(xs, ys):
-        if x.n != y.n:
-            raise GrassmannError(
-                "generator count mismatch: %d vs %d" % (x.n, y.n))
-        if x.n != n:
+    pairs = list(zip(xs, ys))
+    d = 1
+    for x, y in pairs:
+        if x.n != n or y.n != n:
+            if x.n != y.n:
+                raise GrassmannError(
+                    "generator count mismatch: %d vs %d" % (x.n, y.n))
             raise GrassmannError(
                 "generator count mismatch: %d vs %d" % (n, x.n))
-        _accumulate(out, x.terms, y.terms)
-    return SuperNumber(n, out, _trusted=True)
+        dp = x._d * y._d
+        if not dp:
+            d = 0
+        elif d and d % dp:
+            d = d // math.gcd(d, dp) * dp
+    out = {}
+    if not d:
+        for x, y in pairs:
+            if x._num and y._num:
+                _accumulate(out, x._scalar_terms or x._scalars(),
+                            y._scalar_terms or y._scalars())
+        return SuperNumber(n, out, 0)
+    # every pair is summed over d, the lcm of the pairs' denominators
+    for x, y in pairs:
+        if x._num and y._num:
+            _accumulate(out, _scaled(x, d // (x._d * y._d)), y._num)
+    if d == 1:
+        return SuperNumber(n, out, 1)
+    return _normal(n, d, out)
 
 
 def invert(x: SuperNumber) -> SuperNumber:

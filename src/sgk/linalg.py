@@ -195,13 +195,16 @@ def module_rank_report(rows, n_gen=None) -> ModuleRankReport:
     and cokernel are not free modules: such inputs are flagged degenerate,
     the ranks refer to the free part only and no kernel basis is given.
     Otherwise each free column j gives the kernel vector
-    e_j - sum_i work[i][j] e_(p_i), p_i the pivot column of row i.  n_gen
-    is the generator count assumed when the matrix has no entries.
+    e_j - sum_i work[i][j] e_(p_i), p_i the pivot column of row i.  Scalar
+    entries are coerced to SuperNumbers over the generator count of the
+    first SuperNumber entry, or else n_gen, or else 0; any other entry
+    raises GrassmannError.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    n = rows[0][0].n if nc else n_gen or 0
-    work = [list(r) for r in rows]
+    n = next((x.n for r in rows for x in r if isinstance(x, SuperNumber)),
+             n_gen or 0)
+    work = [[SuperNumber.coerce(n, x) for x in r] for r in rows]
     pivots = _gauss_jordan(work, nc)
     rank = len(pivots)
     degenerate = any(not c.is_zero() for row in work[rank:] for c in row)

@@ -1,0 +1,661 @@
+"""Exact scalars: Gaussian rationals and rational functions in one parameter.
+
+Coefficients of the Grassmann algebra (sgk.grassmann, which re-exports
+every public name here) are exact: Gaussian rationals (class Qi), optionally
+extended by a single transcendental even parameter t (class RatT, a reduced
+fraction of polynomials in t over the Gaussian rationals).  ScalarPoly is
+the one dense polynomial class over these scalars: RatT stores its
+numerator and denominator in it, and body-level coprimality checks run on
+it.  There is no floating point anywhere in this module.
+
+A Qi is a canonical integer triple (a, b, d) meaning (a + b*i)/d, with d > 0
+and gcd(a, b, d) == 1; each ring operation works on the integers and divides
+by one gcd.  Qi(re, im) takes ints or Fractions, re and im read back as
+Fractions, and a Qi hashes like its Fraction components.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+
+class GrassmannError(ValueError):
+    """Raised for malformed or incompatible Grassmann-algebra operands."""
+
+
+def square_and_multiply(x, k, one):
+    """x ** k for an int k >= 0, starting from `one`; the base is squared
+    only while bits of k remain.  Qi, RatT, SuperNumber and SuperPoly powers
+    all run this loop."""
+    out = one
+    while k:
+        if k & 1:
+            out = x * out
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals
+
+
+def _frac_sqrt(f: Fraction):
+    """Exact square root of a nonnegative Fraction, or None."""
+    if f < 0:
+        return None
+    num, den = f.numerator, f.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+class Qi:
+    """A Gaussian rational (a + b*i)/d, stored as a canonical integer triple.
+
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples and equality is a tuple comparison.  Ring operations
+    work on the integers and divide by one gcd of the result; a sum of two
+    values over the same denominator skips the cross multiplication, and
+    results over d == 1 skip the gcd.  The components are also readable as
+    Fractions through the re and im properties.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # over the least common denominator the triple is already canonical
+        d = dr if dr == di else dr // math.gcd(dr, di) * di
+        self.a = re.numerator * (d // dr)
+        self.b = im.numerator * (d // di)
+        self.d = d
+
+    @staticmethod
+    def _of(a, b, d):
+        """Trusted constructor for a triple that is already canonical."""
+        q = _new_qi(Qi)
+        q.a = a
+        q.b = b
+        q.d = d
+        return q
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
+
+    # -- helpers
+
+    @staticmethod
+    def coerce(v):
+        if isinstance(v, Qi):
+            return v
+        if isinstance(v, int):
+            return Qi._of(int(v), 0, 1)
+        if isinstance(v, Fraction):
+            return Qi._of(v.numerator, 0, v.denominator)
+        return None
+
+    def is_zero(self):
+        return not self.a and not self.b
+
+    # -- ring operations
+
+    def __add__(self, other):
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d == other.d:
+            return _canonical(self.a + other.a, self.b + other.b, d)
+        d2 = other.d
+        return _canonical(self.a * d2 + other.a * d, self.b * d2 + other.b * d,
+                          d * d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d == other.d:
+            return _canonical(self.a - other.a, self.b - other.b, d)
+        d2 = other.d
+        return _canonical(self.a * d2 - other.a * d, self.b * d2 - other.b * d,
+                          d * d2)
+
+    def __rsub__(self, other):
+        o = Qi.coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if b1 or b2:
+            return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                              self.d * other.d)
+        return _canonical(a1 * a2, 0, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not Qi:
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2)
+        #   = d2 (a1 + b1 i)(a2 - b2 i) / (d1 (a2^2 + b2^2))
+        n2 = a2 * a2 + b2 * b2
+        if not n2:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        d2 = other.d
+        return _canonical(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                          self.d * n2)
+
+    def __rtruediv__(self, other):
+        o = Qi.coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return Qi._of(-self.a, -self.b, self.d)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return (QI_ONE / self) ** (-k)
+        return square_and_multiply(self, k, QI_ONE)
+
+    def __eq__(self, other):
+        if type(other) is not Qi:
+            if isinstance(other, RatT):
+                return other == self
+            other = Qi.coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        # the hashes of the Fraction components, so a real value hashes
+        # like the int or Fraction it equals
+        if not self.b:
+            if self.d == 1:
+                return hash(self.a)
+            return hash(Fraction(self.a, self.d))
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def conj(self):
+        return Qi._of(self.a, -self.b, self.d)
+
+    def sqrt(self):
+        """An exact square root in Q(i) or None.
+
+        The returned root is the one whose first nonzero part (real, then
+        imaginary) is positive, which makes the choice deterministic.
+        """
+        if self.is_zero():
+            return Qi(0)
+        re, im = self.re, self.im
+        if not im:
+            r = _frac_sqrt(re)
+            if r is not None:
+                return Qi(r)
+            r = _frac_sqrt(-re)
+            if r is not None:
+                return Qi(0, r)
+            return None
+        norm = _frac_sqrt(re * re + im * im)
+        if norm is None:
+            return None
+        u2 = (re + norm) / 2
+        u = _frac_sqrt(u2)
+        if u is None or not u:
+            return None
+        v = im / (2 * u)
+        cand = Qi(u, v)
+        if cand * cand == self:
+            if cand.a < 0 or (not cand.a and cand.b < 0):
+                cand = -cand
+            return cand
+        return None
+
+    def __str__(self):
+        if not self.b:
+            return _frac_str(self.re)
+        im = self.im
+        return "(%s%s%si)" % (_frac_str(self.re), "+" if im >= 0 else "-",
+                              _frac_str(abs(im)))
+
+    __repr__ = __str__
+
+
+def _frac_str(f: Fraction) -> str:
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+_new_qi = object.__new__
+
+
+def _canonical(a, b, d):
+    """The Qi (a + b*i)/d for integers a, b and d > 0, divided by their gcd."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    q = _new_qi(Qi)
+    q.a = a
+    q.b = b
+    q.d = d
+    return q
+
+
+QI_ZERO = Qi(0)
+QI_ONE = Qi(1)
+QI_I = Qi(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Scalar polynomials, and rational functions in one parameter t over Q(i)
+
+
+class ScalarPoly:
+    """Dense univariate polynomial with scalar (Qi or RatT) coefficients.
+
+    RatT keeps its numerator and denominator as ScalarPoly values in t with
+    Qi coefficients; coprimality checks on curve bodies use the same class
+    with coefficients that may themselves involve t.  Printed forms use t as
+    the variable.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        # as_scalar is defined below RatT; _POLY_ONE never reaches it
+        cs = [c if isinstance(c, Qi) else as_scalar(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def const(c):
+        return ScalarPoly((c,))
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def lead(self):
+        return self.coeffs[-1] if self.coeffs else QI_ZERO
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return ScalarPoly(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ScalarPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, ScalarPoly):
+            s = other if isinstance(other, Qi) else as_scalar(other)
+            return ScalarPoly([c * s for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ScalarPoly()
+        out = [QI_ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca.is_zero():
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return ScalarPoly(out)
+
+    def __eq__(self, other):
+        return isinstance(other, ScalarPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def divmod(self, other):
+        """Exact polynomial division with remainder over the scalar field."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return ScalarPoly(), self
+        quo = [QI_ZERO] * (dq + 1)
+        inv_lead = QI_ONE / other.lead()
+        for k in range(dq, -1, -1):
+            c = rem[k + other.degree()] * inv_lead
+            quo[k] = c
+            if not c.is_zero():
+                for j, oc in enumerate(other.coeffs):
+                    rem[k + j] = rem[k + j] - c * oc
+        return ScalarPoly(quo), ScalarPoly(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero():
+            return a
+        return a * (QI_ONE / a.lead())
+
+    def sqrt(self):
+        """Exact polynomial square root, or None."""
+        if self.is_zero():
+            return ScalarPoly()
+        d = self.degree()
+        if d % 2:
+            return None
+        m = d // 2
+        lead_root = self.lead().sqrt()
+        if lead_root is None:
+            return None
+        # Solve for the root coefficients top down.  The t^(m+k) coefficient
+        # of r^2 is 2*r_m*r_k plus a convolution of already known r_i with
+        # k < i < m, so each step is a single division by 2*r_m.
+        r = [QI_ZERO] * (m + 1)
+        r[m] = lead_root
+        inv2rm = QI_ONE / (Qi(2) * lead_root)
+        for k in range(m - 1, -1, -1):
+            acc = self.coeffs[m + k] if m + k < len(self.coeffs) else QI_ZERO
+            for i in range(k + 1, m):
+                j = m + k - i
+                if k + 1 <= j <= m - 1:
+                    acc = acc - r[i] * r[j]
+            r[k] = acc * inv2rm
+        cand = ScalarPoly(r)
+        if cand * cand == self:
+            return cand
+        return None
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            cs = str(c)
+            if i == 0:
+                parts.append(cs)
+            else:
+                tpow = "t" if i == 1 else "t^%d" % i
+                if c == QI_ONE:
+                    parts.append(tpow)
+                else:
+                    parts.append("%s*%s" % (cs, tpow))
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+# the former name of ScalarPoly, kept for existing importers
+QiPoly = ScalarPoly
+
+_POLY_ONE = ScalarPoly((QI_ONE,))
+
+
+def _as_poly(v):
+    if isinstance(v, ScalarPoly):
+        return v
+    q = Qi.coerce(v)
+    if q is None:
+        return None
+    return ScalarPoly((q,))
+
+
+class RatT:
+    """A reduced fraction num/den of ScalarPoly values: the field Q(i)(t).
+
+    Every value is canonical: num and den are coprime and den is monic.
+    Arithmetic results come back through _reduced or make_rat, so constants
+    collapse to plain Qi values and code elsewhere can treat Qi and RatT
+    uniformly.  RatT.lift(c) wraps a constant as c/1 without collapsing it;
+    that operand is reduced too, and it compares and hashes like c.
+
+    make_rat's polynomial gcd runs only where a common factor can arise:
+    for a sum or difference of two fractions whose denominators are both
+    non-constant, for a product of two non-constant values that are not
+    both polynomials, and for a quotient of two non-constant values.  Every
+    other result is reduced by construction and skips the gcd; for instance
+    (n + p*d)/d shares no factor with d, and a constant c divided by n/d is
+    c*d/n with n made monic.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ScalarPoly, den: ScalarPoly):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def lift(v):
+        if isinstance(v, RatT):
+            return v
+        p = _as_poly(v)
+        if p is None:
+            return None
+        return RatT(p, _POLY_ONE)
+
+    def _is_const(self):
+        return self.den.degree() == 0 and self.num.degree() <= 0
+
+    def __add__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        if o.den.degree() == 0:
+            return _reduced(self.num + o.num * self.den, self.den)
+        if self.den.degree() == 0:
+            return _reduced(self.num * o.den + o.num, o.den)
+        return make_rat(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        if o.den.degree() == 0:
+            return _reduced(self.num - o.num * self.den, self.den)
+        if self.den.degree() == 0:
+            return _reduced(self.num * o.den - o.num, o.den)
+        return make_rat(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        # p * (n/d) is reduced when p is a constant or d is 1
+        if o.den.degree() == 0 and (o.num.degree() <= 0
+                                    or self.den.degree() == 0):
+            return _reduced(self.num * o.num, self.den)
+        if self._is_const():
+            return _reduced(self.num * o.num, o.den)
+        return make_rat(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        if o.num.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        if o._is_const():
+            return _reduced(self.num * (QI_ONE / o.num.lead()), self.den)
+        if self._is_const():
+            inv = QI_ONE / o.num.lead()
+            return _reduced(o.den * (self.num.lead() * inv), o.num * inv)
+        return make_rat(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return RatT(-self.num, self.den)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return (1 / self) ** (-k)
+        return square_and_multiply(self, k, QI_ONE)
+
+    def __eq__(self, other):
+        o = RatT.lift(other)
+        if o is None:
+            return NotImplemented
+        return self.num * o.den == o.num * self.den
+
+    def __hash__(self):
+        if self._is_const():
+            return hash(self.num.lead())
+        return hash((self.num, self.den))
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def sqrt(self):
+        rn = self.num.sqrt()
+        rd = self.den.sqrt()
+        if rn is None or rd is None:
+            return None
+        root = make_rat(rn, rd)
+        if root * root == self:
+            return root
+        return None
+
+    def __str__(self):
+        if self.den == _POLY_ONE:
+            return "(%s)" % self.num
+        return "((%s)/(%s))" % (self.num, self.den)
+
+    __repr__ = __str__
+
+
+def _reduced(num: ScalarPoly, den: ScalarPoly):
+    """num/den for coprime num and monic den; constants come back as Qi."""
+    if num.is_zero():
+        return QI_ZERO
+    if den.degree() == 0 and num.degree() == 0:
+        return num.coeffs[0]
+    return RatT(num, den)
+
+
+def make_rat(num: ScalarPoly, den: ScalarPoly):
+    """Reduced Qi-or-RatT value num/den; constants come back as Qi."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator in rational function")
+    if num.is_zero():
+        return QI_ZERO
+    g = num.gcd(den)
+    if g.degree() > 0:
+        num = num.divmod(g)[0]
+        den = den.divmod(g)[0]
+    lead_inv = QI_ONE / den.lead()
+    return _reduced(num * lead_inv, den * lead_inv)
+
+
+T_PARAM = RatT(ScalarPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
+
+# The scalar field as used throughout the package.
+Scalar = (Qi, RatT)
+
+
+def as_scalar(v):
+    """Coerce an int, Fraction, Qi, or RatT into a scalar; error otherwise."""
+    if isinstance(v, (Qi, RatT)):
+        return v
+    q = Qi.coerce(v)
+    if q is None:
+        raise GrassmannError("not a scalar: %r" % (v,))
+    return q
+
+
+def is_scalar(v):
+    return isinstance(v, (int, Fraction, Qi, RatT))
+
+
+def scalar_is_zero(s):
+    if isinstance(s, RatT):
+        return s.is_zero()
+    return as_scalar(s).is_zero()
+
+
+def scalar_sqrt(s):
+    """Exact square root of a scalar, or None when it leaves the field."""
+    s = as_scalar(s)
+    return s.sqrt()
+
+
+def scalar_str(s):
+    return str(as_scalar(s))
+
+
+def scalar_lex_positive(s):
+    """Deterministic positivity used by normal-form sign conventions.
+
+    Gaussian rationals: positive real part wins, then positive imaginary
+    part.  Rational functions: decided on the leading numerator coefficient.
+    Zero counts as not positive.
+    """
+    s = as_scalar(s)
+    if isinstance(s, RatT):
+        s = s.num.lead()
+    if s.a:
+        return s.a > 0
+    return s.b > 0

@@ -15,10 +15,11 @@ its displayed block structure.
 
 References for the scalar and monomial core: FractionQi, a Gaussian
 rational on a pair of Fractions (the representation Qi had before it moved
-to a canonical integer triple); reference_product, the schoolbook Grassmann
-product without the memoized monomial table, the body-only fast paths or the
-trusted constructor; reference_invert, the terminating geometric series on
-those products; and fraction_random_qi, random_qi as it was drawn through
+to a canonical integer triple); reference_dot and reference_product, the
+schoolbook Grassmann sum of products on index tuples and Qi/RatT values,
+without the bitmask monomials, the integer form, the body-only fast paths or
+the trusted constructor; reference_invert, the terminating geometric series
+on those products; and fraction_random_qi, random_qi as it was drawn through
 two Fractions.
 
 reference_module_rank_report is the rank report as it was computed before
@@ -325,21 +326,32 @@ class FractionQi:
                               _frac_str(abs(self.im)))
 
 
-def reference_product(x, y):
-    """x * y term pair by term pair through _merge_indices, with no memo,
-    built by the validating constructor (which drops zero coefficients)."""
+def reference_dot(n, xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)) term pair by term pair through
+    _merge_indices, built by the validating constructor.  All products go
+    into one dict, and a coefficient whose sum reaches zero is deleted at
+    once, so a monomial that comes back later goes to the end: the result
+    has the library's key order as well as its value."""
     out = {}
-    for ka, va in x.terms.items():
-        for kb, vb in y.terms.items():
-            merged = _merge_indices(ka, kb)
-            if merged is None:
-                continue
-            key, sign = merged
-            c = va * vb
-            if sign < 0:
-                c = -c
-            out[key] = out.get(key, QI_ZERO) + c
-    return SuperNumber(x.n, out)
+    for x, y in zip(xs, ys):
+        for ka, va in x.terms.items():
+            for kb, vb in y.terms.items():
+                merged = _merge_indices(ka, kb)
+                if merged is None:
+                    continue
+                key, sign = merged
+                c = va * vb
+                s = out.get(key, QI_ZERO) + (-c if sign < 0 else c)
+                if scalar_is_zero(s):
+                    del out[key]
+                else:
+                    out[key] = s
+    return SuperNumber(n, out)
+
+
+def reference_product(x, y):
+    """x * y by reference_dot."""
+    return reference_dot(x.n, [x], [y])
 
 
 def reference_invert(x):

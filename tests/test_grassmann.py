@@ -19,8 +19,8 @@ from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
 from sgk.cli import RatFunc
 from sgk.polyrat import SuperPoly, coprime_bodies
 
-from _oracles import (FractionQi, fraction_random_qi, reference_invert,
-                      reference_product)
+from _oracles import (FractionQi, fraction_random_qi, reference_dot,
+                      reference_invert, reference_product)
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +30,7 @@ from _oracles import (FractionQi, fraction_random_qi, reference_invert,
 small_fraction = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
 qi_values = st.builds(Qi, small_fraction, small_fraction)
+real_qi_values = st.builds(Qi, small_fraction)
 
 
 @given(qi_values, qi_values, qi_values)
@@ -492,8 +493,10 @@ def test_qi_matches_fraction_pair_reference(x, y, k, plain):
 @st.composite
 def supernumber_pairs(draw):
     n = draw(st.sampled_from((0, 2, 4, 8)))
-    coeffs = draw(st.sampled_from((small_qi, ratt_operands,
-                                   st.one_of(small_qi, ratt_operands))))
+    coeffs = draw(st.sampled_from((small_qi, qi_values, real_qi_values,
+                                   ratt_operands,
+                                   st.one_of(small_qi, ratt_operands),
+                                   st.one_of(qi_values, ratt_operands))))
     monomials = st.sets(st.integers(1, n), max_size=n).map(
         lambda s: tuple(sorted(s))) if n else st.just(())
     terms = st.dictionaries(monomials, coeffs, max_size=12 if n == 8 else 6)
@@ -505,24 +508,72 @@ def _inversion_sign(ka, kb):
     return -1 if flips & 1 else 1
 
 
-def _same_element(got, want):
+def _check_form(x):
+    """The storage invariants: a value with a RatT coefficient or an
+    imaginary part keeps a dict of nonzero scalars (_d == 0); a value with
+    _d > 0 keeps int numerators over the denominator D = _d with
+    gcd(D, numerators) == 1."""
+    coeffs = list(x.terms.values())
+    if any(type(v) is RatT or v.b for v in coeffs):
+        assert x._d == 0
+    if not x._d:
+        assert all(type(v) in (Qi, RatT) and v for v in x._num.values())
+        return
+    ints = list(x._num.values())
+    assert x._d > 0 and all(type(c) is int and c for c in ints)
+    assert math.gcd(x._d, *ints) == 1
+
+
+def _same_element(got, want, order=True):
     assert got.n == want.n and got.terms == want.terms
+    if order:
+        assert list(got.terms) == list(want.terms)
     assert {k: type(v) for k, v in got.terms.items()} \
         == {k: type(v) for k, v in want.terms.items()}
     assert str(got) == str(want) and hash(got) == hash(want)
     assert not any(v.is_zero() for v in got.terms.values())
+    _check_form(got)
 
 
-@given(supernumber_pairs(), st.one_of(small_qi, ratt_operands))
+def _dense(seed, share=0.5):
+    """An element of Lambda_8 with about share * 256 random terms."""
+    rng = random.Random(seed)
+    keys = [k for size in range(9)
+            for k in itertools.combinations(range(1, 9), size)]
+    return SuperNumber(8, {k: random_qi(rng, nonzero=True) for k in keys
+                           if rng.random() < share})
+
+
+# (1 + g1 + g2) * (g1*g2 - g2 - 5*g1): the g1*g2 coefficient is 1, then
+# 1 + 1*(-1) = 0 (deleted), then 0 + 5 again, so g1*g2 goes to the end
+_CANCEL = (SuperNumber(2, {(): 1, (1,): 1, (2,): 1}),
+           SuperNumber(2, {(1, 2): 1, (2,): -1, (1,): -5}))
+# the same over the denominator 2, so the result also goes through the gcd
+_CANCEL_HALF = (SuperNumber(2, {k: Fraction(1, 2) for k in ((), (1,), (2,))}),
+                _CANCEL[1])
+
+
+@given(supernumber_pairs(), st.one_of(small_qi, qi_values, ratt_operands))
 @example(pair=(SuperNumber(2, {(1,): 1, (2,): 2}),
                SuperNumber(2, {(1,): 3, (2,): Qi(0, 1)})), c=Qi(2))
 @example(pair=(SuperNumber(4, {(): RatT.lift(2), (1, 2): T_PARAM}),
                SuperNumber(4, {(3,): Qi(1, 1)})), c=RatT.lift(2))
+# coprime denominators; the product of two canonical values needs a gcd
+@example(pair=(SuperNumber(4, {(): Fraction(1, 7), (1,): Fraction(1, 11),
+                               (2, 3): Fraction(2, 13)}),
+               SuperNumber(4, {(): 7, (4,): Fraction(11, 13),
+                               (1, 4): Qi(Fraction(1, 2), Fraction(1, 3))})),
+         c=Qi(Fraction(7, 2), Fraction(-1, 5)))
+@example(pair=_CANCEL, c=Qi(Fraction(1, 3), 1))
+@example(pair=_CANCEL_HALF, c=Qi(Fraction(2, 3)))
+@example(pair=(_dense(1, 0.15), _dense(2, 0.15)), c=Qi(Fraction(-3, 2)))
 @settings(max_examples=200, deadline=None)
 def test_supernumber_product_matches_reference(pair, c):
     x, y = pair
+    for v in (x, y):
+        _check_form(v)
     want = reference_product(x, y)
-    # the second product reads every monomial pair from the memo table
+    # the second product finds every sign row built
     for got in (x * y, x * y):
         _same_element(got, want)
     # a body-only operand on either side takes the scaling fast path
@@ -533,6 +584,14 @@ def test_supernumber_product_matches_reference(pair, c):
     for v in (x, s):
         if v.body():
             _same_element(v.invert(), reference_invert(v))
+    # sqrt_even of an even square with a Gaussian rational body
+    e = x.even_part()
+    if type(e.body()) is Qi and e.body():
+        square = reference_product(e, e)
+        root = square.sqrt_even()
+        _check_form(root)
+        assert reference_product(root, root) == square
+        _same_element(root.invert(), reference_invert(root))
     # the trusted constructors against the validating one
     for v in (c, x.body(), 0, 5, Fraction(-2, 3), RatT.lift(2)):
         _same_element(SuperNumber.scalar(x.n, v), SuperNumber(x.n, {(): v}))
@@ -552,7 +611,30 @@ def test_supernumber_product_matches_reference(pair, c):
                 x.grade_flip()):
         again = SuperNumber(got.n, dict(got.terms))
         assert got.terms == again.terms and str(got) == str(again)
+        assert list(got.terms) == list(again.terms)
+        _check_form(got)
     assert (x + y) - y == x and x + (-x) == SuperNumber.zero(x.n)
+    # the terms view reads the value and cannot change it
+    terms, keys = x.terms, list(x.terms)
+    items = dict(terms.items())
+    for k in keys:
+        assert x.coeff(k) == terms[k] == items[k] and k in terms
+    with pytest.raises(TypeError):
+        terms[(1,) if x.n else ()] = Qi(1)
+    if keys:
+        with pytest.raises(TypeError):
+            del terms[keys[0]]
+    copy = dict(terms)
+    copy.clear()
+    assert list(x.terms) == keys and len(x.terms) == len(keys)
+
+
+def test_zero_plus_a_lifted_constant_collapses_it():
+    # 0 + RatT.lift(2) is Qi(2), as a sum of scalars is; x + 0 keeps x
+    lifted = SuperNumber.scalar(2, RatT.lift(2))
+    got = SuperNumber.zero(2) + lifted
+    assert type(got.body()) is Qi and got == SuperNumber.scalar(2, 2)
+    assert type((lifted + SuperNumber.zero(2)).body()) is RatT
 
 
 def test_trusted_constructors_reject_what_the_validating_one_rejects():
@@ -573,8 +655,9 @@ def test_trusted_constructors_reject_what_the_validating_one_rejects():
 def dot_cases(draw):
     n = draw(st.sampled_from((0, 2, 4, 8)))
     coeffs = draw(st.sampled_from((
-        small_qi, ratt_operands,
-        st.one_of(small_qi, ratt_operands, st.just(RatT.lift(2))))))
+        small_qi, qi_values, real_qi_values, ratt_operands,
+        st.one_of(small_qi, ratt_operands, st.just(RatT.lift(2))),
+        st.one_of(qi_values, ratt_operands))))
     monomials = st.sets(st.integers(1, n), max_size=n).map(
         lambda s: tuple(sorted(s))) if n else st.just(())
     element = st.one_of(
@@ -598,16 +681,28 @@ _G = {i: SuperNumber.gen(4, i) for i in range(1, 5)}
 @example(case=(4, [SuperNumber.scalar(4, RatT.lift(2)), SuperNumber.zero(4)],
                [_G[1] * RatT.lift(2), _G[2]]))
 @example(case=(8, [], []))
+# pair denominators 7, 11 and 13: the sum is kept over their lcm
+@example(case=(4, [SuperNumber.scalar(4, Fraction(1, 7)), _G[1] / 11,
+                   _G[2] * Qi(Fraction(1, 13), Fraction(1, 2))],
+               [_G[3] + 1, _G[3] * 2, _G[3] - _G[1]]))
+# g1*g2 cancels in the second pair and comes back, last, in the third
+@example(case=(2, [_CANCEL[0], SuperNumber.gen(2, 2), SuperNumber.gen(2, 2)],
+               [SuperNumber(2, {(1, 2): 1}), SuperNumber.gen(2, 1),
+                SuperNumber.gen(2, 1) * Qi(Fraction(1, 2), 1)]))
+@example(case=(2, [_CANCEL_HALF[0], SuperNumber.gen(2, 2) / 3],
+               [_CANCEL_HALF[1], SuperNumber.gen(2, 1) * 3]))
+@example(case=(8, [_dense(3, 0.1), _dense(4, 0.1)],
+               [_dense(5, 0.1), SuperNumber.scalar(8, Fraction(2, 9))]))
 @settings(max_examples=200, deadline=None)
 def test_dot_matches_sum_of_products(case):
     n, xs, ys = case
     got = dot(n, xs, ys)
+    # the schoolbook reference sums in one dict, as dot does, so it also
+    # fixes the key order
+    _same_element(got, reference_dot(n, xs, ys))
+    # a sum of separate products deletes and re-inserts keys at other times
     _same_element(got, sum((x * y for x, y in zip(xs, ys)),
-                           SuperNumber.zero(n)))
-    # the product shares its monomial loop with dot; the schoolbook
-    # reference shares none
-    _same_element(got, sum((reference_product(x, y) for x, y in zip(xs, ys)),
-                           SuperNumber.zero(n)))
+                           SuperNumber.zero(n)), order=False)
 
 
 def test_dot_rejects_generator_count_mismatch():

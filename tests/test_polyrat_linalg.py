@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -262,6 +263,37 @@ def test_module_rank_report_full_and_degenerate():
     # a column that is soul-only cannot be ranked over the field
     rep3 = module_rank_report([[soul, zero], [zero, one]])
     assert rep3.degenerate
+
+
+def _report_fields(rep):
+    return (rep.rows, rep.cols, rep.rank, rep.kernel_rank, rep.coker_rank,
+            rep.degenerate, rep.kernel_basis)
+
+
+def test_module_rank_report_coerces_scalar_entries():
+    # all scalars: over Lambda_0, or over Lambda_(n_gen) when it is given
+    rep = module_rank_report([[Qi(1), Qi(2)]])
+    assert _report_fields(rep) == (1, 2, 1, 1, 0, False,
+                                   [[SuperNumber.scalar(0, -2),
+                                     SuperNumber.one(0)]])
+    rep = module_rank_report([[1, Fraction(1, 2)], [2, Qi(1)]], 3)
+    assert (rep.rank, rep.kernel_rank, rep.coker_rank) == (1, 1, 1)
+    assert all(x.n == 3 for x in rep.kernel_basis[0])
+    # mixed: the first SuperNumber entry fixes n, whatever n_gen says
+    g = SuperNumber.gen(2, 1)
+    rows = [[0, 1], [g, Qi(0, 1)]]
+    lifted = [[SuperNumber.coerce(2, x) for x in row] for row in rows]
+    for n_gen in (None, 5):
+        assert _report_fields(module_rank_report(rows, n_gen)) \
+            == _report_fields(module_rank_report(lifted))
+    want = reference_module_rank_report(lifted, 2)
+    assert (want.rank, want.degenerate) \
+        == (module_rank_report(rows).rank, module_rank_report(rows).degenerate)
+    # anything else is a GrassmannError, not an AttributeError
+    for bad in ([["x"]], [[1.5, 1]], [[None]], [[1, [2]]],
+                [[SuperNumber.one(2), SuperNumber.one(3)]]):
+        with pytest.raises(GrassmannError):
+            module_rank_report(bad)
 
 
 @st.composite
