@@ -23,7 +23,6 @@ Grammar sketch (statements are separated by newlines or semicolons):
     list       = "[" (expr ("," expr)*)? "]"
     point      = "[" expr ":" expr (":" expr)? "]"
     literal    = "sc" 3x3-rows | "sl2" 2x2-rows
-               | "susy" "(" expr "," expr ")"
                | "sec" "(" NUM ";" expr ("," expr)* ")"
                | "chart1" "(" expr ";" expr ")" | "chart2" ...
                | "curve" "(" NUM ";" "phi" "=" expr ";" "psi" "=" expr ")"
@@ -33,16 +32,25 @@ Grammar sketch (statements are separated by newlines or semicolons):
                | "treecfg" "(" "tree" "=" expr ";" "nodal" "=" expr ";"
                            "marked" "=" expr ";" "curves" "=" expr ")"
 
+The keyword literals (`curve`, `cfg`, `tree`, `treecfg`) share one parsing
+rule, driven by the _KEYWORD_LITERALS table.  The built-in functions are the
+keys of _FUNCTIONS, which gives each one its implementation and the type
+each argument must have; `act`, `torus` and `reduce` choose the library
+function by the type of their last argument.
+
 Inside a `curve` literal the name `z` is the coordinate; `t` is always the
 transcendental scalar parameter, `g1` .. `g8` the odd generators.
-Expressions nest at most MAX_NESTING levels deep (each "(", "[", sign and
-exponent is one level); deeper input is a syntax error.  An exponent is an
-integer of absolute value at most MAX_EXPONENT; a larger one is an error at
-the "^", raised before any power is computed.  Scalars stay below
-MAX_SCALAR_BITS: a longer number literal is an error at the literal, and an
-operator, power or function call whose result would be larger, as
-estimated from the operands, is an error at that operator or call before it
-runs.
+
+An error of the library raised while an expression is evaluated is reported
+at the operator, at the literal's head, or, prefixed by the function's name,
+at the call that raised it.  Expressions nest at most MAX_NESTING levels
+deep (each "(", "[", sign and exponent is one level); deeper input is a
+syntax error.  An exponent is an integer of absolute value at most
+MAX_EXPONENT; a larger one is an error at the "^", raised before any power
+is computed.  Scalars stay below MAX_SCALAR_BITS: a longer number literal is
+an error at the literal, and an operator, power or function call whose
+result would be larger, as estimated from the operands, is an error at that
+operator or call before it runs.
 """
 
 from __future__ import annotations
@@ -165,8 +173,16 @@ def tokenize(text):
 # Parser
 
 
-_LITERAL_HEADS = ("sec", "curve", "cfg", "chart1", "chart2", "tree",
-                  "treecfg")
+# Literals written as keyword fields: head -> (leading number?, field words).
+# "curve(1; phi = x; psi = y)" parses to ("curve", 1, x, y, line, col).
+_KEYWORD_LITERALS = {
+    "curve": (True, ("phi", "psi")),
+    "cfg": (False, ("points", "curve")),
+    "tree": (True, ("edges", "marks", "degrees")),
+    "treecfg": (False, ("tree", "nodal", "marked", "curves")),
+}
+
+_LITERAL_HEADS = ("sec", "chart1", "chart2", *_KEYWORD_LITERALS)
 
 # Deepest sub-expression nesting the parser accepts.  Every nested "(", "[",
 # unary sign and exponent passes through parse_unary, which counts one level
@@ -409,50 +425,16 @@ class Parser:
             pi = self.parse_expr()
             self.expect(")")
             return ("chart", int(name[-1]), p, pi, t.line, t.col)
-        if name == "curve":
-            d = int(self.expect("num").text)
-            self.expect(";")
-            self.expect_word("phi")
-            self.expect("=")
-            phi = self.parse_expr()
-            self.expect(";")
-            self.expect_word("psi")
-            self.expect("=")
-            psi = self.parse_expr()
-            self.expect(")")
-            return ("curve", d, phi, psi, t.line, t.col)
-        if name == "cfg":
-            self.expect_word("points")
-            self.expect("=")
-            pts = self.parse_expr()
-            self.expect(";")
-            self.expect_word("curve")
-            self.expect("=")
-            cur = self.parse_expr()
-            self.expect(")")
-            return ("cfg", pts, cur, t.line, t.col)
-        if name == "tree":
-            nv = int(self.expect("num").text)
-            parts = []
-            for word in ("edges", "marks", "degrees"):
+        lead, words = _KEYWORD_LITERALS[name]
+        fields = [int(self.expect("num").text)] if lead else []
+        for word in words:
+            if fields:
                 self.expect(";")
-                self.expect_word(word)
-                self.expect("=")
-                parts.append(self.parse_expr())
-            self.expect(")")
-            return ("tree", nv, parts[0], parts[1], parts[2], t.line, t.col)
-        if name == "treecfg":
-            parts = []
-            for i, word in enumerate(("tree", "nodal", "marked", "curves")):
-                if i:
-                    self.expect(";")
-                self.expect_word(word)
-                self.expect("=")
-                parts.append(self.parse_expr())
-            self.expect(")")
-            return ("treecfg", parts[0], parts[1], parts[2], parts[3],
-                    t.line, t.col)
-        raise CLIError("unknown literal %r" % name, t.line, t.col)
+            self.expect_word(word)
+            self.expect("=")
+            fields.append(self.parse_expr())
+        self.expect(")")
+        return (name, *fields, t.line, t.col)
 
 
 def parse_text(text):
@@ -652,100 +634,103 @@ class Evaluator:
                        % (op, _typename(a), _typename(b)), line, col)
 
     def eval(self, node, local=None):
-        kind = node[0]
-        if kind == "num":
-            return SuperNumber.scalar(self.n, node[1])
-        if kind == "imag":
-            return SuperNumber.scalar(self.n, Qi(0, node[1]))
-        if kind == "ident":
-            _, name, line, col = node
-            if local and name in local:
-                return local[name]
-            return self.lookup(name, line, col)
-        if kind == "neg":
-            v = self.eval(node[1], local)
-            if isinstance(v, SuperNumber):
-                return -v
-            if isinstance(v, RatFunc):
-                return v.neg()
-            if isinstance(v, SCMatrix):
-                return v.neg()
-            raise CLIError("cannot negate %s" % _typename(v),
-                           node[2], node[3])
-        if kind == "binop":
-            _, op, lhs, rhs, line, col = node
-            a = self.eval(lhs, local)
-            b = self.eval(rhs, local)
-            _check_size(_bits(a) + (_inverse_bits(b) if op == "/"
-                                    else _bits(b)), line, col)
-            try:
+        """The value of an expression node.  A library error raised while
+        evaluating the node itself gets the node's line and column; every
+        node ends with the (line, col) of its operator or head token."""
+        try:
+            kind = node[0]
+            if kind == "num":
+                return SuperNumber.scalar(self.n, node[1])
+            if kind == "imag":
+                return SuperNumber.scalar(self.n, Qi(0, node[1]))
+            if kind == "ident":
+                _, name, line, col = node
+                if local and name in local:
+                    return local[name]
+                return self.lookup(name, line, col)
+            if kind == "neg":
+                v = self.eval(node[1], local)
+                if isinstance(v, SuperNumber):
+                    return -v
+                if isinstance(v, RatFunc):
+                    return v.neg()
+                if isinstance(v, SCMatrix):
+                    return v.neg()
+                raise CLIError("cannot negate %s" % _typename(v),
+                               node[2], node[3])
+            if kind == "binop":
+                _, op, lhs, rhs, line, col = node
+                a = self.eval(lhs, local)
+                b = self.eval(rhs, local)
+                _check_size(_bits(a) + (_inverse_bits(b) if op == "/"
+                                        else _bits(b)), line, col)
                 return self._arith(op, a, b, line, col)
-            except GrassmannError as exc:
-                raise CLIError(str(exc), line, col) from None
-        if kind == "pow":
-            _, base, expo, line, col = node
-            v = self.eval(base, local)
-            k = self._as_int(self.eval(expo, local), "exponent", line, col)
-            if abs(k) > MAX_EXPONENT:
-                raise CLIError("exponent exceeds the limit of %d in absolute "
-                               "value" % MAX_EXPONENT, line, col)
-            _check_size(abs(k) * (_inverse_bits(v) if k < 0 else _bits(v)),
-                        line, col)
-            try:
+            if kind == "pow":
+                _, base, expo, line, col = node
+                v = self.eval(base, local)
+                k = self._as_int(self.eval(expo, local), "exponent",
+                                 line, col)
+                if abs(k) > MAX_EXPONENT:
+                    raise CLIError("exponent exceeds the limit of %d in "
+                                   "absolute value" % MAX_EXPONENT, line, col)
+                _check_size(abs(k) * (_inverse_bits(v) if k < 0
+                                      else _bits(v)), line, col)
                 if isinstance(v, RatFunc):
                     return v.pow(k)
                 if isinstance(v, SuperNumber):
                     if k < 0:
                         return v.invert() ** (-k)
                     return v ** k
-            except GrassmannError as exc:
-                raise CLIError(str(exc), line, col) from None
-            raise CLIError("cannot raise %s to a power" % _typename(v),
-                           line, col)
-        if kind == "list":
-            return [self.eval(e, local) for e in node[1]]
-        if kind == "target":
-            u, v = (self.eval(e, local) for e in node[1])
-            return P1Point(self.n, u, v)
-        if kind == "proj":
-            z1, z2, th = (self.eval(e, local) for e in node[1])
-            return ProjPoint(self.n, z1, z2, th)
-        if kind == "chart":
-            _, which, pe, pie, line, col = node
-            return ChartPoint(self.n, which, self.eval(pe, local),
-                              self.eval(pie, local))
-        if kind == "sc":
-            rows = [[self.eval(e, local) for e in row] for row in node[1]]
-            return SCMatrix.from_rows(self.n, rows, validate=True)
-        if kind == "sl2":
-            (a, c), (b, d) = [[self.eval(e, local) for e in row]
-                              for row in node[1]]
-            return lift_sl2(self.n, a, b, c, d)
-        if kind == "sec":
-            _, k, coeff_nodes, line, col = node
-            coeffs = [self.eval(e, local) for e in coeff_nodes]
-            if len(coeffs) != k + 1:
-                raise CLIError("sec(%d; ...) needs %d coefficients, got %d"
-                               % (k, k + 1, len(coeffs)), line, col)
-            return Section(self.n, k, coeffs)
-        if kind == "curve":
-            return self._eval_curve(node, local)
-        if kind == "cfg":
-            _, pts_e, cur_e, line, col = node
-            pts = self.eval(pts_e, local)
-            cur = self.eval(cur_e, local)
-            if not isinstance(pts, list):
-                raise CLIError("cfg points must be a list", line, col)
-            if not isinstance(cur, SuperCurve):
-                raise CLIError("cfg curve must be a curve", line, col)
-            return MarkedConfig(pts, cur)
-        if kind == "tree":
-            return self._eval_tree(node, local)
-        if kind == "treecfg":
-            return self._eval_treecfg(node, local)
-        if kind == "call":
-            return self._call(node, local)
-        raise CLIError("unhandled expression node %r" % kind)
+                raise CLIError("cannot raise %s to a power" % _typename(v),
+                               line, col)
+            if kind == "list":
+                return [self.eval(e, local) for e in node[1]]
+            if kind == "target":
+                u, v = (self.eval(e, local) for e in node[1])
+                return P1Point(self.n, u, v)
+            if kind == "proj":
+                z1, z2, th = (self.eval(e, local) for e in node[1])
+                return ProjPoint(self.n, z1, z2, th)
+            if kind == "chart":
+                _, which, pe, pie, line, col = node
+                return ChartPoint(self.n, which, self.eval(pe, local),
+                                  self.eval(pie, local))
+            if kind == "sc":
+                rows = [[self.eval(e, local) for e in row]
+                        for row in node[1]]
+                return SCMatrix.from_rows(self.n, rows, validate=True)
+            if kind == "sl2":
+                (a, c), (b, d) = [[self.eval(e, local) for e in row]
+                                  for row in node[1]]
+                return lift_sl2(self.n, a, b, c, d)
+            if kind == "sec":
+                _, k, coeff_nodes, line, col = node
+                coeffs = [self.eval(e, local) for e in coeff_nodes]
+                if len(coeffs) != k + 1:
+                    raise CLIError("sec(%d; ...) needs %d coefficients, "
+                                   "got %d" % (k, k + 1, len(coeffs)),
+                                   line, col)
+                return Section(self.n, k, coeffs)
+            if kind == "curve":
+                return self._eval_curve(node, local)
+            if kind == "cfg":
+                _, pts_e, cur_e, line, col = node
+                pts = self.eval(pts_e, local)
+                cur = self.eval(cur_e, local)
+                if not isinstance(pts, list):
+                    raise CLIError("cfg points must be a list", line, col)
+                if not isinstance(cur, SuperCurve):
+                    raise CLIError("cfg curve must be a curve", line, col)
+                return MarkedConfig(pts, cur)
+            if kind == "tree":
+                return self._eval_tree(node, local)
+            if kind == "treecfg":
+                return self._eval_treecfg(node, local)
+            if kind == "call":
+                return self._call(node, local)
+            raise CLIError("unhandled expression node %r" % kind)
+        except GrassmannError as exc:
+            raise CLIError(str(exc), node[-2], node[-1]) from None
 
     def _eval_curve(self, node, local):
         _, d, phi_e, psi_e, line, col = node
@@ -797,25 +782,37 @@ class Evaluator:
 
     def _call(self, node, local):
         _, name, arg_nodes, line, col = node
-        fn = _FUNCTIONS.get(name)
-        if fn is None:
+        entry = _FUNCTIONS.get(name)
+        if entry is None:
             raise CLIError("unknown function %r" % name, line, col)
-        impl, arity = fn
+        impl, *wants = entry
         args = [self.eval(e, local) for e in arg_nodes]
-        if len(args) != arity:
+        if len(args) != len(wants):
             raise CLIError("%s takes %d argument(s), got %d"
-                           % (name, arity, len(args)), line, col)
+                           % (name, len(wants), len(args)), line, col)
         _check_size(sum(map(_bits, args)), line, col)
         try:
-            return impl(self, args)
-        except CLIError:
-            raise
+            for want, v in zip(wants, args):
+                if isinstance(want, dict):
+                    impl = next((fn for cls, fn in want.items()
+                                 if isinstance(v, cls)), None)
+                    ok = impl is not None
+                else:
+                    ok = want is None or isinstance(v, want)
+                if not ok:
+                    raise GrassmannError("%s does not apply to a %s"
+                                         % (name, _typename(v)))
+            if impl is susy:
+                return susy(self.n, *args)
+            return impl(*args)
         except GrassmannError as exc:
             raise CLIError("%s: %s" % (name, exc), line, col) from None
 
 
-def _fn_mul(ev, args):
-    a, b = args
+# mul, inv and sameorbit check their own argument types: their messages
+# differ from the table's "<name> does not apply to a <type>".
+
+def _mul(a, b):
     if isinstance(a, SCMatrix) and isinstance(b, SCMatrix):
         return a.mul(b)
     if isinstance(a, SuperNumber) and isinstance(b, SuperNumber):
@@ -823,8 +820,7 @@ def _fn_mul(ev, args):
     raise GrassmannError("mul expects two matrices or two numbers")
 
 
-def _fn_inv(ev, args):
-    v = args[0]
+def _inv(v):
     if isinstance(v, SCMatrix):
         return v.inverse()
     if isinstance(v, SuperNumber):
@@ -832,141 +828,58 @@ def _fn_inv(ev, args):
     raise GrassmannError("inv expects a matrix or a number")
 
 
-def _fn_check(ev, args):
-    m = _want(args[0], SCMatrix, "check")
-    res = m.check()
-    return [res["sp"], res["unit"], res["odd1"], res["odd2"]]
+def _same_orbit(a, b):
+    if not isinstance(a, list) or not isinstance(b, list):
+        raise GrassmannError("sameorbit expects two point lists")
+    return same_orbit(a, b)
 
 
-def _fn_decompose(ev, args):
-    m = _want(args[0], SCMatrix, "decompose")
+def _decompose(m):
     quad, (al, be) = m.decompose()
     return [lift_sl2(m.n, *quad), susy(m.n, al, be)]
 
 
-def _fn_act(ev, args):
-    m, x = args
-    m = _want(m, SCMatrix, "act")
-    if isinstance(x, (ChartPoint, ProjPoint)):
-        return act_point(m, x)
-    if isinstance(x, Section):
-        return sl2_act_section(m, x)
-    if isinstance(x, SuperCurve):
-        return act_general(m, x)
-    if isinstance(x, MarkedConfig):
-        return act_config(m, x)
-    if isinstance(x, TreeConfig):
-        return act_tree_config(m, x)
-    raise GrassmannError("act does not apply to a %s" % _typename(x))
-
-
-def _fn_normalize3(ev, args):
-    m, eps = three_point_normalize(args[0], args[1], args[2])
-    return [m, eps]
-
-
-def _fn_susy(ev, args):
-    return susy(ev.n, args[0], args[1])
-
-
-def _fn_susy1(ev, args):
-    cfg = _want(args[0], MarkedConfig, "susy1")
+def _susy1(cfg):
     rep = susy1_report(cfg)
-    return [SuperNumber.scalar(cfg.n, rep.rank),
-            SuperNumber.scalar(cfg.n, rep.kernel_rank),
-            SuperNumber.scalar(cfg.n, rep.coker_rank)]
+    return [SuperNumber.scalar(cfg.n, r)
+            for r in (rep.rank, rep.kernel_rank, rep.coker_rank)]
 
 
-def _fn_torus(ev, args):
-    tval, x = args
-    t = _want(tval, SuperNumber, "torus")
-    if isinstance(x, (ChartPoint, ProjPoint)):
-        return torus_act_point(t, x)
-    if isinstance(x, SuperCurve):
-        return torus_act_curve(t, x)
-    if isinstance(x, MarkedConfig):
-        return torus_act_config(t, x)
-    if isinstance(x, TreeConfig):
-        return torus_act_tree(t, x)
-    raise GrassmannError("torus does not apply to a %s" % _typename(x))
+_POINT = (ChartPoint, ProjPoint)
 
-
-def _fn_glue(ev, args):
-    return glue(_want(args[0], TreeConfig, "glue"),
-                _want(args[1], TreeConfig, "glue"))
-
-
-def _fn_forget(ev, args):
-    return forget_last_mark(_want(args[0], TreeConfig, "forget"))
-
-
-def _fn_body(ev, args):
-    v = _want(args[0], SuperNumber, "body")
-    return SuperNumber.scalar(v.n, v.body())
-
-
-def _fn_soul(ev, args):
-    return _want(args[0], SuperNumber, "soul").soul()
-
-
-def _fn_evalc(ev, args):
-    return eval_curve_at_superpoint(_want(args[0], SuperCurve, "evalc"),
-                                    args[1])
-
-
-def _fn_validate(ev, args):
-    return validate_tree(_want(args[0], TreeConfig, "validate")).ok
-
-
-def _fn_sameauto(ev, args):
-    return same_automorphism(_want(args[0], SCMatrix, "sameauto"),
-                             _want(args[1], SCMatrix, "sameauto"))
-
-
-def _fn_sameorbit(ev, args):
-    if not isinstance(args[0], list) or not isinstance(args[1], list):
-        raise GrassmannError("sameorbit expects two point lists")
-    return same_orbit(args[0], args[1])
-
-
-def _fn_reduce(ev, args):
-    v = args[0]
-    if isinstance(v, (ChartPoint, ProjPoint)):
-        return reduce_point(v)
-    if isinstance(v, SuperCurve):
-        return v.reduced()
-    if isinstance(v, MarkedConfig):
-        return v.reduced()
-    raise GrassmannError("reduce does not apply to a %s" % _typename(v))
-
-
-def _want(v, cls, fname):
-    if not isinstance(v, cls):
-        raise GrassmannError("%s does not apply to a %s"
-                             % (fname, _typename(v)))
-    return v
-
-
+# name: (implementation, wanted type of each argument).  The arity is the
+# number of wanted types.  A wanted type is a class, None for any value, or a
+# dict from class to the library function that then implements the call; an
+# argument of any other type is "<name> does not apply to a <type>".  susy
+# also gets the generator count, ahead of its arguments.
 _FUNCTIONS = {
-    "mul": (_fn_mul, 2),
-    "inv": (_fn_inv, 1),
-    "inverse": (_fn_inv, 1),
-    "check": (_fn_check, 1),
-    "decompose": (_fn_decompose, 1),
-    "act": (_fn_act, 2),
-    "normalize3": (_fn_normalize3, 3),
-    "susy": (_fn_susy, 2),
-    "susy1": (_fn_susy1, 1),
-    "torus": (_fn_torus, 2),
-    "glue": (_fn_glue, 2),
-    "forget": (_fn_forget, 1),
-    "body": (_fn_body, 1),
-    "soul": (_fn_soul, 1),
-    "evalc": (_fn_evalc, 2),
-    "validate": (_fn_validate, 1),
-    "sameauto": (_fn_sameauto, 2),
-    "sameorbit": (_fn_sameorbit, 2),
-    "reduce": (_fn_reduce, 1),
+    "mul": (_mul, None, None),
+    "inv": (_inv, None),
+    "inverse": (_inv, None),
+    "check": (lambda m: list(m.check().values()), SCMatrix),
+    "decompose": (_decompose, SCMatrix),
+    "act": (None, SCMatrix, {_POINT: act_point, Section: sl2_act_section,
+                             SuperCurve: act_general,
+                             MarkedConfig: act_config,
+                             TreeConfig: act_tree_config}),
+    "normalize3": (lambda *pts: list(three_point_normalize(*pts)),
+                   None, None, None),
+    "susy": (susy, None, None),
+    "susy1": (_susy1, MarkedConfig),
+    "torus": (None, SuperNumber, {_POINT: torus_act_point,
+                                  SuperCurve: torus_act_curve,
+                                  MarkedConfig: torus_act_config,
+                                  TreeConfig: torus_act_tree}),
+    "glue": (glue, TreeConfig, TreeConfig),
+    "forget": (forget_last_mark, TreeConfig),
+    "body": (lambda v: SuperNumber.scalar(v.n, v.body()), SuperNumber),
+    "soul": (SuperNumber.soul, SuperNumber),
+    "evalc": (eval_curve_at_superpoint, SuperCurve, None),
+    "validate": (lambda cfg: validate_tree(cfg).ok, TreeConfig),
+    "sameauto": (same_automorphism, SCMatrix, SCMatrix),
+    "sameorbit": (_same_orbit, None, None),
+    "reduce": (None, {_POINT: reduce_point, SuperCurve: SuperCurve.reduced,
+                      MarkedConfig: MarkedConfig.reduced}),
 }
 
 

@@ -78,31 +78,6 @@ MAX_GENERATORS = 8
 # Grassmann numbers
 
 
-def _merge_indices(a, b):
-    """Merge two disjoint sorted index tuples, counting transpositions.
-
-    Returns (merged tuple, sign) or None when the tuples intersect, in which
-    case the product of monomials vanishes.
-    """
-    out = []
-    inv = 0
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            inv += la - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inv & 1 else 1)
-
-
 # A monomial is an int bitmask, bit i - 1 standing for g_i.  _KEYS[m] is the
 # increasing index tuple of mask m and _MASKS maps the tuple back.  The
 # byte tables _ODD, _EVEN, _SOUL and _ALL select masks by degree: odd, even,
@@ -357,9 +332,7 @@ class SuperNumber:
 
     # -- coefficients
 
-    @property
-    def terms(self):
-        return _TermsView(self)
+    terms = property(_TermsView)
 
     def _coeff(self, m):
         """The coefficient of the monomial with mask m."""

@@ -15,7 +15,9 @@ its displayed block structure.
 
 References for the scalar and monomial core: FractionQi, a Gaussian
 rational on a pair of Fractions (the representation Qi had before it moved
-to a canonical integer triple); reference_dot and reference_product, the
+to a canonical integer triple); _merge_indices, the product of two index
+tuples with its transposition sign, as the library computed it before its
+sign rows; reference_dot and reference_product, the
 schoolbook Grassmann sum of products on index tuples and Qi/RatT values,
 without the bitmask monomials, the integer form, the body-only fast paths or
 the trusted constructor; reference_invert, the terminating geometric series
@@ -32,8 +34,7 @@ import math
 from fractions import Fraction
 
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import QI_ZERO, Qi, SuperNumber, _merge_indices, \
-    scalar_is_zero
+from sgk.grassmann import QI_ZERO, Qi, SuperNumber, scalar_is_zero
 from sgk.linalg import ModuleRankReport, mat_mul
 from sgk.polyrat import SuperPoly, homog_subst
 from sgk.superspace import preferred_chart
@@ -324,6 +325,31 @@ class FractionQi:
         return "(%s%s%si)" % (_frac_str(self.re),
                               "+" if self.im >= 0 else "-",
                               _frac_str(abs(self.im)))
+
+
+def _merge_indices(a, b):
+    """Merge two disjoint sorted index tuples, counting transpositions.
+
+    Returns (merged tuple, sign) or None when the tuples intersect, in which
+    case the product of monomials vanishes.
+    """
+    out = []
+    inv = 0
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            inv += la - i
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), (-1 if inv & 1 else 1)
 
 
 def reference_dot(n, xs, ys):

@@ -4,13 +4,15 @@ command-line entry points."""
 import builtins
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from sgk.cli import (_MAX_LITERAL_DIGITS, MAX_EXPONENT, MAX_NESTING,
-                     MAX_SCALAR_BITS, CLIError, Evaluator, RatFunc,
-                     ScriptRunner, format_value, main, parse_text, tokenize,
-                     verify_paper)
+from sgk.cli import (_FUNCTIONS, _MAX_LITERAL_DIGITS, MAX_EXPONENT,
+                     MAX_NESTING, MAX_SCALAR_BITS, CLIError, Evaluator,
+                     RatFunc, ScriptRunner, format_value, main, parse_text,
+                     tokenize, verify_paper)
 from sgk.grassmann import Qi, SuperNumber
 
 # literals that must survive parse -> format -> parse unchanged
@@ -233,6 +235,311 @@ def test_function_arity_and_unknown_names():
         _eval_one("frobnicate(1)")
     with pytest.raises(CLIError):
         _eval_one("nosuchvar")
+
+
+# ---------------------------------------------------------------------------
+# Built-ins and keyword literals, pinned
+
+
+# Values the pinned calls below use, bound with two generators.
+PIN_PRELUDE = """\
+set generators 2
+let m = sc[[2, 1, 0], [3, 2, 0], [0, 0, 1]]
+let x = 2 + g1*g2
+let p = chart1(1; g1)
+let q = [1 : 2 : g1]
+let s = sec(1; g1, g2)
+let c = curve(1; phi = (z) / (1); psi = (g1) / (1))
+let pts = [chart1(0; 0), chart1(1; 0), chart1(2; 0)]
+let u = [chart1(0; 0), chart1(1; 0), [1 : 0 : 0], chart1(2; g1)]
+let k = cfg(points = pts;
+          curve = curve(0; phi = (5) / (1); psi = (0) / (1)))
+let tc = treecfg(tree = tree(1; edges = []; marks = [1, 1, 1, 1];
+                             degrees = [0]);
+                 nodal = [];
+                 marked = [chart1(0; 0), chart1(1; 0), chart1(2; 0),
+                           chart1(3; 0)];
+                 curves = [curve(0; phi = (5) / (1); psi = (0) / (1))])
+"""
+
+# (expression, printed value or "error: <message>"): every built-in once per
+# dispatch branch, with a wrong type in each argument position and with a
+# wrong arity, and each keyword literal with a field missing and a field
+# misspelled.  The strings were produced by the front end before its
+# built-ins became one table, and must not change with it.
+FRONT_END_PINS = [
+    ("mul(m, m)",
+     "sc[[7, 4, 0], [12, 7, 0], [0, 0, 1]]"),
+    ("mul(x, g1)",
+     "2*g1"),
+    ("mul(x, m)",
+     "error: line 1:1: mul: mul expects two matrices or two numbers"),
+    ("mul(m, x)",
+     "error: line 1:1: mul: mul expects two matrices or two numbers"),
+    ("mul(m)",
+     "error: line 1:1: mul takes 2 argument(s), got 1"),
+    ("inv(m)",
+     "sc[[2, -1, 0], [-3, 2, 0], [0, 0, 1]]"),
+    ("inv(x)",
+     "1/2 - 1/4*g1*g2"),
+    ("inv(p)",
+     "error: line 1:1: inv: inv expects a matrix or a number"),
+    ("inv(m, m)",
+     "error: line 1:1: inv takes 1 argument(s), got 2"),
+    ("inverse(m)",
+     "sc[[2, -1, 0], [-3, 2, 0], [0, 0, 1]]"),
+    ("inverse(p)",
+     "error: line 1:1: inverse: inv expects a matrix or a number"),
+    ("inverse()",
+     "error: line 1:1: inverse takes 1 argument(s), got 0"),
+    ("check(m)",
+     "[0, 0, 0, 0]"),
+    ("check(x)",
+     "error: line 1:1: check: check does not apply to a number"),
+    ("check()",
+     "error: line 1:1: check takes 1 argument(s), got 0"),
+    ("decompose(m)",
+     "[sc[[2, 1, 0], [3, 2, 0], [0, 0, 1]], sc[[1, 0, 0], [0, 1, 0], "
+     "[0, 0, 1]]]"),
+    ("decompose(x)",
+     "error: line 1:1: decompose: decompose does not apply to a number"),
+    ("decompose(m, m)",
+     "error: line 1:1: decompose takes 1 argument(s), got 2"),
+    ("act(m, p)",
+     "chart1(5/3; 1/3*g1)"),
+    ("act(m, q)",
+     "[8 : 5 : g1]"),
+    ("act(m, s)",
+     "sec(1; 2*g1 - 3*g2, -g1 + 2*g2)"),
+    ("act(m, c)",
+     "curve(1; phi = ((3) + (-2)*z) / ((-2) + (1)*z); psi = ((2*g1) + "
+     "(-g1)*z) / ((4) + (-4)*z + (1)*z^2))"),
+    ("act(m, k)",
+     "cfg(points = [[3 : 2 : 0], [5 : 3 : 0], [7 : 4 : 0]]; curve = "
+     "curve(0; phi = ((5)) / ((1)); psi = (0) / ((1))))"),
+    ("act(m, tc)",
+     "treecfg(tree = tree(1; edges = []; marks = [1, 1, 1, 1]; degrees "
+     "= [0]); nodal = []; marked = [[3 : 2 : 0], [5 : 3 : 0], [7 : 4 : "
+     "0], [9 : 5 : 0]]; curves = [curve(0; phi = ((5)) / ((1)); psi = "
+     "(0) / ((1)))])"),
+    ("act(x, p)",
+     "error: line 1:1: act: act does not apply to a number"),
+    ("act(m, x)",
+     "error: line 1:1: act: act does not apply to a number"),
+    ("act(m)",
+     "error: line 1:1: act takes 2 argument(s), got 1"),
+    ("normalize3(chart1(0; g1), chart1(1; 0), [1 : 0 : 0])",
+     "[sc[[-1, 0, 0], [0, -1, -g1], [g1, 0, 1]], g1]"),
+    ("normalize3(x, chart1(1; 0), [1 : 0 : 0])",
+     "error: line 1:1: normalize3: not a superpoint: <2 + g1*g2 | n=2>"),
+    ("normalize3(chart1(0; g1), x, [1 : 0 : 0])",
+     "error: line 1:1: normalize3: not a superpoint: <2 + g1*g2 | n=2>"),
+    ("normalize3(chart1(0; g1), chart1(1; 0), x)",
+     "error: line 1:1: normalize3: not a superpoint: <2 + g1*g2 | n=2>"),
+    ("normalize3(p, p)",
+     "error: line 1:1: normalize3 takes 3 argument(s), got 2"),
+    ("susy(g1, g2)",
+     "sc[[1 + 1/2*g1*g2, 0, -g2], [0, 1 + 1/2*g1*g2, g1], [g1, g2, 1 - "
+     "g1*g2]]"),
+    ("susy(x, g2)",
+     "error: line 1:1: susy: alpha must be odd"),
+    ("susy(g1, x)",
+     "error: line 1:1: susy: beta must be odd"),
+    ("susy(g1)",
+     "error: line 1:1: susy takes 2 argument(s), got 1"),
+    ("susy1(k)",
+     "[2, 0, 1]"),
+    ("susy1(x)",
+     "error: line 1:1: susy1: susy1 does not apply to a number"),
+    ("susy1(k, k)",
+     "error: line 1:1: susy1 takes 1 argument(s), got 2"),
+    ("torus(2, p)",
+     "chart1(1; 2*g1)"),
+    ("torus(2, q)",
+     "[1 : 2 : 2*g1]"),
+    ("torus(t, c)",
+     "curve(1; phi = ((1)*z) / ((1)); psi = (((t)*g1)) / ((1)))"),
+    ("torus(2, k)",
+     "cfg(points = [[0 : 1 : 0], [1 : 1 : 0], [2 : 1 : 0]]; curve = "
+     "curve(0; phi = ((5)) / ((1)); psi = (0) / ((1))))"),
+    ("torus(2, tc)",
+     "treecfg(tree = tree(1; edges = []; marks = [1, 1, 1, 1]; degrees "
+     "= [0]); nodal = []; marked = [[0 : 1 : 0], [1 : 1 : 0], [2 : 1 : "
+     "0], [3 : 1 : 0]]; curves = [curve(0; phi = ((5)) / ((1)); psi = "
+     "(0) / ((1)))])"),
+    ("torus(m, p)",
+     "error: line 1:1: torus: torus does not apply to a matrix"),
+    ("torus(2, s)",
+     "error: line 1:1: torus: torus does not apply to a section"),
+    ("torus(2)",
+     "error: line 1:1: torus takes 2 argument(s), got 1"),
+    ("glue(tc, tc)",
+     "treecfg(tree = tree(2; edges = [[1, 2]]; marks = [1, 1, 1, 2, 2, "
+     "2]; degrees = [0, 0]); nodal = [[1, 2, [3 : 1 : 0]], [2, 1, [3 : "
+     "1 : 0]]]; marked = [[0 : 1 : 0], [1 : 1 : 0], [2 : 1 : 0], [0 : 1 "
+     ": 0], [1 : 1 : 0], [2 : 1 : 0]]; curves = [curve(0; phi = ((5)) / "
+     "((1)); psi = (0) / ((1))), curve(0; phi = ((5)) / ((1)); psi = "
+     "(0) / ((1)))])"),
+    ("glue(x, tc)",
+     "error: line 1:1: glue: glue does not apply to a number"),
+    ("glue(tc, x)",
+     "error: line 1:1: glue: glue does not apply to a number"),
+    ("glue(tc)",
+     "error: line 1:1: glue takes 2 argument(s), got 1"),
+    ("forget(tc)",
+     "treecfg(tree = tree(1; edges = []; marks = [1, 1, 1]; degrees = "
+     "[0]); nodal = []; marked = [[0 : 1 : 0], [1 : 1 : 0], [2 : 1 : "
+     "0]]; curves = [curve(0; phi = ((5)) / ((1)); psi = (0) / ((1)))])"),
+    ("forget(x)",
+     "error: line 1:1: forget: forget does not apply to a number"),
+    ("forget()",
+     "error: line 1:1: forget takes 1 argument(s), got 0"),
+    ("body(x)",
+     "2"),
+    ("body(m)",
+     "error: line 1:1: body: body does not apply to a matrix"),
+    ("body()",
+     "error: line 1:1: body takes 1 argument(s), got 0"),
+    ("soul(x)",
+     "g1*g2"),
+    ("soul(m)",
+     "error: line 1:1: soul: soul does not apply to a matrix"),
+    ("soul(x, x)",
+     "error: line 1:1: soul takes 1 argument(s), got 2"),
+    ("evalc(c, p)",
+     "[1 : 1]"),
+    ("evalc(x, p)",
+     "error: line 1:1: evalc: evalc does not apply to a number"),
+    ("evalc(c, x)",
+     "error: line 1:1: evalc: not a superpoint: <2 + g1*g2 | n=2>"),
+    ("evalc(c)",
+     "error: line 1:1: evalc takes 2 argument(s), got 1"),
+    ("validate(tc)",
+     "true"),
+    ("validate(x)",
+     "error: line 1:1: validate: validate does not apply to a number"),
+    ("validate()",
+     "error: line 1:1: validate takes 1 argument(s), got 0"),
+    ("sameauto(m, m)",
+     "true"),
+    ("sameauto(x, m)",
+     "error: line 1:1: sameauto: sameauto does not apply to a number"),
+    ("sameauto(m, x)",
+     "error: line 1:1: sameauto: sameauto does not apply to a number"),
+    ("sameauto(m)",
+     "error: line 1:1: sameauto takes 2 argument(s), got 1"),
+    ("sameorbit(u, u)",
+     "true"),
+    ("sameorbit(x, u)",
+     "error: line 1:1: sameorbit: sameorbit expects two point lists"),
+    ("sameorbit(u, x)",
+     "error: line 1:1: sameorbit: sameorbit expects two point lists"),
+    ("sameorbit(u)",
+     "error: line 1:1: sameorbit takes 2 argument(s), got 1"),
+    ("reduce(p)",
+     "chart1(1; 0)"),
+    ("reduce(q)",
+     "chart1(1/2; 0)"),
+    ("reduce(c)",
+     "curve(1; phi = ((1)*z) / ((1)); psi = (0) / ((1)))"),
+    ("reduce(k)",
+     "cfg(points = [[0 : 1 : 0], [1 : 1 : 0], [2 : 1 : 0]]; curve = "
+     "curve(0; phi = ((5)) / ((1)); psi = (0) / ((1))))"),
+    ("reduce(x)",
+     "error: line 1:1: reduce: reduce does not apply to a number"),
+    ("reduce()",
+     "error: line 1:1: reduce takes 1 argument(s), got 0"),
+    ("frobnicate(1)",
+     "error: line 1:1: unknown function 'frobnicate'"),
+    ("curve(phi = (z) / (1); psi = (g1) / (1))",
+     "error: line 1:7: expected 'num', got 'phi'"),
+    ("curve(1; phi = (z) / (1))",
+     "error: line 1:25: expected ';', got ')'"),
+    ("curve(1; phi = (z) / (1); psy = (g1) / (1))",
+     "error: line 1:27: expected 'psi', got 'psy'"),
+    ("cfg(points = pts)",
+     "error: line 1:17: expected ';', got ')'"),
+    ("cfg(points = pts; curv = c)",
+     "error: line 1:19: expected 'curve', got 'curv'"),
+    ("tree(1; edges = []; marks = [1, 1, 1])",
+     "error: line 1:38: expected ';', got ')'"),
+    ("tree(1; edges = []; mark = [1, 1, 1]; degrees = [0])",
+     "error: line 1:21: expected 'marks', got 'mark'"),
+    ("tree(edges = []; marks = [1, 1, 1]; degrees = [0])",
+     "error: line 1:6: expected 'num', got 'edges'"),
+    ("treecfg(tree = tree(1; edges = []; marks = [1, 1, 1]; degrees = "
+     "[0]); nodal = []; marked = pts)",
+     "error: line 1:95: expected ';', got ')'"),
+    ("treecfg(tree = tree(1; edges = []; marks = [1, 1, 1]; degrees = "
+     "[0]); nodal = []; marks = pts; curves = [])",
+     "error: line 1:83: expected 'marked', got 'marks'"),
+    ("cfg(points = c; curve = c)",
+     "error: line 1:1: cfg points must be a list"),
+    ("cfg(points = pts; curve = pts)",
+     "error: line 1:1: cfg curve must be a curve"),
+    ("treecfg(tree = c; nodal = []; marked = pts; curves = [])",
+     "error: line 1:1: treecfg tree must be a tree literal"),
+]
+
+
+def _outcome(ev, text):
+    try:
+        return format_value(ev.eval(parse_text(text)[0][1]))
+    except CLIError as exc:
+        return "error: %s" % exc
+
+
+def test_front_end_pins():
+    runner = ScriptRunner(n=2)
+    assert runner.run(parse_text(PIN_PRELUDE)) == []
+    for text, want in FRONT_END_PINS:
+        assert _outcome(runner.ev, text) == want, text
+
+
+def test_literal_errors_carry_line_and_column(tmp_path, capsys):
+    # a library error raised while building a literal is reported at the
+    # literal's head token, like operator and call errors
+    cases = [
+        ("let a = sl2[[1, 1], [1, 1]]", 9,
+         "Moebius lift needs determinant one, got 0"),
+        ("  chart1(g1; 0)", 3, "base coordinate must be even"),
+        ("chart2(0; 1)", 1, "odd coordinate must be odd"),
+        ("let b = 1 + [g1 : 1]", 13, "target coordinates must be even"),
+        ("[0 : 0 : 0]", 1, "homogeneous coordinates with no invertible entry"),
+        ("let m = sc[[2, 0, 0], [0, 1, 0], [0, 0, 1]]", 9,
+         "matrix violates the group constraints: sp = 1"),
+        ("sec(0; [1])", 1, "not a scalar: [<1 | n=2>]"),
+        ("curve(1; phi = (z*z) / (1); psi = 0)", 1,
+         "component degree above the curve degree"),
+        ("curve(1; phi = [1]; psi = 0)", 1,
+         "cannot use list in a rational expression"),
+        ("cfg(points = [1]; curve = curve(0; phi = (5) / (1); psi = 0))", 1,
+         "not a superpoint: <1 | n=2>"),
+        (" tree(1; edges = [[1, 1]]; marks = []; degrees = [1])", 2,
+         "loop edge at vertex 1"),
+        ("treecfg(tree = tree(1; edges = []; marks = [1, 1, 1]; "
+         "degrees = [0]); nodal = []; marked = [chart1(0; 0)]; "
+         "curves = [curve(0; phi = (5) / (1); psi = 0)])", 1,
+         "need one point per mark"),
+    ]
+    script = tmp_path / "lit.sgk"
+    script.write_text("".join(text + "\n" for text, _, _ in cases))
+    assert main(["run", str(script), "--format", "json",
+                 "--generators", "2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["status"], c["residual"]) for c in checks] == [
+        ("error", "line %d:%d: %s" % (i, col, message))
+        for i, (_, col, message) in enumerate(cases, 1)]
+
+
+def test_readme_lists_every_built_in():
+    # the README's "Functions" list has one "- `name(args)`: ..." item per
+    # built-in, aliases side by side
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    items = readme.split("\nFunctions, ")[1].split("\n\n")[1].split("\n- ")
+    names = [name for item in items
+             for name in re.findall(r"`(\w+)\(", item.split(":")[0])]
+    assert sorted(names) == sorted(_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, dot, make_rat,
-                           _merge_indices, random_qi, random_supernumber,
-                           scalar_sqrt)
+                           random_qi, random_supernumber, scalar_sqrt)
 from sgk.cli import RatFunc
 from sgk.polyrat import SuperPoly, coprime_bodies
 
-from _oracles import (FractionQi, fraction_random_qi, reference_dot,
-                      reference_invert, reference_product)
+from _oracles import (FractionQi, _merge_indices, fraction_random_qi,
+                      reference_dot, reference_invert, reference_product)
 
 
 # ---------------------------------------------------------------------------
