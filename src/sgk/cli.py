@@ -32,20 +32,24 @@ Grammar sketch (statements are separated by newlines or semicolons):
                | "treecfg" "(" "tree" "=" expr ";" "nodal" "=" expr ";"
                            "marked" "=" expr ";" "curves" "=" expr ")"
 
-The keyword literals (`curve`, `cfg`, `tree`, `treecfg`) share one parsing
-rule, driven by the _KEYWORD_LITERALS table.  The built-in functions are the
-keys of _FUNCTIONS, which gives each one its implementation and the type
-each argument must have; `act`, `torus` and `reduce` choose the library
-function by the type of their last argument.
+The literals with fields in parentheses (`chart1`, `chart2`, `curve`, `cfg`,
+`tree`, `treecfg`) share one parsing rule, driven by the _FIELD_LITERALS
+table.  Every literal is evaluated by one rule: its fields are evaluated,
+then the builder that _LITERALS gives for its head checks their types and
+builds the value.  Likewise the built-in functions are the keys of
+_FUNCTIONS, which gives each one its implementation and the type each
+argument must have; `act`, `torus` and `reduce` choose the library function
+by the type of their last argument.
 
 Inside a `curve` literal the name `z` is the coordinate; `t` is always the
 transcendental scalar parameter, `g1` .. `g8` the odd generators.
 
 An error of the library raised while an expression is evaluated is reported
 at the operator, at the literal's head, or, prefixed by the function's name,
-at the call that raised it.  Expressions nest at most MAX_NESTING levels
-deep (each "(", "[", sign and exponent is one level); deeper input is a
-syntax error.  An exponent is an integer of absolute value at most
+at the call that raised it; one raised while an assertion compares its
+values, at the assertion's keyword.  Expressions nest at most MAX_NESTING
+levels deep (each "(", "[", sign and exponent is one level); deeper input is
+a syntax error.  An exponent is an integer of absolute value at most
 MAX_EXPONENT; a larger one is an error at the "^", raised before any power
 is computed.  Scalars stay below MAX_SCALAR_BITS: a longer number literal is
 an error at the literal, and an operator, power or function call whose
@@ -134,9 +138,9 @@ def tokenize(text):
             line += 1
             col = 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j].isdecimal():
                 j += 1
             if j - i > _MAX_LITERAL_DIGITS:
                 raise CLIError("number literal exceeds the scalar size limit "
@@ -173,16 +177,19 @@ def tokenize(text):
 # Parser
 
 
-# Literals written as keyword fields: head -> (leading number?, field words).
-# "curve(1; phi = x; psi = y)" parses to ("curve", 1, x, y, line, col).
-_KEYWORD_LITERALS = {
+# Literals with fields in parentheses: head -> (leading number?, field words,
+# None for a field without one).  "curve(1; phi = x; psi = y)" parses to
+# ("curve", 1, x, y, line, col).
+_FIELD_LITERALS = {
+    "chart1": (False, (None, None)),
+    "chart2": (False, (None, None)),
     "curve": (True, ("phi", "psi")),
     "cfg": (False, ("points", "curve")),
     "tree": (True, ("edges", "marks", "degrees")),
     "treecfg": (False, ("tree", "nodal", "marked", "curves")),
 }
 
-_LITERAL_HEADS = ("sec", "chart1", "chart2", *_KEYWORD_LITERALS)
+_LITERAL_HEADS = ("sec", *_FIELD_LITERALS)
 
 # Deepest sub-expression nesting the parser accepts.  Every nested "(", "[",
 # unary sign and exponent passes through parse_unary, which counts one level
@@ -279,19 +286,23 @@ class Parser:
                                             "assert_error"):
             kw = self.advance()
             self.expect("(")
-            args = [self.parse_expr()]
-            while self.peek().kind == ",":
-                self.advance()
-                args.append(self.parse_expr())
+            args = self.parse_comma_tail([self.parse_expr()])
             self.expect(")")
             want = 2 if kw.text == "assert_eq" else 1
             if len(args) != want:
                 raise CLIError("%s takes %d argument(s), got %d"
                                % (kw.text, want, len(args)), kw.line, kw.col)
-            return (kw.text, args, kw.line)
+            return (kw.text, args, kw.line, kw.col)
         return ("expr", self.parse_expr(), t.line)
 
     # -- expressions
+
+    def parse_comma_tail(self, items):
+        """items, extended by the expressions of a ", expr ..." tail."""
+        while self.peek().kind == ",":
+            self.advance()
+            items.append(self.parse_expr())
+        return items
 
     def parse_expr(self):
         node = self.parse_term()
@@ -361,13 +372,10 @@ class Parser:
                 self.advance()
                 third = self.parse_expr()
                 self.expect("]")
-                return ("proj", [first, second, third], t.line, t.col)
+                return ("proj", first, second, third, t.line, t.col)
             self.expect("]")
-            return ("target", [first, second], t.line, t.col)
-        items = [first]
-        while self.peek().kind == ",":
-            self.advance()
-            items.append(self.parse_expr())
+            return ("target", first, second, t.line, t.col)
+        items = self.parse_comma_tail([first])
         self.expect("]")
         return ("list", items, t.line, t.col)
 
@@ -400,10 +408,7 @@ class Parser:
             self.advance()
             args = []
             if self.peek().kind != ")":
-                args.append(self.parse_expr())
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
+                args = self.parse_comma_tail([self.parse_expr()])
             self.expect(")")
             return ("call", name, args, t.line, t.col)
         return ("ident", name, t.line, t.col)
@@ -413,25 +418,17 @@ class Parser:
         if name == "sec":
             k = int(self.expect("num").text)
             self.expect(";")
-            coeffs = [self.parse_expr()]
-            while self.peek().kind == ",":
-                self.advance()
-                coeffs.append(self.parse_expr())
+            coeffs = self.parse_comma_tail([self.parse_expr()])
             self.expect(")")
             return ("sec", k, coeffs, t.line, t.col)
-        if name in ("chart1", "chart2"):
-            p = self.parse_expr()
-            self.expect(";")
-            pi = self.parse_expr()
-            self.expect(")")
-            return ("chart", int(name[-1]), p, pi, t.line, t.col)
-        lead, words = _KEYWORD_LITERALS[name]
+        lead, words = _FIELD_LITERALS[name]
         fields = [int(self.expect("num").text)] if lead else []
         for word in words:
             if fields:
                 self.expect(";")
-            self.expect_word(word)
-            self.expect("=")
+            if word:
+                self.expect_word(word)
+                self.expect("=")
             fields.append(self.parse_expr())
         self.expect(")")
         return (name, *fields, t.line, t.col)
@@ -606,13 +603,6 @@ class Evaluator:
 
     # -- helpers
 
-    def _as_int(self, v, what, line, col):
-        if isinstance(v, SuperNumber) and v.soul().is_zero():
-            b = v.body()
-            if isinstance(b, Qi) and not b.b and b.d == 1:
-                return b.a
-        raise CLIError("%s must be an integer" % what, line, col)
-
     def _arith(self, op, a, b, line, col):
         if isinstance(a, SCMatrix) and isinstance(b, SCMatrix):
             if op == "*":
@@ -668,8 +658,7 @@ class Evaluator:
             if kind == "pow":
                 _, base, expo, line, col = node
                 v = self.eval(base, local)
-                k = self._as_int(self.eval(expo, local), "exponent",
-                                 line, col)
+                k = _as_int(self.eval(expo, local), "exponent")
                 if abs(k) > MAX_EXPONENT:
                     raise CLIError("exponent exceeds the limit of %d in "
                                    "absolute value" % MAX_EXPONENT, line, col)
@@ -683,100 +672,25 @@ class Evaluator:
                     return v ** k
                 raise CLIError("cannot raise %s to a power" % _typename(v),
                                line, col)
-            if kind == "list":
-                return [self.eval(e, local) for e in node[1]]
-            if kind == "target":
-                u, v = (self.eval(e, local) for e in node[1])
-                return P1Point(self.n, u, v)
-            if kind == "proj":
-                z1, z2, th = (self.eval(e, local) for e in node[1])
-                return ProjPoint(self.n, z1, z2, th)
-            if kind == "chart":
-                _, which, pe, pie, line, col = node
-                return ChartPoint(self.n, which, self.eval(pe, local),
-                                  self.eval(pie, local))
-            if kind == "sc":
-                rows = [[self.eval(e, local) for e in row]
-                        for row in node[1]]
-                return SCMatrix.from_rows(self.n, rows, validate=True)
-            if kind == "sl2":
-                (a, c), (b, d) = [[self.eval(e, local) for e in row]
-                                  for row in node[1]]
-                return lift_sl2(self.n, a, b, c, d)
-            if kind == "sec":
-                _, k, coeff_nodes, line, col = node
-                coeffs = [self.eval(e, local) for e in coeff_nodes]
-                if len(coeffs) != k + 1:
-                    raise CLIError("sec(%d; ...) needs %d coefficients, "
-                                   "got %d" % (k, k + 1, len(coeffs)),
-                                   line, col)
-                return Section(self.n, k, coeffs)
-            if kind == "curve":
-                return self._eval_curve(node, local)
-            if kind == "cfg":
-                _, pts_e, cur_e, line, col = node
-                pts = self.eval(pts_e, local)
-                cur = self.eval(cur_e, local)
-                if not isinstance(pts, list):
-                    raise CLIError("cfg points must be a list", line, col)
-                if not isinstance(cur, SuperCurve):
-                    raise CLIError("cfg curve must be a curve", line, col)
-                return MarkedConfig(pts, cur)
-            if kind == "tree":
-                return self._eval_tree(node, local)
-            if kind == "treecfg":
-                return self._eval_treecfg(node, local)
+            build = _LITERALS.get(kind)
+            if build is not None:
+                if kind == "curve":
+                    local = dict(local or {}, z=RatFunc.coordinate(self.n))
+                return build(self.n, *[self._field(f, local)
+                                       for f in node[1:-2]])
             if kind == "call":
                 return self._call(node, local)
             raise CLIError("unhandled expression node %r" % kind)
         except GrassmannError as exc:
             raise CLIError(str(exc), node[-2], node[-1]) from None
 
-    def _eval_curve(self, node, local):
-        _, d, phi_e, psi_e, line, col = node
-        inner = dict(local or {})
-        inner["z"] = RatFunc.coordinate(self.n)
-        phi = RatFunc.lift(self.n, self.eval(phi_e, inner))
-        psi = RatFunc.lift(self.n, self.eval(psi_e, inner))
-        P, Q = phi.num, phi.den
-        num = psi.num * Q * Q
-        quo, rem = num.divmod(psi.den)
-        if not rem.is_zero():
-            raise CLIError("psi is not of the form r / Q^2 for the phi "
-                           "denominator", line, col)
-        return SuperCurve(self.n, d, P, Q, quo)
-
-    def _eval_tree(self, node, local):
-        _, nv, edges_e, marks_e, degs_e, line, col = node
-        edges = self.eval(edges_e, local)
-        marks = self.eval(marks_e, local)
-        degs = self.eval(degs_e, local)
-        if not isinstance(edges, list) or \
-                any(not isinstance(e, list) or len(e) != 2 for e in edges):
-            raise CLIError("edges must be a list of [a, b] pairs", line, col)
-        pairs = [tuple(self._as_int(x, "edge endpoint", line, col)
-                       for x in e) for e in edges]
-        marking = [self._as_int(v, "mark vertex", line, col) for v in marks]
-        degrees = [self._as_int(v, "degree", line, col) for v in degs]
-        return StableTree(nv, pairs, marking, degrees)
-
-    def _eval_treecfg(self, node, local):
-        _, tree_e, nodal_e, marked_e, curves_e, line, col = node
-        tree = self.eval(tree_e, local)
-        nodal_list = self.eval(nodal_e, local)
-        marked = self.eval(marked_e, local)
-        curves = self.eval(curves_e, local)
-        if not isinstance(tree, StableTree):
-            raise CLIError("treecfg tree must be a tree literal", line, col)
-        nodal = {}
-        for item in nodal_list:
-            if not isinstance(item, list) or len(item) != 3:
-                raise CLIError("nodal entries must be [a, b, point]",
-                               line, col)
-            a = self._as_int(item[0], "nodal vertex", line, col)
-            b = self._as_int(item[1], "nodal vertex", line, col)
-            nodal[(a, b)] = item[2]
-        return TreeConfig(tree, nodal, marked, curves)
+    def _field(self, f, local):
+        """A literal field's value; a list of nodes gives a list of values."""
+        if isinstance(f, tuple):
+            return self.eval(f, local)
+        if isinstance(f, list):
+            return [self._field(e, local) for e in f]
+        return f
 
     # -- function calls
 
@@ -883,6 +797,90 @@ _FUNCTIONS = {
 }
 
 
+def _as_int(v, what):
+    """v as a Python int, when it is an integer number; else an error."""
+    if isinstance(v, SuperNumber) and v.soul().is_zero():
+        b = v.body()
+        if isinstance(b, Qi) and not b.b and b.d == 1:
+            return b.a
+    raise GrassmannError("%s must be an integer" % what)
+
+
+def _check(ok, message):
+    if not ok:
+        raise GrassmannError(message)
+
+
+def _sl2(n, rows):
+    (a, c), (b, d) = rows
+    return lift_sl2(n, a, b, c, d)
+
+
+def _section(n, k, coeffs):
+    _check(len(coeffs) == k + 1, "sec(%d; ...) needs %d coefficients, got %d"
+           % (k, k + 1, len(coeffs)))
+    return Section(n, k, coeffs)
+
+
+def _curve(n, d, phi, psi):
+    phi, psi = RatFunc.lift(n, phi), RatFunc.lift(n, psi)
+    quo, rem = (psi.num * phi.den * phi.den).divmod(psi.den)
+    _check(rem.is_zero(), "psi is not of the form r / Q^2 for the phi "
+           "denominator")
+    return SuperCurve(n, d, phi.num, phi.den, quo)
+
+
+def _cfg(n, points, curve):
+    _check(isinstance(points, list), "cfg points must be a list")
+    _check(isinstance(curve, SuperCurve), "cfg curve must be a curve")
+    return MarkedConfig(points, curve)
+
+
+def _tree(n, nv, edges, marks, degrees):
+    _check(isinstance(edges, list) and all(
+        isinstance(e, list) and len(e) == 2 for e in edges),
+        "edges must be a list of [a, b] pairs")
+    pairs = [tuple(_as_int(x, "edge endpoint") for x in e) for e in edges]
+    _check(isinstance(marks, list), "tree marks must be a list")
+    marking = [_as_int(v, "mark vertex") for v in marks]
+    _check(isinstance(degrees, list), "tree degrees must be a list")
+    return StableTree(nv, pairs, marking,
+                      [_as_int(v, "degree") for v in degrees])
+
+
+def _treecfg(n, tree, nodal, marked, curves):
+    # TreeConfig checks `marked` itself, after the curves whose errors lead
+    _check(isinstance(tree, StableTree), "treecfg tree must be a tree literal")
+    _check(isinstance(nodal, list), "treecfg nodal must be a list")
+    points = {}
+    for item in nodal:
+        _check(isinstance(item, list) and len(item) == 3,
+               "nodal entries must be [a, b, point]")
+        points[(_as_int(item[0], "nodal vertex"),
+                _as_int(item[1], "nodal vertex"))] = item[2]
+    _check(isinstance(curves, list), "treecfg curves must be a list")
+    return TreeConfig(tree, points, marked, curves)
+
+
+# head: builder(n, *fields), given the generator count and the literal's
+# evaluated fields in source order: a leading number (sec, curve, tree) as an
+# int, a list of nodes (items, rows, coefficients) as a list of values.
+_LITERALS = {
+    "list": lambda n, items: items,
+    "target": P1Point,
+    "proj": ProjPoint,
+    "chart1": lambda n, p, pi: ChartPoint(n, 1, p, pi),
+    "chart2": lambda n, p, pi: ChartPoint(n, 2, p, pi),
+    "sc": lambda n, rows: SCMatrix.from_rows(n, rows, validate=True),
+    "sl2": _sl2,
+    "sec": _section,
+    "curve": _curve,
+    "cfg": _cfg,
+    "tree": _tree,
+    "treecfg": _treecfg,
+}
+
+
 # ---------------------------------------------------------------------------
 # Script execution and reports
 
@@ -972,7 +970,7 @@ class ScriptRunner:
         return self.records
 
     def _run_assert(self, stmt):
-        kind, args, line = stmt
+        kind, args, line, col = stmt
         self.assert_count += 1
         rid = "assert-%d" % self.assert_count
         t0 = time.perf_counter()
@@ -987,18 +985,19 @@ class ScriptRunner:
             self._say("FAIL  %s: no error raised" % rid)
             return
         try:
-            if kind == "assert_eq":
-                a = self.ev.eval(args[0])
-                b = self.ev.eval(args[1])
-                equal, residual = _values_equal(a, b)
-                status = "pass" if equal else "fail"
-            else:
-                v = self.ev.eval(args[0])
-                if _value_is_zero(v):
+            values = [self.ev.eval(e) for e in args]
+            try:
+                if kind == "assert_eq":
+                    equal, residual = _values_equal(*values)
+                    status = "pass" if equal else "fail"
+                elif _value_is_zero(values[0]):
                     status, residual = "pass", None
                 else:
-                    status, residual = "fail", format_value(v)
-        except (CLIError, GrassmannError) as exc:
+                    status, residual = "fail", format_value(values[0])
+            except GrassmannError as exc:
+                # a comparison error is reported at the assert keyword
+                raise CLIError(str(exc), line, col) from None
+        except CLIError as exc:
             self._record(rid, line, "error", str(exc), t0)
             self._say("error %s: %s" % (rid, exc))
             return

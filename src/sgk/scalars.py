@@ -617,10 +617,11 @@ Scalar = (Qi, RatT)
 
 
 def as_scalar(v):
-    """Coerce an int, Fraction, Qi, or RatT into a scalar; error otherwise."""
+    """Coerce an int, Fraction, Qi, or RatT into a scalar; error otherwise.
+    A bool is refused: it is an int to Python, but not a number."""
     if isinstance(v, (Qi, RatT)):
         return v
-    q = Qi.coerce(v)
+    q = None if isinstance(v, bool) else Qi.coerce(v)
     if q is None:
         raise GrassmannError("not a scalar: %r" % (v,))
     return q

@@ -125,16 +125,18 @@ class TreeConfig:
         self.curves = tuple(curves)
         if len(self.curves) != tree.nv:
             raise GrassmannError("need one curve per vertex")
-        self.n = self.curves[0].n
         for v, cur in enumerate(self.curves, start=1):
             if not isinstance(cur, SuperCurve):
                 raise GrassmannError("vertex %d carries no curve" % v)
-            if cur.n != self.n:
+            if cur.n != self.curves[0].n:
                 raise GrassmannError("configuration mixes generator counts")
             if cur.d != tree.degrees[v - 1]:
                 raise GrassmannError(
                     "vertex %d curve degree %d does not match the tree's %d"
                     % (v, cur.d, tree.degrees[v - 1]))
+        self.n = self.curves[0].n
+        if not isinstance(marked, (list, tuple)):
+            raise GrassmannError("treecfg marked must be a list")
         self.marked = tuple(as_proj(p) for p in marked)
         if len(self.marked) != tree.k():
             raise GrassmannError("need one point per mark")

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from sgk.cli import (_FUNCTIONS, _MAX_LITERAL_DIGITS, MAX_EXPONENT,
-                     MAX_NESTING, MAX_SCALAR_BITS, CLIError, Evaluator,
+from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
+                     MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS, CLIError,
+                     Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
 from sgk.grassmann import Qi, SuperNumber
@@ -82,6 +83,8 @@ def test_parse_rejects_malformed_input():
             "curve(1; phi = (z) / (1))",
             "1 +",
             "[1 : 2 : 3 : 4]",
+            "let a = 2\u00b2",         # a superscript digit is no digit
+            "set generators \u00b2",
     ):
         with pytest.raises(CLIError):
             parse_text(bad)
@@ -530,6 +533,69 @@ def test_literal_errors_carry_line_and_column(tmp_path, capsys):
     assert [(c["status"], c["residual"]) for c in checks] == [
         ("error", "line %d:%d: %s" % (i, col, message))
         for i, (_, col, message) in enumerate(cases, 1)]
+
+
+# Tree configuration fields that a hostile-input case below replaces.
+_TC = {"tree": "tree(1; edges = []; marks = [1, 1, 1]; degrees = [0])",
+       "nodal": "[]", "marked": "[chart1(0; 0), chart1(1; 0), chart1(2; 0)]",
+       "curves": "[curve(0; phi = (5) / (1); psi = 0)]"}
+
+
+def _treecfg(**fields):
+    return "treecfg(%s)" % "; ".join(
+        "%s = %s" % (k, fields.get(k, v)) for k, v in _TC.items())
+
+
+# (script, outcome of `sgk run --format json`): the syntax error on stderr,
+# or the residual of the one error record.
+HOSTILE_INPUTS = [
+    ("let a = 2\u00b2\n",
+     "syntax error: line 1:10: unexpected character '\u00b2'"),
+    ("set generators \u00b2\n",
+     "syntax error: line 1:16: unexpected character '\u00b2'"),
+    ("chart1(true; 0)\n", "line 1:1: not a scalar: True"),
+    ("let s = sec(0; true)\n", "line 1:9: not a scalar: True"),
+    ("let a = g1\nset generators 4\nassert_eq(a, g1)\n",
+     "line 3:1: generator count mismatch: 3 vs 4"),
+    ("tree(1; edges = []; marks = 5; degrees = [0])\n",
+     "line 1:1: tree marks must be a list"),
+    ("let x = tree(1; edges = []; marks = [1, 1, 1]; degrees = 5)\n",
+     "line 1:9: tree degrees must be a list"),
+    (_treecfg(nodal="5") + "\n", "line 1:1: treecfg nodal must be a list"),
+    ("\n  " + _treecfg(marked="5") + "\n",
+     "line 2:3: treecfg marked must be a list"),
+    (_treecfg(curves="[[1]]") + "\n", "line 1:1: vertex 1 carries no curve"),
+]
+
+
+@pytest.mark.parametrize("script, outcome", HOSTILE_INPUTS)
+def test_hostile_input_is_reported_with_a_position(script, outcome, capsys,
+                                                   monkeypatch):
+    assert _run_main(["run", "--format", "json"], script, monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if outcome.startswith("syntax error: "):
+        assert captured.err == outcome + "\n"
+        assert captured.out == ""
+    else:
+        errors = [c for c in json.loads(captured.out)["checks"]
+                  if c["status"] == "error"]
+        assert [c["residual"] for c in errors] == [outcome]
+
+
+def test_booleans_are_not_scalars():
+    runner = ScriptRunner(n=2)
+    assert _outcome(runner.ev, "[true, false]") == "[true, false]"
+    assert _outcome(runner.ev, "true + 1") == \
+        "error: line 1:6: cannot apply '+' to boolean and number"
+    assert _outcome(runner.ev, "chart2(0; false)") == \
+        "error: line 1:1: not a scalar: False"
+
+
+def test_every_literal_head_has_a_builder():
+    heads = {parse_text(text)[0][1][0]
+             for text in CORPUS + ["[1, 2]", "sl2[[1, 0], [0, 1]]"]}
+    assert set(_LITERALS) == heads - {"num", "binop", "ident"}
 
 
 def test_readme_lists_every_built_in():

@@ -93,6 +93,22 @@ def test_config_shape_validation():
                    [deg1])                              # degree mismatch
 
 
+def test_config_entries_are_checked_before_use():
+    # a vertex without a curve, or marked points that are not a sequence,
+    # give a GrassmannError rather than an AttributeError or TypeError
+    n = 1
+    tree = StableTree(1, [], [1, 1, 1], [0])
+    pts = [ChartPoint(n, 1, v, 0) for v in (0, 1, 2)]
+    with pytest.raises(GrassmannError, match="^vertex 1 carries no curve$"):
+        TreeConfig(tree, {}, pts, [[1]])
+    with pytest.raises(GrassmannError,
+                       match="^treecfg marked must be a list$"):
+        TreeConfig(tree, {}, 5, [_const_curve(n, 3)])
+    # the curve checks still come first
+    with pytest.raises(GrassmannError, match="^need one curve per vertex$"):
+        TreeConfig(tree, {}, 5, [])
+
+
 def test_missing_nodal_point_is_reported():
     n = 1
     tree = StableTree(2, [(1, 2)], [1, 1, 2, 2], [0, 0])
