@@ -54,7 +54,9 @@ MAX_EXPONENT; a larger one is an error at the "^", raised before any power
 is computed.  Scalars stay below MAX_SCALAR_BITS: a longer number literal is
 an error at the literal, and an operator, power or function call whose
 result would be larger, as estimated from the operands, is an error at that
-operator or call before it runs.
+operator or call before it runs.  The degree d of a `curve` and k of a `sec`
+is at most MAX_DEGREE; a larger one is an error at the literal's head,
+raised before any of its fields is evaluated.
 """
 
 from __future__ import annotations
@@ -212,6 +214,14 @@ MAX_SCALAR_BITS = 8192
 
 # A decimal literal of d digits has at most d * log2(10) < 10 * d / 3 bits.
 _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
+
+# Largest degree d of a `curve` literal and k of a `sec` literal.  The cost
+# of acting on a curve grows steeply with its degree: a general group
+# element acts through an odd shear, whose gauge pair solves a 2d x 2d
+# linear system over Q(i), and at n = 8 that act takes about 0.2 s at d = 16
+# and 9 s at d = 32 on a 2-vCPU Xeon (an even lift alone takes 0.4 s at
+# d = 80).
+MAX_DEGREE = 16
 
 
 class Parser:
@@ -512,7 +522,7 @@ def _bits(v):
     if isinstance(v, (RatT, RatFunc)):
         return sum(map(_bits, v.num.coeffs + v.den.coeffs))
     if isinstance(v, SuperNumber):
-        return sum(map(_bits, v.terms.values()))
+        return sum(map(_bits, v._scalars().values()))
     if isinstance(v, SCMatrix):
         return sum(_bits(x) for row in v.rows() for x in row)
     return 0
@@ -523,7 +533,7 @@ def _inverse_bits(v):
     the inverse of a number with a soul sums up to one power of the soul
     per further term; a rational expression inverts by swapping."""
     if isinstance(v, SuperNumber):
-        return 2 * len(v.terms) * _bits(v)
+        return 2 * len(v._num) * _bits(v)
     return _bits(v)
 
 
@@ -674,6 +684,9 @@ class Evaluator:
                                line, col)
             build = _LITERALS.get(kind)
             if build is not None:
+                if kind in ("curve", "sec") and node[1] > MAX_DEGREE:
+                    raise CLIError("%s degree %d exceeds the limit of %d"
+                                   % (kind, node[1], MAX_DEGREE), *node[-2:])
                 if kind == "curve":
                     local = dict(local or {}, z=RatFunc.coordinate(self.n))
                 return build(self.n, *[self._field(f, local)

@@ -5,6 +5,16 @@ derivative, and homogeneous-substitution operations that curve and bundle
 actions are built from.  Its body is a grassmann.ScalarPoly, the dense
 polynomial over the scalar field (Gaussian rationals, possibly with the
 transcendental t), and coprimality checks run on those bodies.
+
+Coprimality is first decided by a modular certificate (coprime_bodies):
+the two bodies are mapped into F_p[z] by a ring map that sends i to a
+square root of -1 mod p and t to a fixed t0, and Euclid runs on the images
+with machine-sized integers.  When every denominator and both leading
+coefficients survive the map and the images have a constant gcd, the bodies
+are coprime.  The certificate is one-sided: it never says "not coprime",
+and where it does not apply the exact Euclid over Q(i) or Q(i)(t) decides.
+This is the first step of Brown's modular gcd (J. ACM 18, 1971; von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 6).
 """
 
 from __future__ import annotations
@@ -20,11 +30,98 @@ from .grassmann import (
 )
 
 
+# The points of the coprimality certificate, tried in turn: a prime
+# p = 1 (mod 4), a square root r of -1 mod p, and the value t0 given to t.
+CERTIFICATE_POINTS = ((1000000009, 430477711, 1000003),
+                      (998244353, 86583718, 1234567))
+
+
 def coprime_bodies(p: ScalarPoly, q: ScalarPoly) -> bool:
-    """True when the two body polynomials share no root (unit gcd)."""
+    """True when the two body polynomials share no root (unit gcd).
+
+    Each point (prime, r, t0) of CERTIFICATE_POINTS gives a ring map from
+    Z[i][t] onto F_prime, i -> r and t -> t0.  Let A be Z[i][t] localized
+    at its kernel: a local UFD with fraction field Q(i)(t), whose elements
+    are the scalars whose denominators do not map to zero.  If every
+    coefficient of p and q lies in A and both leading coefficients map to
+    nonzero values (so they are units of A), then by Gauss's lemma over A
+    the monic gcd of p and q lies in A[z] and divides both there; its image
+    is a monic common factor of the images, of the same degree.  So when
+    Euclid in F_prime[z] ends in a constant, the bodies are coprime.  When
+    no point certifies this, the exact gcd over Q(i) or Q(i)(t) decides, so
+    every False comes from exact Euclid.
+    """
     if p.is_zero() or q.is_zero():
         return not (p.is_zero() and q.is_zero())
+    for prime, r, t0 in CERTIFICATE_POINTS:
+        a = _fp_image(p, prime, r, t0)
+        b = _fp_image(q, prime, r, t0)
+        # both images exist and both leading coefficients survive
+        if a and b and a[0] and b[0] and _fp_coprime(a, b, prime):
+            return True
     return p.gcd(q).degree() == 0
+
+
+def _fp_image(poly: ScalarPoly, prime, r, t0):
+    """The coefficients of poly mapped to F_prime, leading coefficient
+    first, or None when a denominator maps to zero."""
+    out = []
+    for c in reversed(poly.coeffs):
+        if type(c) is Qi:
+            x = _fp_value(c, prime, r)
+        else:
+            num = _fp_at(c.num, prime, r, t0)
+            den = _fp_at(c.den, prime, r, t0)
+            x = None if num is None or not den else \
+                num * pow(den, -1, prime) % prime
+        if x is None:
+            return None
+        out.append(x)
+    return out
+
+
+def _fp_value(c: Qi, prime, r):
+    """(a + b*r)/d mod prime for c = (a + b*i)/d, or None when prime | d."""
+    d = c.d % prime
+    if not d:
+        return None
+    x = c.a + c.b * r
+    return x % prime if d == 1 else x * pow(d, -1, prime) % prime
+
+
+def _fp_at(poly: ScalarPoly, prime, r, t0):
+    """The image of poly(t0) in F_prime for poly over Q(i), or None."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        x = _fp_value(c, prime, r)
+        if x is None:
+            return None
+        acc = (acc * t0 + x) % prime
+    return acc
+
+
+def _fp_coprime(a, b, prime):
+    """True when the polynomials a and b over F_prime, coefficient lists
+    with a nonzero leading coefficient first, have a constant gcd."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a = list(a)
+        nb = len(b)
+        inv = pow(b[0], -1, prime)
+        for k in range(len(a) - nb + 1):
+            c = a[k] * inv % prime
+            if c:
+                for j in range(1, nb):
+                    a[k + j] = (a[k + j] - c * b[j]) % prime
+        rem = a[len(a) - nb + 1:]
+        k = 0
+        while k < len(rem) and not rem[k]:
+            k += 1
+        if k == len(rem):
+            return False  # b divides a: a gcd of positive degree
+        a, b = b, rem[k:]
+    return True
 
 
 class SuperPoly:

@@ -28,6 +28,9 @@ reference_module_rank_report is the rank report as it was computed before
 module_rank_report became a reading of the one Gauss-Jordan loop: a full
 pivot search on body units with row and column operations, and a tracker of
 the column operations from which the kernel basis is read.
+
+reference_coprime_bodies is the coprimality test for curve bodies as it was
+before the modular certificate: exact Euclid over Q(i) or Q(i)(t).
 """
 
 import math
@@ -490,3 +493,9 @@ def _identity(k, n):
     zero = SuperNumber.zero(n)
     return [[one if i == j else zero for j in range(k)] for i in range(k)]
 
+
+def reference_coprime_bodies(p, q) -> bool:
+    """True when the two body polynomials share no root (unit gcd)."""
+    if p.is_zero() or q.is_zero():
+        return not (p.is_zero() and q.is_zero())
+    return p.gcd(q).degree() == 0

@@ -5,13 +5,15 @@ import builtins
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
-                     MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS, CLIError,
-                     Evaluator,
+                     MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS,
+                     CLIError, Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
 from sgk.grassmann import Qi, SuperNumber
@@ -218,6 +220,49 @@ def test_scalar_size_limit(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_degree_limit(tmp_path, capsys, monkeypatch):
+    k = MAX_DEGREE
+
+    def curve(d, psi="g1"):
+        return "curve(%d; phi = (z^%d + 2) / (z + 1); psi = (%s) / (1))" \
+            % (d, d, psi)
+
+    def sec(d, c0="1"):
+        return "sec(%d; %s)" % (d, ", ".join([c0] + ["1"] * d))
+
+    # at the limit both literals build, and a general group element acts
+    assert _eval_one(curve(k)).d == k and _eval_one(sec(k)).k == k
+    moved = _eval_one("act(mul(sl2[[2, 3], [1, 2]], susy(g1, g2)), %s)"
+                      % curve(k))
+    assert moved.d == k
+
+    # with the _LITERALS entries patched to fail, the limit lets the literal
+    # through and refuses one degree more at its head, before any field
+    # (here the unbound name `nope`) is evaluated
+    def no_build(*args):
+        raise AssertionError("the literal was built")
+
+    monkeypatch.setitem(_LITERALS, "curve", no_build)
+    monkeypatch.setitem(_LITERALS, "sec", no_build)
+    for text in (curve(k), sec(k)):
+        with pytest.raises(AssertionError, match="the literal was built"):
+            _eval_one(text)
+    for text, kind in ((curve(k + 1, psi="nope"), "curve"),
+                       (sec(k + 1, c0="nope"), "sec")):
+        with pytest.raises(CLIError, match="^line 1:2: %s degree %d exceeds "
+                           "the limit of %d$" % (kind, k + 1, k)):
+            _eval_one("[%s]" % text)
+    monkeypatch.undo()
+
+    script = tmp_path / "deg.sgk"
+    script.write_text("let a = 2\nlet c = %s\n" % curve(k + 1))
+    assert main(["run", str(script)]) == 1
+    captured = capsys.readouterr()
+    assert "line 2:9: curve degree %d exceeds the limit of %d" % (k + 1, k) \
+        in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_imaginary_literal():
@@ -674,6 +719,16 @@ def test_run_failing_script_exits_one(tmp_path, capsys):
     script.write_text("assert_eq(1, 2)\n")
     assert main(["run", str(script)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_python_m_sgk_runs_the_command_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgk", "verify-paper", "--select",
+         "sp21-closure", "--seed", "3"],
+        cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pass  sp21-closure")
 
 
 def test_run_reads_stdin(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Polynomials over the Grassmann algebra and exact linear algebra."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_module_rank_report
+from _oracles import reference_coprime_bodies, reference_module_rank_report
 from sgk.bundles import Section
-from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
-    random_qi, random_supernumber
+from sgk.grassmann import GrassmannError, Qi, ScalarPoly, SuperNumber, \
+    T_PARAM, make_rat, random_qi, random_supernumber
 from sgk.linalg import (field_inverse, field_rank, field_solve, mat_mul,
                         mat_vec, module_rank_report, solve_body_invertible)
-from sgk.polyrat import SuperPoly, chart2_poly, homog_subst, reverse_coeffs
+from sgk.polyrat import (CERTIFICATE_POINTS, SuperPoly, chart2_poly,
+                         coprime_bodies, homog_subst, reverse_coeffs)
 
 
 def _rand_poly(rng, n, max_deg):
@@ -146,6 +148,112 @@ def test_chart2_poly_and_frame2_match_the_substitution(n, data):
         sign = -1 if total & 1 else 1
         frame2 = Section(n, total, p).frame2()
         assert frame2 == want * sign and str(frame2) == str(want * sign)
+
+
+# ---------------------------------------------------------------------------
+# Coprimality of curve bodies: the modular certificate against exact Euclid
+
+
+(P1, _, T1), (P2, _, T2) = CERTIFICATE_POINTS
+_ONE = ScalarPoly((1,))
+_I = Qi(0, 1)
+
+
+def _lin(c0, c1=1):
+    """The body c0 + c1*z."""
+    return ScalarPoly((c0, c1))
+
+
+def test_certificate_points_are_valid():
+    for prime, r, t0 in CERTIFICATE_POINTS:
+        assert prime % 4 == 1 and (r * r + 1) % prime == 0
+        assert all(prime % k for k in range(2, math.isqrt(prime) + 1))
+        assert 0 < r < prime and 0 <= t0 < prime
+    assert len({prime for prime, _, _ in CERTIFICATE_POINTS}) \
+        == len(CERTIFICATE_POINTS)
+
+
+body_qi = st.builds(lambda a, b, d: Qi(Fraction(a, d), Fraction(b, d)),
+                    st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 7))
+t_polys = st.lists(body_qi, max_size=2).map(ScalarPoly)
+body_ratt = st.builds(make_rat, t_polys,
+                      t_polys.filter(lambda p: not p.is_zero()))
+# bodies of degree at most 2 over Q(i), over Q(i)(t), and with both kinds
+# of coefficient; exact Euclid over Q(i)(t) slows down fast with the degree
+bodies = st.one_of(
+    st.lists(body_qi, max_size=3),
+    st.lists(body_ratt, max_size=3),
+    st.lists(st.one_of(body_qi, body_ratt), max_size=3),
+).map(ScalarPoly)
+shared_factors = st.lists(st.one_of(body_qi, body_ratt), min_size=1,
+                          max_size=2).map(ScalarPoly)
+
+
+@given(bodies, bodies, st.one_of(st.just(_ONE), shared_factors))
+# a shared factor (z - t)(z + 1)
+@example(p=_lin(2), q=_lin(-3), common=_lin(-T_PARAM) * _lin(1))
+# a shared factor whose product has i^2 terms: (z - i)(z + 2), (z - i)(z + 3i)
+@example(p=_lin(2), q=_lin(3 * _I), common=_lin(-_I))
+# a leading coefficient divisible by the first prime, with and without a
+# shared factor that loses its degree there
+@example(p=_lin(1, P1), q=_lin(2), common=_ONE)
+@example(p=_lin(1), q=_lin(2), common=_lin(1, P1))
+# a Qi denominator equal to the first prime
+@example(p=_lin(P1), q=_lin(2 * P1), common=_lin(Qi(Fraction(1, P1))))
+# a RatT coefficient whose denominator vanishes at the first t0
+@example(p=_lin(T_PARAM - T1), q=_lin(2 * (T_PARAM - T1)),
+         common=_lin(1 / (T_PARAM - T1)))
+# a leading coefficient t - t0
+@example(p=_lin(1), q=_lin(2), common=_lin(1, T_PARAM - T1))
+# coprime bodies whose images share a root at both points
+@example(p=_lin(0), q=_lin(P1 * P2), common=_ONE)
+@example(p=_lin(0), q=_lin((T_PARAM - T1) * (T_PARAM - T2)), common=_ONE)
+# constant and zero bodies
+@example(p=ScalarPoly(), q=ScalarPoly((3,)), common=_ONE)
+@example(p=ScalarPoly(), q=ScalarPoly(), common=_ONE)
+@example(p=ScalarPoly(), q=_lin(0), common=_ONE)
+@example(p=ScalarPoly((2,)), q=_lin(1), common=_ONE)
+@example(p=ScalarPoly((5,)), q=ScalarPoly((7,)), common=_ONE)
+@settings(max_examples=300, deadline=None)
+def test_coprime_bodies_matches_exact_euclid(p, q, common):
+    p, q = p * common, q * common
+    assert coprime_bodies(p, q) == reference_coprime_bodies(p, q)
+
+
+def _product(factors):
+    out = _ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+def test_certificate_decides_without_euclid(monkeypatch):
+    # degree-40 bodies with distinct roots, over Q(i) and over Q(i)(t);
+    # they are built before the gcd is patched, since RatT arithmetic runs it
+    half = Qi(Fraction(1, 2))
+    pairs = [(_product(_lin(-j) for j in range(1, 41)),
+              _product(_lin(-j * _I - half) for j in range(1, 41))),
+             (_product(_lin(-j - T_PARAM) for j in range(1, 41)),
+              _product(_lin(-j * T_PARAM - _I) for j in range(1, 41)))]
+    shared = (_lin(-T_PARAM) * _lin(1), _lin(-T_PARAM) * _lin(-_I))
+
+    def no_gcd(a, b):
+        raise AssertionError("exact Euclid ran")
+
+    monkeypatch.setattr(ScalarPoly, "gcd", no_gcd)
+    for p, q in pairs:
+        assert p.degree() == q.degree() == 40
+        assert coprime_bodies(p, q) and coprime_bodies(q, p)
+    with pytest.raises(AssertionError, match="exact Euclid ran"):
+        coprime_bodies(*shared)
+    monkeypatch.undo()
+    # a pair with a shared root is refused by the exact fallback
+    calls = []
+    gcd = ScalarPoly.gcd
+    monkeypatch.setattr(ScalarPoly, "gcd",
+                        lambda a, b: calls.append((a, b)) or gcd(a, b))
+    assert not coprime_bodies(*shared)
+    assert calls[0] == shared
 
 
 # ---------------------------------------------------------------------------
