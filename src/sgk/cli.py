@@ -217,10 +217,12 @@ _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 
 # Largest degree d of a `curve` literal and k of a `sec` literal.  The cost
 # of acting on a curve grows steeply with its degree: a general group
-# element acts through an odd shear, whose gauge pair solves a 2d x 2d
-# linear system over Q(i), and at n = 8 that act takes about 0.2 s at d = 16
-# and 9 s at d = 32 on a 2-vCPU Xeon (an even lift alone takes 0.4 s at
-# d = 80).
+# element acts through an odd shear, whose gauge pair inverts a 2d x 2d
+# matrix over Z[i], and at n = 8 that act takes about 0.1 s at d = 16 and
+# 1.8 s at d = 32 on a 2-vCPU Xeon (an even lift alone takes 0.3 s at
+# d = 80).  The bound stays at 16 because a curve whose bodies share a
+# factor is refused by exact Euclid over Q(i)(t), which takes 1.6 s at d = 8
+# and 15 s at d = 10.
 MAX_DEGREE = 16
 
 

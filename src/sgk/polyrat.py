@@ -6,6 +6,11 @@ actions are built from.  Its body is a grassmann.ScalarPoly, the dense
 polynomial over the scalar field (Gaussian rationals, possibly with the
 transcendental t), and coprimality checks run on those bodies.
 
+homog_subst runs Horner's rule in the two factors num and den, O(d^2)
+coefficient products for the linear factors of a Moebius map, and keeps the
+factor order num, den, coefficient in every term, so odd coefficients
+anywhere come out with the right signs.
+
 Coprimality is first decided by a modular certificate (coprime_bodies):
 the two bodies are mapped into F_p[z] by a ring map that sends i to a
 square root of -1 mod p and t to a fixed t0, and Euclid runs on the images
@@ -216,6 +221,14 @@ class SuperPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return SuperPoly(self.n)
+        # a constant factor scales the other one's coefficients, still from
+        # its own side
+        if len(a) == 1:
+            c = a[0]
+            return SuperPoly(self.n, [c * y for y in b])
+        if len(b) == 1:
+            c = b[0]
+            return SuperPoly(self.n, [x * c for x in a])
         out = []
         for k in range(len(a) + len(b) - 1):
             # coefficient k is the sum of a[i] * b[k - i]
@@ -296,26 +309,29 @@ class SuperPoly:
 def homog_subst(poly: SuperPoly, num: SuperPoly, den: SuperPoly, total: int) -> SuperPoly:
     """Substitute z -> num/den and clear denominators up to degree `total`.
 
-    Returns sum_j c_j * num^j * den^(total - j), the standard way a Moebius
+    Returns sum_j num^j * den^(total - j) * c_j, the standard way a Moebius
     change of coordinate acts on a polynomial regarded as a degree-`total`
     form.  `total` must be at least the degree of `poly`.
+
+    Horner's rule in the two factors: starting from den^(total - m) * c_m,
+    m the degree, each step multiplies the sum by num from the left and adds
+    den^(total - j) * c_j, so every term keeps its factor order (num, then
+    den, then c_j) and the sum stays exact for odd coefficients; with
+    linear num and den that is O(d^2) coefficient products.
     """
     if total < poly.degree():
         raise GrassmannError("substitution bound below polynomial degree")
-    n = poly.n
-    out = SuperPoly.zero(n)
     if poly.is_zero():
-        return out
-    num_pows = [SuperPoly.const(n, 1)]
-    den_pows = [SuperPoly.const(n, 1)]
-    for _ in range(total):
-        num_pows.append(num_pows[-1] * num)
-        den_pows.append(den_pows[-1] * den)
-    for j, c in enumerate(poly.coeffs):
-        if c.is_zero():
-            continue
-        out = out + num_pows[j] * den_pows[total - j] * c
-    return out
+        return SuperPoly.zero(poly.n)
+    cs = poly.coeffs
+    den_pow = den ** (total - len(cs) + 1)
+    acc = den_pow * cs[-1]
+    for c in reversed(cs[:-1]):
+        den_pow = den_pow * den
+        acc = num * acc
+        if not c.is_zero():
+            acc = acc + den_pow * c
+    return acc
 
 
 def reverse_coeffs(poly: SuperPoly, total: int) -> SuperPoly:

@@ -623,8 +623,17 @@ def as_scalar(v):
         return v
     q = None if isinstance(v, bool) else Qi.coerce(v)
     if q is None:
-        raise GrassmannError("not a scalar: %r" % (v,))
+        raise GrassmannError("not a scalar: %s" % _quote(v))
     return q
+
+
+def _quote(v) -> str:
+    """v as an error message quotes it: a value and each item of a list by
+    str, so that they read as the script prints them, and a Python string
+    by repr, so that it does not read as a name."""
+    if isinstance(v, list):
+        return "[%s]" % ", ".join(_quote(x) for x in v)
+    return repr(v) if isinstance(v, str) else str(v)
 
 
 def is_scalar(v):

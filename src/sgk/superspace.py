@@ -6,12 +6,15 @@ Theta odd, and at least one of Z1, Z2 invertible.  The two affine charts use
 transition on the overlap is z2 = -1/z1, theta2 = theta1/z1, whose sign makes
 both charts superconformal for the same odd distribution.  Equality is
 projective: two coordinate triples agree when they differ by an invertible
-even scale.
+even scale.  It is decided by cross-multiplying with the coordinate both
+points can divide by, Z2 or else Z1, so no inverse and no chart point is
+built.
 """
 
 from __future__ import annotations
 
 from .grassmann import GrassmannError, SuperNumber
+from .scalars import _quote
 
 
 def _want_parity(n, v, parity: int, what: str) -> SuperNumber:
@@ -108,20 +111,27 @@ def as_proj(pt) -> ProjPoint:
         return pt
     if isinstance(pt, ChartPoint):
         return pt.to_proj()
-    raise GrassmannError("not a superpoint: %r" % (pt,))
+    raise GrassmannError("not a superpoint: %s" % _quote(pt))
 
 
 def proj_equal(a: ProjPoint, b: ProjPoint) -> bool:
+    """Projective equality, cross-multiplied in a chart both points admit.
+
+    With Z2 invertible on both sides, Z1a/Z2a = Z1b/Z2b and
+    Theta_a/Z2a = Theta_b/Z2b hold exactly when Z1a Z2b = Z1b Z2a and
+    Theta_a Z2b = Theta_b Z2a, since even elements are central; otherwise
+    the same test runs with Z1 as the scale.
+    """
     a, b = as_proj(a), as_proj(b)
     if a.n != b.n:
         return False
-    # compare in a chart both points admit
-    ca, cb = a.chart1(), b.chart1()
-    if ca is None or cb is None:
-        ca, cb = a.chart2(), b.chart2()
-        if ca is None or cb is None:
-            return False
-    return ca.p == cb.p and ca.pi == cb.pi
+    if a.Z2.body() and b.Z2.body():
+        sa, sb, ea, eb = a.Z2, b.Z2, a.Z1, b.Z1
+    elif a.Z1.body() and b.Z1.body():
+        sa, sb, ea, eb = a.Z1, b.Z1, a.Z2, b.Z2
+    else:
+        return False
+    return ea * sb == eb * sa and a.Theta * sb == b.Theta * sa
 
 
 def point_zero(n):
@@ -162,7 +172,7 @@ def _as_chart(pt) -> ChartPoint:
         if c is None:
             c = pt.chart2()
         return c
-    raise GrassmannError("not a superpoint: %r" % (pt,))
+    raise GrassmannError("not a superpoint: %s" % _quote(pt))
 
 
 def preferred_chart(pt) -> ChartPoint:
@@ -176,9 +186,18 @@ def odd_normal_part(pt):
 
 
 def reduce_point(pt) -> ChartPoint:
-    """Forget the nilpotents: body base coordinate, zero odd coordinate."""
-    cp = _as_chart(pt)
-    return ChartPoint(cp.n, cp.chart, SuperNumber.scalar(cp.n, cp.p.body()), 0)
+    """Forget the nilpotents: body base coordinate, zero odd coordinate.
+
+    Only the bodies of Z1 and Z2 are read: the base coordinate of the
+    preferred chart has body Z1/Z2, or -Z2/Z1 at infinity.
+    """
+    if isinstance(pt, ChartPoint):
+        chart, base = pt.chart, pt.p.body()
+    else:
+        P = as_proj(pt)
+        x, y = P.Z1.body(), P.Z2.body()
+        chart, base = (1, x / y) if y else (2, -(y / x))
+    return ChartPoint(pt.n, chart, SuperNumber.scalar(pt.n, base), 0)
 
 
 def reduced_bodies_distinct(pts) -> bool:

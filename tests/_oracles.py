@@ -31,6 +31,14 @@ the column operations from which the kernel basis is read.
 
 reference_coprime_bodies is the coprimality test for curve bodies as it was
 before the modular certificate: exact Euclid over Q(i) or Q(i)(t).
+
+reference_homog_subst is the homogeneous substitution as it was before
+Horner's rule: every power of num and den built in full and each term
+num^j * den^(total - j) * c_j formed as a product of two dense polynomials.
+susy1_square uses it, so the equivariance oracle does not share the path it
+checks.  reference_proj_equal is projective equality as it was before
+cross-multiplication: both points divided into a chart they both admit and
+the chart coordinates compared.
 """
 
 import math
@@ -39,8 +47,8 @@ from fractions import Fraction
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
 from sgk.grassmann import QI_ZERO, Qi, SuperNumber, scalar_is_zero
 from sgk.linalg import ModuleRankReport, mat_mul
-from sgk.polyrat import SuperPoly, homog_subst
-from sgk.superspace import preferred_chart
+from sgk.polyrat import SuperPoly
+from sgk.superspace import as_proj, preferred_chart
 
 
 class Frac:
@@ -207,8 +215,8 @@ def susy1_square(m_quad, cfg):
     numl = SuperPoly.linear(n, -b, d)
     denl = SuperPoly.linear(n, a, -c)
     for j in range(2 * dd):
-        img = homog_subst(SuperPoly(n, [0] * j + [1]), numl, denl,
-                          2 * dd - 1)
+        img = reference_homog_subst(SuperPoly(n, [0] * j + [1]), numl, denl,
+                                    2 * dd - 1)
         for i in range(2 * dd):
             block[k + i][k + j] = img.coeff(i)
     rhs = mat_mul(block, m_x)
@@ -499,3 +507,34 @@ def reference_coprime_bodies(p, q) -> bool:
     if p.is_zero() or q.is_zero():
         return not (p.is_zero() and q.is_zero())
     return p.gcd(q).degree() == 0
+
+
+def reference_homog_subst(poly, num, den, total):
+    """sum_j num^j * den^(total - j) * c_j from the full lists of powers."""
+    n = poly.n
+    out = SuperPoly.zero(n)
+    if poly.is_zero():
+        return out
+    num_pows = [SuperPoly.const(n, 1)]
+    den_pows = [SuperPoly.const(n, 1)]
+    for _ in range(total):
+        num_pows.append(num_pows[-1] * num)
+        den_pows.append(den_pows[-1] * den)
+    for j, c in enumerate(poly.coeffs):
+        if c.is_zero():
+            continue
+        out = out + num_pows[j] * den_pows[total - j] * c
+    return out
+
+
+def reference_proj_equal(a, b) -> bool:
+    """Projective equality by comparing chart coordinates."""
+    a, b = as_proj(a), as_proj(b)
+    if a.n != b.n:
+        return False
+    ca, cb = a.chart1(), b.chart1()
+    if ca is None or cb is None:
+        ca, cb = a.chart2(), b.chart2()
+        if ca is None or cb is None:
+            return False
+    return ca.p == cb.p and ca.pi == cb.pi

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_coprime_bodies, reference_module_rank_report
+from _oracles import (reference_coprime_bodies, reference_homog_subst,
+                      reference_module_rank_report)
 from sgk.bundles import Section
 from sgk.grassmann import GrassmannError, Qi, ScalarPoly, SuperNumber, \
     T_PARAM, make_rat, random_qi, random_supernumber
-from sgk.linalg import (field_inverse, field_rank, field_solve, mat_mul,
-                        mat_vec, module_rank_report, solve_body_invertible)
+from sgk.linalg import (_gauss_jordan, field_inverse, field_rank,
+                        field_solve, mat_mul, mat_vec, module_rank_report,
+                        solve_body_invertible)
 from sgk.polyrat import (CERTIFICATE_POINTS, SuperPoly, chart2_poly,
                          coprime_bodies, homog_subst, reverse_coeffs)
 
@@ -116,6 +118,71 @@ def test_homog_subst_composition_law():
         ident_num = SuperPoly.linear(n, 0, 1)
         ident_den = SuperPoly.const(n, 1)
         assert homog_subst(p, ident_num, ident_den, d) == p
+
+
+def _elements(n, parity=None):
+    """SuperNumbers over n generators with up to three small Q(i) terms, of
+    the given parity (0 even, 1 odd) or of mixed parity."""
+    monomials = [k for size in range(n + 1)
+                 for k in itertools.combinations(range(1, n + 1), size)
+                 if parity is None or size % 2 == parity]
+    if not monomials:
+        return st.just(SuperNumber.zero(n))
+    coeffs = st.builds(Qi, st.integers(-3, 3), st.integers(-1, 1))
+    return st.dictionaries(st.sampled_from(monomials), coeffs,
+                           max_size=3).map(lambda t: SuperNumber(n, t))
+
+
+def _polys(n, max_size, parity=None):
+    return st.lists(_elements(n, parity), max_size=max_size).map(
+        lambda cs: SuperPoly(n, cs))
+
+
+@st.composite
+def homog_cases(draw):
+    """(poly, num, den, total) at n <= 4: coefficients of either parity with
+    zeros among them, linear or quadratic num and den, and total from the
+    degree up to the degree + 3."""
+    n = draw(st.integers(0, 4))
+    parity = draw(st.sampled_from((None, 0, 1)))
+    poly = draw(_polys(n, 5))
+    num = draw(_polys(n, 3, parity))
+    den = draw(_polys(n, 3, parity))
+    total = max(poly.degree(), 0) + draw(st.integers(0, 3))
+    return poly, num, den, total
+
+
+_h = [SuperNumber.gen(4, i) for i in (1, 2, 3, 4)]
+
+
+@given(homog_cases())
+# odd coefficients in num and den: the factor order decides the signs
+@example(case=(SuperPoly(4, [1, 0, _h[0] * _h[1], 2]),
+               SuperPoly.linear(4, _h[0], 1 + _h[1] * _h[2]),
+               SuperPoly.linear(4, 1, _h[3]), 4))
+@example(case=(SuperPoly(4, [_h[2], 0, 0, 1]), SuperPoly.linear(4, 0, _h[0]),
+               SuperPoly.linear(4, _h[1], _h[3]), 3))
+# the zero polynomial, and a constant at a higher total
+@example(case=(SuperPoly(4), SuperPoly.linear(4, 1, 2),
+               SuperPoly.linear(4, 3, 1), 2))
+@example(case=(SuperPoly(4, [5]), SuperPoly.linear(4, 1, 2),
+               SuperPoly.linear(4, 3, 1), 3))
+@settings(max_examples=200, deadline=None)
+def test_homog_subst_matches_reference(case):
+    poly, num, den, total = case
+    got = homog_subst(poly, num, den, total)
+    want = reference_homog_subst(poly, num, den, total)
+    assert got == want and str(got) == str(want)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(_polys(n, 4), _elements(n))))
+@settings(max_examples=100, deadline=None)
+def test_poly_times_constant_matches_convolution(case):
+    p, c = case
+    const = SuperPoly.const(p.n, c)
+    assert p * c == p * const == sum_sign_check(p, const)
+    assert c * p == const * p == sum_sign_check(const, p)
 
 
 def test_reverse_coeffs():
@@ -324,6 +391,67 @@ def test_field_solve_and_inverse_reject_non_square_shapes():
                                  "equations" % len(rhs)):
             field_solve([[1, 2], [3, 4]], rhs)
     assert field_solve([], []) == [] and field_inverse([]) == []
+
+
+def _eliminated_inverse(rows):
+    """The inverse by eliminating [A | I] with the one Gauss-Jordan loop."""
+    size = len(rows)
+    m = [list(row) + [Qi(int(i == j)) for j in range(size)]
+         for i, row in enumerate(rows)]
+    if len(_gauss_jordan(m, size)) < size:
+        raise GrassmannError("singular scalar system")
+    return [row[size:] for row in m]
+
+
+@st.composite
+def qi_matrices(draw):
+    """Square matrices of Gaussian rationals, size 1 to 8, with zeros, small
+    denominators and complex entries; some made singular by a last row that
+    combines the others."""
+    size = draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.just(Qi(0)),
+        st.builds(lambda a, b, d: Qi(Fraction(a, d), Fraction(b, d)),
+                  st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 4)))
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        factors = draw(st.lists(st.integers(-2, 2), min_size=size - 1,
+                                max_size=size - 1))
+        rows[-1] = [sum((f * row[j] for f, row in zip(factors, rows)), Qi(0))
+                    for j in range(size)]
+    return rows
+
+
+def _m(*rows):
+    return [[Qi(*c) if isinstance(c, tuple) else Qi(c) for c in row]
+            for row in rows]
+
+
+@given(qi_matrices())
+# first pivots -1, i and -i: a unit pivot other than 1 still divides
+@example(rows=_m([-1, 2], [3, 4]))
+@example(rows=_m([(0, 1), 2], [3, 4]))
+@example(rows=_m([(0, -1), 2], [3, (1, 1)]))
+@example(rows=_m([-1, 2, 0], [3, 4, 1], [1, (0, 2), 5]))
+# a first pivot that needs a row swap
+@example(rows=_m([0, 2], [3, 4]))
+@example(rows=_m([0, 1, 2], [0, 3, 1], [5, 1, 1]))
+# singular: a zero column, and dependent rows
+@example(rows=_m([0, 1], [0, 2]))
+@example(rows=_m([1, (0, 1)], [(0, 1), -1]))
+@settings(max_examples=300, deadline=None)
+def test_field_inverse_matches_elimination(rows):
+    try:
+        want = _eliminated_inverse(rows)
+    except GrassmannError as err:
+        with pytest.raises(GrassmannError, match="^%s$" % err):
+            field_inverse(rows)
+        return
+    got = field_inverse(rows)
+    assert got == want
+    assert [[str(x) for x in row] for row in got] \
+        == [[str(x) for x in row] for row in want]
 
 
 def _scalar_mat_mul(a, b):

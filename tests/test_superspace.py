@@ -1,14 +1,18 @@
 """Points of the 1|1 projective superspace and the torus action on them."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_proj_equal
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
     random_supernumber
-from sgk.superspace import (ChartPoint, ProjPoint, as_proj, point_infty,
-                            point_one, point_zero, preferred_chart,
-                            proj_equal, reduce_point,
+from sgk.superspace import (ChartPoint, ProjPoint, _as_chart, as_proj,
+                            point_infty, point_one, point_zero,
+                            preferred_chart, proj_equal, reduce_point,
                             reduced_bodies_distinct, torus_act_point)
 
 
@@ -107,3 +111,102 @@ def test_point_strings():
     n = 2
     assert str(ChartPoint(n, 1, 2, _eta(n, 1))) == "chart1(2; g1)"
     assert str(ProjPoint(n, 1, 0, _eta(n, 1))) == "[1 : 0 : g1]"
+
+
+# ---------------------------------------------------------------------------
+# Cross-multiplied equality and body-only reduction against the chart routes
+
+
+def _grassmann(n, parity, bodies):
+    """Elements over n generators of one parity with up to two soul terms;
+    even ones also get a body drawn from `bodies`."""
+    souls = [k for size in range(1, n + 1)
+             for k in itertools.combinations(range(1, n + 1), size)
+             if size % 2 == parity]
+    coeffs = st.builds(Qi, st.integers(-2, 2), st.integers(-1, 1))
+    soul = st.dictionaries(st.sampled_from(souls), coeffs, max_size=2) \
+        if souls else st.just({})
+    if parity:
+        return soul.map(lambda t: SuperNumber(n, t))
+    return st.builds(lambda t, b: SuperNumber(n, {**t, (): b}), soul, bodies)
+
+
+_bodies = st.one_of(st.just(Qi(0)),
+                    st.builds(Qi, st.integers(-2, 2), st.integers(-1, 1)),
+                    st.builds(lambda a: a + T_PARAM, st.integers(-1, 1)))
+
+
+@st.composite
+def superpoints(draw, n):
+    """A projective point, possibly at infinity or at zero, or a chart
+    point in either chart."""
+    even, odd = _grassmann(n, 0, _bodies), _grassmann(n, 1, _bodies)
+    if draw(st.booleans()):
+        return ChartPoint(n, draw(st.sampled_from((1, 2))), draw(even),
+                          draw(odd))
+    z1, z2 = draw(even), draw(even)
+    if not z1.body() and not z2.body():
+        z1 = z1 + 1
+    return ProjPoint(n, z1, z2, draw(odd))
+
+
+@st.composite
+def point_pairs(draw):
+    """(a, b): b independent of a, or a rescaled by an invertible even
+    element, or a rescaled with one coordinate nudged by a soul term."""
+    n = draw(st.integers(0, 4))
+    a = draw(superpoints(n))
+    how = draw(st.sampled_from(("other", "scaled", "nudged")))
+    if how == "other":
+        return a, draw(superpoints(n))
+    units = _grassmann(n, 0, st.builds(Qi, st.integers(1, 3),
+                                       st.integers(-1, 1)))
+    b = as_proj(a).scale(draw(units))
+    if how == "nudged":
+        slot = draw(st.sampled_from(("Z1", "Z2", "Theta")))
+        coords = {"Z1": b.Z1, "Z2": b.Z2, "Theta": b.Theta}
+        coords[slot] = coords[slot] + draw(
+            _grassmann(n, slot == "Theta", st.just(Qi(0))))
+        if not coords["Z1"].body() and not coords["Z2"].body():
+            return a, b
+        b = ProjPoint(n, coords["Z1"], coords["Z2"], coords["Theta"])
+    return a, b
+
+
+_e = [SuperNumber.gen(3, i) for i in (1, 2, 3)]
+
+
+@given(point_pairs())
+# a scaled copy, a point at infinity and its scaled copy, a finite point
+# against an infinite one, the same body with different odd parts, and
+# different generator counts
+@example(pair=(ChartPoint(3, 1, 2, _e[0]),
+               ProjPoint(3, 6 + _e[0] * _e[1], 3 + _e[0] * _e[1] / 2,
+                         3 * _e[0] + _e[0] * _e[0])))
+@example(pair=(ProjPoint(3, 1 + _e[1] * _e[2], _e[0] * _e[1], _e[2]),
+               ProjPoint(3, 2, 2 * _e[0] * _e[1] / (1 + _e[1] * _e[2]),
+                         2 * _e[2] / (1 + _e[1] * _e[2]))))
+@example(pair=(ChartPoint(3, 1, 0, 0), ChartPoint(3, 2, 0, 0)))
+@example(pair=(ProjPoint(3, 0, 1, 0), ProjPoint(3, 1, 0, 0)))
+@example(pair=(ChartPoint(3, 1, 1, _e[0]), ChartPoint(3, 1, 1, _e[1])))
+@example(pair=(ChartPoint(3, 1, 1, 0), ChartPoint(2, 1, 1, 0)))
+@settings(max_examples=300, deadline=None)
+def test_proj_equal_matches_chart_division(pair):
+    a, b = pair
+    want = reference_proj_equal(a, b)
+    assert proj_equal(a, b) == proj_equal(b, a) == want
+    assert (a == b) == want
+
+
+@given(st.integers(0, 4).flatmap(superpoints))
+@example(pt=ProjPoint(3, 2 + _e[0] * _e[1], _e[1] * _e[2], _e[0]))
+@example(pt=ProjPoint(3, 3 + _e[0] * _e[1], 2 + _e[1] * _e[2], _e[0]))
+@example(pt=ChartPoint(3, 2, 5 + _e[0] * _e[2], _e[1]))
+@settings(max_examples=200, deadline=None)
+def test_reduce_point_matches_chart_route(pt):
+    cp = _as_chart(pt)
+    want = ChartPoint(cp.n, cp.chart, SuperNumber.scalar(cp.n, cp.p.body()),
+                      0)
+    got = reduce_point(pt)
+    assert (got.n, got.chart, str(got)) == (want.n, want.chart, str(want))
+    assert got.p == want.p and got.pi.is_zero()
