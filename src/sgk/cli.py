@@ -56,13 +56,15 @@ an error at the literal, and an operator, power or function call whose
 result would be larger, as estimated from the operands, is an error at that
 operator or call before it runs.  The degree d of a `curve` and k of a `sec`
 is at most MAX_DEGREE; a larger one is an error at the literal's head,
-raised before any of its fields is evaluated.
+raised before any of its fields is evaluated.  The degree in t of scalars
+is at most MAX_T_DEGREE, estimated and refused like their size.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -208,7 +210,7 @@ MAX_EXPONENT = 1000
 # to turn an int of more than 4300 decimal digits (about 14,000 bits) into a
 # string, so a larger coefficient could be computed but never printed.  The
 # evaluator estimates a result's size from its operands before it runs the
-# operation (see _bits), and the limit leaves room below the printing bound
+# operation (see _size), and the limit leaves room below the printing bound
 # for the slack of that estimate.
 MAX_SCALAR_BITS = 8192
 
@@ -221,9 +223,18 @@ _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 # matrix over Z[i], and at n = 8 that act takes about 0.1 s at d = 16 and
 # 1.8 s at d = 32 on a 2-vCPU Xeon (an even lift alone takes 0.3 s at
 # d = 80).  The bound stays at 16 because a curve whose bodies share a
-# factor is refused by exact Euclid over Q(i)(t), which takes 1.6 s at d = 8
-# and 15 s at d = 10.
+# factor is refused by exact Euclid over Q(i)(t): with the coefficient
+# arithmetic on integers that takes 0.035 s at d = 8, 0.075 s at d = 10 and
+# 1.1 s at d = 16 (1.6 s at d = 8 and 15 s at d = 10 on Q(i) coefficients).
 MAX_DEGREE = 16
+
+# Largest degree in t of the scalars a script may build, estimated from the
+# operands before an operation runs, as their size is (see _size).  The
+# script "let a = (t^d + 3*t + 1) / (t^(d-1) + 2*t + 5)", "let b = a * a +
+# a", "let c = (t^d - 1) / (t^(d/2) - 1)" reaches the estimate 3d at its
+# "+" and runs in 0.14 s at d = 320, 0.65 s at d = 666 (estimate 1998) and
+# 1.7 s at d = 1000 on a 2-vCPU Xeon; make_rat's gcd sets that cost.
+MAX_T_DEGREE = 2000
 
 
 class Parser:
@@ -510,39 +521,71 @@ class RatFunc:
         return "(%s) / (%s)" % (self.num, self.den)
 
 
-def _bits(v):
-    """The size of a value's scalars, for the MAX_SCALAR_BITS estimate.
+def _size(v):
+    """(bits, degree): the size of a value's scalars, for the
+    MAX_SCALAR_BITS estimate, and their degree in t, for MAX_T_DEGREE.
 
-    A Gaussian rational counts the bit length of its widest integer; any
-    other value the sum over its scalar coefficients (0 for values without
-    any).  A coefficient of a sum or product of two values is then at most
-    _bits(a) + _bits(b) bits wide, give or take a carry per term, because
-    each term of one operand meets each term of the other at most once.
+    A Gaussian rational counts the bit length of its widest integer and
+    degree 0, a rational function in t the bits of its coefficients and
+    the larger degree of its numerator and denominator; any other value
+    the sums over its scalar coefficients (0 for values without any).  A
+    coefficient of a sum or product of two values is then at most
+    _size(a) + _size(b) bits wide, give or take a carry per term, and of at
+    most that degree, because each term of one operand meets each term of
+    the other at most once.
     """
     if isinstance(v, Qi):
-        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length())
-    if isinstance(v, (RatT, RatFunc)):
-        return sum(map(_bits, v.num.coeffs + v.den.coeffs))
-    if isinstance(v, SuperNumber):
-        return sum(map(_bits, v._scalars().values()))
-    if isinstance(v, SCMatrix):
-        return sum(_bits(x) for row in v.rows() for x in row)
-    return 0
+        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length()), 0
+    if isinstance(v, RatT):
+        return (_poly_bits(v.num) + _poly_bits(v.den),
+                max(v.num.degree(), v.den.degree()))
+    if isinstance(v, RatFunc):
+        parts = v.num.coeffs + v.den.coeffs
+    elif isinstance(v, SuperNumber):
+        parts = v._scalars().values()
+    elif isinstance(v, SCMatrix):
+        parts = [x for row in v.rows() for x in row]
+    else:
+        return 0, 0
+    bits = degree = 0
+    for x in parts:
+        b, d = _size(x)
+        bits += b
+        degree += d
+    return bits, degree
 
 
-def _inverse_bits(v):
-    """_bits of 1/v.  Inverting a Gaussian rational squares its norm, and
+def _poly_bits(p):
+    """The bits of a polynomial's Qi coefficients, read from the integer
+    form where it has one: each coefficient a/d reduced by gcd(a, d)."""
+    d = p._d
+    if not d:
+        return sum(_size(c)[0] for c in p.coeffs)
+    if d == 1:
+        return sum([a.bit_length() or 1 for a in p._num])
+    return sum([max((a // g).bit_length(), (d // g).bit_length())
+                for a in p._num for g in (math.gcd(a, d),)])
+
+
+def _inverse_size(v):
+    """_size of 1/v.  Inverting a Gaussian rational squares its norm, and
     the inverse of a number with a soul sums up to one power of the soul
-    per further term; a rational expression inverts by swapping."""
+    per further term over a power of the body, so its bits and its degree
+    grow with the term count; a rational expression inverts by swapping."""
+    bits, degree = _size(v)
     if isinstance(v, SuperNumber):
-        return 2 * len(v._num) * _bits(v)
-    return _bits(v)
+        k = len(v._num)
+        return 2 * k * bits, k * degree
+    return bits, degree
 
 
-def _check_size(bits, line, col):
+def _check_size(bits, degree, line, col):
     if bits > MAX_SCALAR_BITS:
         raise CLIError("result would exceed the scalar size limit of %d bits"
                        % MAX_SCALAR_BITS, line, col)
+    if degree > MAX_T_DEGREE:
+        raise CLIError("result would exceed the degree limit of %d in t"
+                       % MAX_T_DEGREE, line, col)
 
 
 def _typename(v):
@@ -664,8 +707,9 @@ class Evaluator:
                 _, op, lhs, rhs, line, col = node
                 a = self.eval(lhs, local)
                 b = self.eval(rhs, local)
-                _check_size(_bits(a) + (_inverse_bits(b) if op == "/"
-                                        else _bits(b)), line, col)
+                sa = _size(a)
+                sb = _inverse_size(b) if op == "/" else _size(b)
+                _check_size(sa[0] + sb[0], sa[1] + sb[1], line, col)
                 return self._arith(op, a, b, line, col)
             if kind == "pow":
                 _, base, expo, line, col = node
@@ -674,8 +718,8 @@ class Evaluator:
                 if abs(k) > MAX_EXPONENT:
                     raise CLIError("exponent exceeds the limit of %d in "
                                    "absolute value" % MAX_EXPONENT, line, col)
-                _check_size(abs(k) * (_inverse_bits(v) if k < 0
-                                      else _bits(v)), line, col)
+                bits, degree = _inverse_size(v) if k < 0 else _size(v)
+                _check_size(abs(k) * bits, abs(k) * degree, line, col)
                 if isinstance(v, RatFunc):
                     return v.pow(k)
                 if isinstance(v, SuperNumber):
@@ -719,7 +763,9 @@ class Evaluator:
         if len(args) != len(wants):
             raise CLIError("%s takes %d argument(s), got %d"
                            % (name, len(wants), len(args)), line, col)
-        _check_size(sum(map(_bits, args)), line, col)
+        sizes = [_size(v) for v in args]
+        _check_size(sum([b for b, _ in sizes]), sum([d for _, d in sizes]),
+                    line, col)
         try:
             for want, v in zip(wants, args):
                 if isinstance(want, dict):

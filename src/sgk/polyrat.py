@@ -69,9 +69,16 @@ def coprime_bodies(p: ScalarPoly, q: ScalarPoly) -> bool:
 
 def _fp_image(poly: ScalarPoly, prime, r, t0):
     """The coefficients of poly mapped to F_prime, leading coefficient
-    first, or None when a denominator maps to zero."""
+    first, or None when a denominator maps to zero.  An integer-form poly
+    needs one inverse, of its common denominator."""
+    d = poly._d
+    if d:
+        if not d % prime:
+            return None
+        inv = pow(d, -1, prime)
+        return [a * inv % prime for a in reversed(poly._num)]
     out = []
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly._num):
         if type(c) is Qi:
             x = _fp_value(c, prime, r)
         else:
@@ -96,11 +103,11 @@ def _fp_value(c: Qi, prime, r):
 
 def _fp_at(poly: ScalarPoly, prime, r, t0):
     """The image of poly(t0) in F_prime for poly over Q(i), or None."""
+    image = _fp_image(poly, prime, r, t0)
+    if image is None:
+        return None
     acc = 0
-    for c in reversed(poly.coeffs):
-        x = _fp_value(c, prime, r)
-        if x is None:
-            return None
+    for x in image:
         acc = (acc * t0 + x) % prime
     return acc
 

@@ -12,6 +12,15 @@ A Qi is a canonical integer triple (a, b, d) meaning (a + b*i)/d, with d > 0
 and gcd(a, b, d) == 1; each ring operation works on the integers and divides
 by one gcd.  Qi(re, im) takes ints or Fractions, re and im read back as
 Fractions, and a Qi hashes like its Fraction components.
+
+A ScalarPoly with only real Qi coefficients has the integer form of
+FLINT's fmpq_poly: one denominator _d > 0 and a tuple _num of int
+numerators, constant term first, with no trailing zero and gcd(_d, every
+numerator) == 1.  Others keep _d == 0 and their scalars in _num.  Both
+forms are canonical, so equal polynomials have equal fields.  On integer
+forms +, -, * and divmod run on the ints with one gcd per result, and gcd
+(so make_rat) is primitive Euclid over Z[t]: pseudo-remainders divided by
+their content (Knuth, TAOCP vol. 2, 4.6.1).
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ class Qi:
     @staticmethod
     def _of(a, b, d):
         """Trusted constructor for a triple that is already canonical."""
-        q = _new_qi(Qi)
+        q = _new(Qi)
         q.a = a
         q.b = b
         q.d = d
@@ -260,7 +269,7 @@ def _frac_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-_new_qi = object.__new__
+_new = object.__new__
 
 
 def _canonical(a, b, d):
@@ -271,7 +280,7 @@ def _canonical(a, b, d):
             a //= g
             b //= g
             d //= g
-    q = _new_qi(Qi)
+    q = _new(Qi)
     q.a = a
     q.b = b
     q.d = d
@@ -293,63 +302,83 @@ class ScalarPoly:
     RatT keeps its numerator and denominator as ScalarPoly values in t with
     Qi coefficients; coprimality checks on curve bodies use the same class
     with coefficients that may themselves involve t.  Printed forms use t as
-    the variable.
+    the variable.  coeffs is the tuple of scalars, made once per value.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_d", "_num", "_coeffs")
 
     def __init__(self, coeffs=()):
-        # as_scalar is defined below RatT; _POLY_ONE never reaches it
         cs = [c if isinstance(c, Qi) else as_scalar(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = self._num = cs = tuple(cs)
+        self._d = 0
+        d = 1
+        for c in cs:
+            if type(c) is not Qi or c.b:
+                return
+            if d % c.d:
+                d = math.lcm(d, c.d)
+        # canonical over the lcm of canonical denominators
+        self._d = d
+        self._num = tuple([c.a * (d // c.d) for c in cs])
+
+    @property
+    def coeffs(self):
+        cs = self._coeffs
+        if cs is None:
+            d = self._d
+            cs = self._coeffs = tuple([_canonical(a, 0, d) for a in self._num])
+        return cs
 
     @staticmethod
     def const(c):
         return ScalarPoly((c,))
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
 
     def lead(self):
-        return self.coeffs[-1] if self.coeffs else QI_ZERO
+        if self._coeffs is None:
+            return _canonical(self._num[-1], 0, self._d)
+        return self._coeffs[-1] if self._coeffs else QI_ZERO
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ScalarPoly(out)
+        if self._d and other._d:
+            return _int_sum(self, other._num, other._d)
+        return ScalarPoly(_sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
+        if self._d and other._d:
+            return _int_sum(self, [-x for x in other._num], other._d)
         return self + (-other)
 
     def __neg__(self):
-        return ScalarPoly([-c for c in self.coeffs])
+        if self._d:
+            return _int_of(tuple([-x for x in self._num]), self._d)
+        return ScalarPoly([-c for c in self._num])
 
     def __mul__(self, other):
-        if not isinstance(other, ScalarPoly):
+        if type(other) is not ScalarPoly:
             s = other if isinstance(other, Qi) else as_scalar(other)
+            if self._d and type(s) is Qi and not s.b:
+                return _int_poly([x * s.a for x in self._num], self._d * s.d)
             return ScalarPoly([c * s for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ScalarPoly()
-        out = [QI_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return ScalarPoly(out)
+        if self._d and other._d:
+            return _int_poly(_product(self._num, other._num, 0),
+                             self._d * other._d)
+        return ScalarPoly(_product(self.coeffs, other.coeffs, QI_ZERO))
 
     def __eq__(self, other):
-        return isinstance(other, ScalarPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, ScalarPoly):
+            return False
+        if self._d == other._d:
+            return self._num == other._num
+        # a coefficient RatT.lift(2) keeps the scalar form
+        return not (self._d and other._d) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -358,21 +387,31 @@ class ScalarPoly:
         """Exact polynomial division with remainder over the scalar field."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return ScalarPoly(), self
-        quo = [QI_ZERO] * (dq + 1)
-        inv_lead = QI_ONE / other.lead()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] * inv_lead
-            quo[k] = c
-            if not c.is_zero():
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
+        if self._d and other._d:
+            # s*a = q*b + r gives self = (q*db/(s*da)) * other + r/(s*da)
+            s, q, r = _pseudo_divmod(self._num, other._num)
+            d = s * self._d
+            return (_int_poly([x * other._d for x in q], d), _int_poly(r, d))
+        rem, b = list(self.coeffs), other.coeffs
+        quo = [QI_ZERO] * max(len(rem) - len(b) + 1, 0)
+        inv_lead = QI_ONE / b[-1]
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + len(b) - 1] * inv_lead
+            if c:
+                for j, y in enumerate(b):
+                    rem[k + j] = rem[k + j] - c * y
         return ScalarPoly(quo), ScalarPoly(rem)
 
     def gcd(self, other):
+        """The monic gcd, by primitive Euclid on two integer forms."""
+        if self._d and other._d:
+            a, b = _primitive(self._num), _primitive(other._num)
+            while b:
+                a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+            if not a:
+                return _POLY_ZERO
+            lead = a[-1]
+            return _int_of(tuple(a if lead > 0 else [-x for x in a]), abs(lead))
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
@@ -398,11 +437,9 @@ class ScalarPoly:
         r[m] = lead_root
         inv2rm = QI_ONE / (Qi(2) * lead_root)
         for k in range(m - 1, -1, -1):
-            acc = self.coeffs[m + k] if m + k < len(self.coeffs) else QI_ZERO
+            acc = self.coeffs[m + k]
             for i in range(k + 1, m):
-                j = m + k - i
-                if k + 1 <= j <= m - 1:
-                    acc = acc - r[i] * r[j]
+                acc = acc - r[i] * r[m + k - i]
             r[k] = acc * inv2rm
         cand = ScalarPoly(r)
         if cand * cand == self:
@@ -410,22 +447,13 @@ class ScalarPoly:
         return None
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
+            if c:
                 tpow = "t" if i == 1 else "t^%d" % i
-                if c == QI_ONE:
-                    parts.append(tpow)
-                else:
-                    parts.append("%s*%s" % (cs, tpow))
-        return " + ".join(parts)
+                parts.append(str(c) if not i else tpow if c == QI_ONE
+                             else "%s*%s" % (c, tpow))
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 
@@ -433,26 +461,108 @@ class ScalarPoly:
 # the former name of ScalarPoly, kept for existing importers
 QiPoly = ScalarPoly
 
-_POLY_ONE = ScalarPoly((QI_ONE,))
+
+def _int_of(num, d):
+    """Trusted constructor: num is a canonical int tuple over d."""
+    p = _new(ScalarPoly)
+    p._d = d
+    p._num = num
+    p._coeffs = None
+    return p
 
 
-def _as_poly(v):
-    if isinstance(v, ScalarPoly):
-        return v
-    q = Qi.coerce(v)
-    if q is None:
-        return None
-    return ScalarPoly((q,))
+def _int_poly(num, d):
+    """sum(num[k] * t^k) / d for a list num of ints and an int d != 0,
+    made canonical by one gcd."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _POLY_ZERO
+    if d < 0:
+        d = -d
+        num = [-x for x in num]
+    if d != 1:
+        g = math.gcd(d, *num)
+        if g != 1:
+            d //= g
+            num = [x // g for x in num]
+    return _int_of(tuple(num), d)
+
+
+def _int_sum(p, b, db):
+    """p + b/db for p in integer form and int numerators b."""
+    a, d = p._num, p._d
+    if d != db:
+        g = math.gcd(d, db)
+        a = [x * (db // g) for x in a]
+        b = [x * (d // g) for x in b]
+        d = d // g * db
+    return _int_poly(_sum(a, b), d)
+
+
+def _sum(a, b):
+    """a + b on coefficient lists of ints or of scalars."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _product(a, b, zero):
+    """a * b on coefficient lists of ints or of scalars."""
+    out = [zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive(r):
+    """The ints r without trailing zeros, over their content."""
+    r = list(r)
+    while r and not r[-1]:
+        r.pop()
+    g = math.gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
+def _pseudo_divmod(a, b):
+    """(s, q, r) with s*a == q*b + r and len(r) < len(b) for int sequences
+    a and b, b without trailing zero.  A step scales by s's least factor
+    that lets b's lead divide the top term: none when b divides a over Z."""
+    lb, nb = b[-1], len(b)
+    r, s = list(a), 1
+    q = [0] * max(len(a) - nb + 1, 0)
+    for k in range(len(a) - nb, -1, -1):
+        c = r[k + nb - 1]
+        if not c:
+            continue
+        if c % lb:
+            m = abs(lb) // math.gcd(c, lb)
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+            s *= m
+            c *= m
+        f = q[k] = c // lb
+        for j, y in enumerate(b):
+            r[k + j] -= f * y
+    return s, q, r[:nb - 1]
+
+
+_POLY_ZERO = ScalarPoly()
+_POLY_ONE = _int_of((1,), 1)
 
 
 class RatT:
     """A reduced fraction num/den of ScalarPoly values: the field Q(i)(t).
 
-    Every value is canonical: num and den are coprime and den is monic.
-    Arithmetic results come back through _reduced or make_rat, so constants
-    collapse to plain Qi values and code elsewhere can treat Qi and RatT
-    uniformly.  RatT.lift(c) wraps a constant as c/1 without collapsing it;
-    that operand is reduced too, and it compares and hashes like c.
+    Every value is canonical, num and den coprime and den monic, so equal
+    values have equal fields.  Results come back through _reduced or
+    make_rat, so constants collapse to plain Qi values.  RatT.lift(c) wraps
+    a constant as c/1 without collapsing it; it compares and hashes like c.
 
     make_rat's polynomial gcd runs only where a common factor can arise:
     for a sum or difference of two fractions whose denominators are both
@@ -471,51 +581,51 @@ class RatT:
 
     @staticmethod
     def lift(v):
-        if isinstance(v, RatT):
-            return v
-        p = _as_poly(v)
-        if p is None:
-            return None
-        return RatT(p, _POLY_ONE)
+        if isinstance(v, (RatT, ScalarPoly)):
+            return v if isinstance(v, RatT) else RatT(v, _POLY_ONE)
+        q = Qi.coerce(v)
+        return None if q is None else RatT(ScalarPoly((q,)), _POLY_ONE)
 
     def _is_const(self):
-        return self.den.degree() == 0 and self.num.degree() <= 0
+        return len(self.den._num) == 1 and len(self.num._num) <= 1
 
     def __add__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        if o.den.degree() == 0:
-            return _reduced(self.num + o.num * self.den, self.den)
-        if self.den.degree() == 0:
-            return _reduced(self.num * o.den + o.num, o.den)
-        return make_rat(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._plus(other, ScalarPoly.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        if o.den.degree() == 0:
-            return _reduced(self.num - o.num * self.den, self.den)
-        if self.den.degree() == 0:
-            return _reduced(self.num * o.den - o.num, o.den)
-        return make_rat(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._plus(other, ScalarPoly.__sub__)
 
-    def __rsub__(self, other):
-        o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _plus(self, o, op):
+        """self + o or self - o, as op adds or subtracts polynomials."""
+        if type(o) is not RatT:
+            c = Qi.coerce(o)
+            if c is None:
+                return NotImplemented
+            return _reduced(op(self.num, self.den * c), self.den)
+        if len(o.den._num) == 1:
+            return _reduced(op(self.num, o.num * self.den), self.den)
+        if len(self.den._num) == 1:
+            return _reduced(op(self.num * o.den, o.num), o.den)
+        return make_rat(op(self.num * o.den, o.num * self.den),
+                        self.den * o.den)
 
-    def __mul__(self, other):
-        o = RatT.lift(other)
-        if o is None:
+    def __rsub__(self, o):
+        c = Qi.coerce(o)
+        if c is None:
             return NotImplemented
+        return _reduced(self.den * c - self.num, self.den)
+
+    def __mul__(self, o):
+        if type(o) is not RatT:
+            c = Qi.coerce(o)
+            if c is None:
+                return NotImplemented
+            return _reduced(self.num * c, self.den)
         # p * (n/d) is reduced when p is a constant or d is 1
-        if o.den.degree() == 0 and (o.num.degree() <= 0
-                                    or self.den.degree() == 0):
+        if len(o.den._num) == 1 and (len(o.num._num) <= 1
+                                     or len(self.den._num) == 1):
             return _reduced(self.num * o.num, self.den)
         if self._is_const():
             return _reduced(self.num * o.num, o.den)
@@ -538,9 +648,7 @@ class RatT:
 
     def __rtruediv__(self, other):
         o = RatT.lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else o / self
 
     def __neg__(self):
         return RatT(-self.num, self.den)
@@ -556,7 +664,7 @@ class RatT:
         o = RatT.lift(other)
         if o is None:
             return NotImplemented
-        return self.num * o.den == o.num * self.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         if self._is_const():
@@ -570,8 +678,7 @@ class RatT:
         return self.num.is_zero()
 
     def sqrt(self):
-        rn = self.num.sqrt()
-        rd = self.den.sqrt()
+        rn, rd = self.num.sqrt(), self.den.sqrt()
         if rn is None or rd is None:
             return None
         root = make_rat(rn, rd)
@@ -591,8 +698,8 @@ def _reduced(num: ScalarPoly, den: ScalarPoly):
     """num/den for coprime num and monic den; constants come back as Qi."""
     if num.is_zero():
         return QI_ZERO
-    if den.degree() == 0 and num.degree() == 0:
-        return num.coeffs[0]
+    if len(den._num) == 1 and len(num._num) == 1:
+        return num.lead()
     return RatT(num, den)
 
 
@@ -603,6 +710,16 @@ def make_rat(num: ScalarPoly, den: ScalarPoly):
     if num.is_zero():
         return QI_ZERO
     g = num.gcd(den)
+    if num._d and den._d:
+        a, b = num._num, den._num
+        if len(g._num) > 1:
+            # g's numerators are primitive, so g divides both over Z
+            a = _pseudo_divmod(a, g._num)[1]
+            b = _pseudo_divmod(b, g._num)[1]
+        # (a/dn) / (b/dd) = a*dd / (b*dn), both over b's lead
+        lb = b[-1]
+        return _reduced(_int_poly([x * den._d for x in a], num._d * lb),
+                        _int_poly(list(b), lb))
     if g.degree() > 0:
         num = num.divmod(g)[0]
         den = den.divmod(g)[0]

@@ -144,10 +144,10 @@ class SCMatrix:
                 (m.alpha, m.beta))
 
     def embed(self, new_n):
-        return SCMatrix(new_n, *(x.embed(new_n) for x in
+        return SCMatrix(new_n, *[x.embed(new_n) for x in
                                  (self.a, self.b, self.c, self.d, self.e,
                                   self.alpha, self.beta, self.gamma,
-                                  self.delta)),
+                                  self.delta)],
                         validate=False)
 
     def is_reduced(self):
@@ -236,7 +236,7 @@ def act_point(m: SCMatrix, pt):
     if P.n != m.n:
         raise GrassmannError("generator count mismatch between matrix and point")
     v = (P.Z1, P.Z2, P.Theta)
-    img = ProjPoint(m.n, *(dot(m.n, v, col) for col in zip(*m.rows())))
+    img = ProjPoint(m.n, *[dot(m.n, v, col) for col in zip(*m.rows())])
     if not want_chart:
         return img
     c = img.chart1()

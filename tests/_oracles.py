@@ -39,13 +39,21 @@ susy1_square uses it, so the equivariance oracle does not share the path it
 checks.  reference_proj_equal is projective equality as it was before
 cross-multiplication: both points divided into a chart they both admit and
 the chart coordinates compared.
+
+ReferencePoly is the dense scalar polynomial as it was before the integer
+form: a tuple of Qi or RatT coefficients, each operation a loop of scalar
+operations, and gcd by Euclid over the scalar field.  reference_make_rat is
+make_rat on it (gcd, exact division, denominator made monic), and
+reference_ratt_str and reference_bits print and size its result as RatT and
+cli did.
 """
 
 import math
 from fractions import Fraction
 
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import QI_ZERO, Qi, SuperNumber, scalar_is_zero
+from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, SuperNumber, as_scalar,
+                           scalar_is_zero)
 from sgk.linalg import ModuleRankReport, mat_mul
 from sgk.polyrat import SuperPoly
 from sgk.superspace import as_proj, preferred_chart
@@ -538,3 +546,122 @@ def reference_proj_equal(a, b) -> bool:
         if ca is None or cb is None:
             return False
     return ca.p == cb.p and ca.pi == cb.pi
+
+
+class ReferencePoly:
+    """A dense polynomial in t on a tuple of scalar coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [as_scalar(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def lead(self):
+        return self.coeffs[-1] if self.coeffs else QI_ZERO
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return ReferencePoly(out)
+
+    def __sub__(self, other):
+        return self + ReferencePoly([-c for c in other.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferencePoly):
+            s = as_scalar(other)
+            return ReferencePoly([c * s for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = [QI_ZERO] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+        return ReferencePoly(out)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return ReferencePoly(), self
+        quo = [QI_ZERO] * (dq + 1)
+        inv_lead = QI_ONE / other.lead()
+        for k in range(dq, -1, -1):
+            c = rem[k + other.degree()] * inv_lead
+            quo[k] = c
+            for j, oc in enumerate(other.coeffs):
+                rem[k + j] = rem[k + j] - c * oc
+        return ReferencePoly(quo), ReferencePoly(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero():
+            return a
+        return a * (QI_ONE / a.lead())
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                tpow = "t" if i == 1 else "t^%d" % i
+                parts.append(tpow if c == QI_ONE else "%s*%s" % (c, tpow))
+        return " + ".join(parts)
+
+
+def reference_make_rat(num, den):
+    """num/den reduced: a Qi for a constant, else a pair (num, den) of
+    coprime ReferencePolys with den monic."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator in rational function")
+    if num.is_zero():
+        return QI_ZERO
+    g = num.gcd(den)
+    if g.degree() > 0:
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    inv = QI_ONE / den.lead()
+    num, den = num * inv, den * inv
+    if den.degree() == 0 and num.degree() == 0:
+        return num.coeffs[0]
+    return num, den
+
+
+def reference_ratt_str(v):
+    if isinstance(v, Qi):
+        return str(v)
+    num, den = v
+    if den.coeffs == (QI_ONE,):
+        return "(%s)" % num
+    return "((%s)/(%s))" % (num, den)
+
+
+def reference_bits(v):
+    """cli's size estimate of a Qi, or of a reduced pair, in bits."""
+    if isinstance(v, Qi):
+        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length())
+    return sum(map(reference_bits, v[0].coeffs + v[1].coeffs))

@@ -13,10 +13,10 @@ import pytest
 
 from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
                      MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS,
-                     CLIError, Evaluator,
+                     MAX_T_DEGREE, CLIError, Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
-from sgk.grassmann import Qi, SuperNumber
+from sgk.grassmann import Qi, RatT, SuperNumber, T_PARAM
 
 # literals that must survive parse -> format -> parse unchanged
 CORPUS = [
@@ -220,6 +220,64 @@ def test_scalar_size_limit(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert message in captured.out + captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_t_degree_limit(tmp_path, capsys, monkeypatch):
+    limit = MAX_T_DEGREE
+
+    def run(text, **values):
+        ev = Evaluator(3)
+        ev.vars.update({k: SuperNumber.scalar(3, v) for k, v in values.items()})
+        return ev.eval(parse_text(text)[0][1])
+
+    # operands built outside the checks: x = t^1200 has degree 1200, so the
+    # estimate deg(x) + deg(b) reaches the limit exactly for b of degree
+    # limit - 1200 and passes it by one for b of one degree more; a power
+    # counts |k| * deg(base), and so does a negative one, because inverting
+    # a rational function swaps its numerator and denominator
+    x, top = T_PARAM ** 1200, limit - 1200
+    b = 1 / (T_PARAM ** top + 1)
+    kp = limit // 12
+    under = [("x * b", x * b, dict(x=x, b=b)),
+             ("x - b", x - b, dict(x=x, b=b)),
+             ("x / b", x / b, dict(x=x, b=b)),
+             ("mul(x, b)", x * b, dict(x=x, b=b)),
+             ("p^%d" % kp, T_PARAM ** (12 * kp), dict(p=T_PARAM ** 12)),
+             ("p^-%d" % kp, 1 / T_PARAM ** (12 * kp), dict(p=T_PARAM ** 12))]
+    for text, want, values in under:
+        assert run(text, **values) == SuperNumber.scalar(3, want), text
+    b = T_PARAM ** (top + 1)
+    over = [("x * b", 3, dict(x=x, b=b)),
+            ("x + b", 3, dict(x=x, b=b)),
+            ("x / b", 3, dict(x=x, b=b)),
+            ("p^%d" % (kp + 1), 2, dict(p=T_PARAM ** 12)),
+            ("p^-%d" % (kp + 1), 2, dict(p=T_PARAM ** 12)),
+            ("g1 * (p^%d)" % (kp + 1), 8, dict(p=T_PARAM ** 12)),
+            ("mul(x, b)", 1, dict(x=x, b=b))]
+
+    # over the limit is refused at the operator before anything is computed
+    def no_work(*args):
+        raise AssertionError("an operation was computed")
+
+    for cls, names in ((SuperNumber, ("__add__", "__sub__", "__mul__",
+                                      "__pow__", "invert")),
+                       (RatT, ("__add__", "__radd__", "__sub__", "__rsub__",
+                               "__mul__", "__rmul__", "__truediv__",
+                               "__rtruediv__", "__pow__"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, no_work)
+    for text, col, values in over:
+        with pytest.raises(CLIError, match="^line 1:%d: result would exceed "
+                           "the degree limit of %d in t$" % (col, limit)):
+            run(text, **values)
+    monkeypatch.undo()
+
+    script = tmp_path / "deg.sgk"
+    script.write_text("let a = t^1000\nlet b = a * a * a\nb\n")
+    assert main(["run", str(script)]) == 1
+    captured = capsys.readouterr()
+    assert "line 2:15: result would exceed the degree limit" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_degree_limit(tmp_path, capsys, monkeypatch):

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, dot, make_rat,
                            random_qi, random_supernumber, scalar_sqrt)
-from sgk.cli import RatFunc
+from sgk.cli import RatFunc, _size
 from sgk.polyrat import SuperPoly, coprime_bodies
 
-from _oracles import (FractionQi, _merge_indices, fraction_random_qi,
-                      reference_dot, reference_invert, reference_product)
+from _oracles import (FractionQi, ReferencePoly, _merge_indices,
+                      fraction_random_qi, reference_bits, reference_dot,
+                      reference_invert, reference_make_rat, reference_product,
+                      reference_ratt_str)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +247,130 @@ def test_ratt_fast_paths_match_make_rat(pair, op):
     assert max(got.num.degree(), got.den.degree()) > 0
     assert got.den.lead() == Qi(1)
     assert got.num.gcd(got.den).degree() == 0
+
+
+# The integer form of ScalarPoly against the tuple-of-scalars polynomial it
+# replaced (ReferencePoly): real coefficients with small and large
+# denominators, complex ones, and, for the scalar form, t-coefficients.
+_BIG = 2 ** 64 + 13
+real_coeff = st.one_of(st.integers(-5, 5), small_fraction,
+                       st.sampled_from([Fraction(1, _BIG),
+                                        Fraction(-3, 1009 * 1013)]))
+complex_coeff = st.builds(Qi, small_fraction, small_fraction.filter(bool))
+coeff_lists = st.one_of(
+    st.lists(real_coeff, max_size=4),
+    st.lists(st.one_of(real_coeff, complex_coeff), max_size=4))
+t_coeff_lists = st.lists(
+    st.one_of(real_coeff, real_coeff.map(lambda c: c * T_PARAM)), max_size=3)
+
+
+@st.composite
+def poly_pairs(draw, coeffs=coeff_lists):
+    """Two coefficient tuples, half the time with a common factor."""
+    p, q = draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        f = ReferencePoly(draw(coeffs.filter(lambda c: len(c) > 1)))
+        p = (ReferencePoly(p) * f).coeffs
+        q = (ReferencePoly(q) * f).coeffs
+    return tuple(p), tuple(q)
+
+
+def _same_poly(got, want):
+    assert got.coeffs == want.coeffs and got.degree() == want.degree()
+    assert str(got) == str(want) and hash(got) == hash(want)
+    # canonical: a result equals the polynomial built from its scalars
+    assert got == ScalarPoly(want.coeffs)
+
+
+def _same_rat(got, want):
+    assert str(got) == reference_ratt_str(want)
+    assert _size(got)[0] == reference_bits(want)
+    if isinstance(want, Qi):
+        assert type(got) is Qi and got == want
+        return
+    assert type(got) is RatT
+    _same_poly(got.num, want[0])
+    _same_poly(got.den, want[1])
+    assert hash(got) == hash((want[0].coeffs, want[1].coeffs))
+
+
+_SHARED = ((-2, -1, 1), (3, 5, 2))          # (t + 1)(t - 2), (t + 1)(2t + 3)
+_CONJ = ((Qi(0, 1), 1), (Qi(0, -1), 1))      # t + i, t - i: real sum, product
+
+
+@given(st.one_of(poly_pairs(), poly_pairs(t_coeff_lists)))
+@example(pair=((), ()))
+@example(pair=((), (3,)))
+@example(pair=((5,), (Fraction(-7, 2),)))
+@example(pair=_SHARED)
+@example(pair=((1, 0, -6), (2, -4)))
+@example(pair=((Fraction(1, _BIG), Fraction(5, 3)),
+               (Fraction(-7, 1009 * 1013), 1)))
+@example(pair=((Qi(0, 2),), (1, 3)))
+@example(pair=_CONJ)
+@settings(max_examples=300, deadline=None)
+def test_scalar_poly_matches_reference(pair):
+    p, q = pair
+    a, b, ra, rb = ScalarPoly(p), ScalarPoly(q), ReferencePoly(p), \
+        ReferencePoly(q)
+    _same_poly(a, ra)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same_poly(op(a, b), op(ra, rb))
+    assert (a == b) == (ra == rb)
+    for c in q:
+        _same_poly(a * c, ra * c)
+    _same_poly(a.gcd(b), ra.gcd(rb))
+    if rb.is_zero():
+        return
+    for got, want in zip(a.divmod(b), ra.divmod(rb)):
+        _same_poly(got, want)
+    if not any(isinstance(c, RatT) for c in a.coeffs + b.coeffs):
+        _same_rat(make_rat(a, b), reference_make_rat(ra, rb))
+
+
+def _reference_operand(v):
+    if isinstance(v, RatT):
+        return ReferencePoly(v.num.coeffs), ReferencePoly(v.den.coeffs)
+    return ReferencePoly((v,)), ReferencePoly((1,))
+
+
+REFERENCE_ROUTES = {
+    "+": (operator.add, lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2)),
+    "-": (operator.sub, lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2)),
+    "*": (operator.mul, lambda n1, d1, n2, d2: (n1 * n2, d1 * d2)),
+    "/": (operator.truediv, lambda n1, d1, n2, d2: (n1 * d2, d1 * n2)),
+}
+
+rat_values = st.one_of(
+    poly_pairs().filter(lambda pq: ReferencePoly(pq[1]).coeffs).map(
+        lambda pq: make_rat(ScalarPoly(pq[0]), ScalarPoly(pq[1]))),
+    qi_values.map(RatT.lift), qi_values, st.integers(-3, 3))
+
+
+@given(rat_values, rat_values, st.sampled_from(sorted(REFERENCE_ROUTES)))
+@example(x=RatT.lift(Qi(2)), y=T_PARAM, op="*")
+@example(x=RatT.lift(Qi(0, 3)), y=RatT.lift(Qi(0, 3)), op="-")
+@example(x=make_rat(ScalarPoly(_SHARED[0]), ScalarPoly((1, 5))),
+         y=make_rat(ScalarPoly((1, 5)), ScalarPoly(_SHARED[1])), op="*")
+@example(x=Qi(0, 2), y=make_rat(ScalarPoly((1, -3)), ScalarPoly((0, 2))),
+         op="*")
+@example(x=make_rat(ScalarPoly((1,)), ScalarPoly(_CONJ[0])),
+         y=make_rat(ScalarPoly((1,)), ScalarPoly(_CONJ[1])), op="+")
+@example(x=make_rat(ScalarPoly((Fraction(1, _BIG), 1)), ScalarPoly((3, -2))),
+         y=Fraction(-5, 1009 * 1013), op="/")
+@settings(max_examples=300, deadline=None)
+def test_ratt_ops_match_reference(x, y, op):
+    if not isinstance(x, RatT) and not isinstance(y, RatT):
+        x = RatT.lift(x)
+    fast, route = REFERENCE_ROUTES[op]
+    n1, d1 = _reference_operand(x)
+    n2, d2 = _reference_operand(y)
+    assert (x == y) == (n1 * d2 == n2 * d1)
+    if op == "/" and n2.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            fast(x, y)
+        return
+    _same_rat(fast(x, y), reference_make_rat(*route(n1, d1, n2, d2)))
 
 
 def test_scalar_sqrt_ratt():
