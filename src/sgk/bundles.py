@@ -108,17 +108,36 @@ def pair_section_with_curve(alpha, beta, curve) -> SuperPoly:
 
 def wronskian(curve) -> SuperPoly:
     """P'Q - PQ'; its degree drops to 2d - 2 because top terms cancel."""
-    return curve.P.derivative() * curve.Q - curve.P * curve.Q.derivative()
+    return wronskian_of(curve.P, curve.Q)
+
+
+def wronskian_of(P, Q):
+    """P'Q - PQ' for two SuperPolys, or for two body ScalarPolys."""
+    return P.derivative() * Q - P * Q.derivative()
 
 
 def point_row(pt) -> list:
     """The value of s(alpha, beta) at a point, as a row of coefficients
     (of alpha, of beta) in the frame belonging to the point's chart."""
     cp = preferred_chart(pt)
-    one = SuperNumber.one(cp.n)
-    if cp.chart == 1:
-        return [one, -cp.p]
-    return [-cp.p, -one]
+    return chart_row(cp.n, cp.chart, cp.p)
+
+
+def chart_row(n, chart, p) -> list:
+    """point_row of a point with base coordinate p in the given chart."""
+    one = SuperNumber.one(n)
+    if chart == 1:
+        return [one, -p]
+    return [-p, -one]
+
+
+def deformation_rows(n, d, w) -> list:
+    """The 2d rows of the odd curve deformation (beta z - alpha) W, from
+    the coefficients w of the Wronskian W, constant term first: row m is
+    [-w_m, w_(m-1)]."""
+    zero = SuperNumber.zero(n)
+    w = list(w) + [zero] * (2 * d - len(w))
+    return [[-w[m], w[m - 1] if m else zero] for m in range(2 * d)]
 
 
 def susy1_matrix(points, curve):
@@ -129,15 +148,8 @@ def susy1_matrix(points, curve):
     by the 2d coefficients of the odd curve deformation (beta z - alpha) W.
     Row count is len(points) + 2d.
     """
-    rows = [point_row(p) for p in points]
-    n, d = curve.n, curve.d
-    W = wronskian(curve)
-    zero = SuperNumber.zero(n)
-    for m in range(2 * d):
-        ca = -W.coeff(m)
-        cb = W.coeff(m - 1) if m >= 1 else zero
-        rows.append([ca, cb])
-    return rows
+    return [point_row(p) for p in points] + deformation_rows(
+        curve.n, curve.d, wronskian(curve).coeffs)
 
 
 def susy1_report(points, curve) -> ModuleRankReport:

@@ -57,7 +57,11 @@ result would be larger, as estimated from the operands, is an error at that
 operator or call before it runs.  The degree d of a `curve` and k of a `sec`
 is at most MAX_DEGREE; a larger one is an error at the literal's head,
 raised before any of its fields is evaluated.  The degree in t of scalars
-is at most MAX_T_DEGREE, estimated and refused like their size.
+is at most MAX_T_DEGREE, estimated and refused like their size.  A script
+holds at most MAX_SCRIPT_BYTES bytes of UTF-8, checked before it is
+tokenized, and at most MAX_STATEMENTS statements; a longer one is a syntax
+error at the first character or statement past the limit, and nothing of it
+runs.
 """
 
 from __future__ import annotations
@@ -236,6 +240,17 @@ MAX_DEGREE = 16
 # 1.7 s at d = 1000 on a 2-vCPU Xeon; make_rat's gcd sets that cost.
 MAX_T_DEGREE = 2000
 
+# Longest script, in bytes of UTF-8, and most statements in one script.
+# Work grows with the length before a single statement runs: on a 2-vCPU
+# Xeon, 512 KiB of "1;" tokenizes in 0.96 s and parses in 0.94 s, and
+# 10,000 statements such as "let a = (1 + 2*g1) * (3 - g2*g3) + 4/7"
+# (390 KB) tokenize, parse and run in 0.4, 0.4 and 1.8 s.  A 1.1 MB script
+# of 40,000 such statements ran for 4.9 s with no bound, and a 100 MB one
+# would build tens of millions of tokens.  The size is checked before the
+# script is tokenized, the count while it is parsed.
+MAX_SCRIPT_BYTES = 512 * 1024
+MAX_STATEMENTS = 10000
+
 
 class Parser:
     def __init__(self, toks):
@@ -282,8 +297,12 @@ class Parser:
         while True:
             while self.toks[self.pos].kind == "newline":
                 self.pos += 1
-            if self.toks[self.pos].kind == "eof":
+            t = self.toks[self.pos]
+            if t.kind == "eof":
                 break
+            if len(stmts) == MAX_STATEMENTS:
+                raise CLIError("script exceeds the limit of %d statements"
+                               % MAX_STATEMENTS, t.line, t.col)
             stmts.append(self.parse_statement())
             t = self.toks[self.pos]
             if t.kind in ("newline", ";"):
@@ -458,7 +477,20 @@ class Parser:
 
 
 def parse_text(text):
+    _check_script_size(text)
     return Parser(tokenize(text)).parse_script()
+
+
+def _check_script_size(text):
+    """CLIError at the first character that ends past MAX_SCRIPT_BYTES
+    bytes of UTF-8; only that many characters are encoded."""
+    head = text[:MAX_SCRIPT_BYTES + 1].encode("utf-8")
+    if len(head) <= MAX_SCRIPT_BYTES:
+        return
+    kept = head[:MAX_SCRIPT_BYTES].decode("utf-8", "ignore")
+    raise CLIError("script exceeds the size limit of %d bytes"
+                   % MAX_SCRIPT_BYTES, kept.count("\n") + 1,
+                   len(kept) - kept.rfind("\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bundles import wronskian
-from .bundles import susy1_matrix as _susy1_rows
+from .bundles import chart_row, deformation_rows, wronskian, wronskian_of
 from .grassmann import GrassmannError, Qi, SuperNumber, random_qi
 from .linalg import field_rank, module_rank_report, solve_body_invertible
 from .polyrat import SuperPoly, chart2_poly, coprime_bodies, homog_subst
@@ -38,6 +37,7 @@ from .superspace import (
     as_proj,
     preferred_chart,
     reduce_point,
+    reduced_base,
     reduced_bodies_distinct,
     torus_act_point,
     torus_param,
@@ -57,7 +57,7 @@ class P1Point:
         self.V = SuperNumber.coerce(n, V)
         if not (self.U.is_even() and self.V.is_even()):
             raise GrassmannError("target coordinates must be even")
-        if not self.U.body() and not self.V.body():
+        if not (self.U.is_invertible() or self.V.is_invertible()):
             raise GrassmannError("target point with no invertible coordinate")
 
     def __eq__(self, other):
@@ -136,7 +136,7 @@ class SuperCurve:
         for poly in (self.Q, self.P):
             for m in range(self.d, -1, -1):
                 c = poly.coeff(m)
-                if c.body():
+                if c.is_invertible():
                     return c
         raise GrassmannError("curve with no invertible coefficient")
 
@@ -201,9 +201,9 @@ def eval_curve_at_superpoint(cur: SuperCurve, pt) -> P1Point:
     p, pi = cp.p, cp.pi
     Pv, Qv, rv = P.eval(p), Q.eval(p), r.eval(p)
     odd = pi * rv * sign
-    if Qv.body():
+    if Qv.is_invertible():
         return P1Point(cur.n, Pv * Qv + odd, Qv * Qv)
-    if not Pv.body():
+    if not Pv.is_invertible():
         raise GrassmannError("evaluation at a point where the map is singular")
     return P1Point(cur.n, Pv * Pv, Pv * Qv - odd)
 
@@ -413,10 +413,16 @@ def susy1_matrix(cfg: MarkedConfig):
 
     Rows: one odd normal direction per marked point, then the 2d
     coefficients of the odd curve deformation; columns: the two parameters
-    of a degree-one section.
+    of a degree-one section.  Only bodies enter: each point's reduced base
+    coordinate and the Wronskian of the body polynomials, so no reduced
+    configuration is built; the entries are SuperNumbers without a soul.
     """
-    red = cfg.reduced()
-    return _susy1_rows(list(red.points), red.curve)
+    n, cur = cfg.n, cfg.curve
+    rows = [chart_row(n, chart, SuperNumber.scalar(n, base))
+            for chart, base in map(reduced_base, cfg.points)]
+    W = wronskian_of(cur.P.body_poly(), cur.Q.body_poly())
+    return rows + deformation_rows(
+        n, cur.d, [SuperNumber.scalar(n, c) for c in W.coeffs])
 
 
 def susy1_report(cfg: MarkedConfig):

@@ -371,6 +371,10 @@ class SuperNumber:
     def body(self):
         return self._coeff(0)
 
+    def is_invertible(self):
+        """True when the body is nonzero; no scalar is built."""
+        return 0 in self._num
+
     def soul(self):
         return self._part(_SOUL)
 

@@ -12,6 +12,13 @@ row operation pays a gcd and each entry of the result is made once.  The
 square Grassmann solver splits a matrix into body plus nilpotent soul and
 inverts through the terminating geometric series, which suffices because
 every square system this package meets has an invertible body.
+
+module_rank_report takes a scalar route when no entry has a soul: such a
+matrix is a scalar matrix, and its module rank is its field rank.  The loop
+then reduces the bodies (Qi or RatT) instead of SuperNumbers, with the same
+pivots and the same reduced form, and only the kernel basis is lifted back
+to SuperNumbers; the report is never degenerate.  A matrix with a soul
+anywhere keeps the Grassmann route.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from .scalars import _canonical
 
 def _unit(x):
     """True for a nonzero scalar or a SuperNumber with a nonzero body."""
-    return not (x.body() if isinstance(x, SuperNumber) else x).is_zero()
+    if isinstance(x, SuperNumber):
+        return x.is_invertible()
+    return not x.is_zero()
 
 
 def _gauss_jordan(m, ncols):
@@ -281,12 +290,20 @@ def module_rank_report(rows, n_gen=None) -> ModuleRankReport:
     entries are coerced to SuperNumbers over the generator count of the
     first SuperNumber entry, or else n_gen, or else 0; any other entry
     raises GrassmannError.
+
+    A matrix whose entries all lack a soul is a scalar matrix: its bodies
+    are reduced instead, with the same pivots and the same reduced form,
+    and only the kernel basis is lifted back to SuperNumbers.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     n = next((x.n for r in rows for x in r if isinstance(x, SuperNumber)),
              n_gen or 0)
     work = [[SuperNumber.coerce(n, x) for x in r] for r in rows]
+    # a value without a soul holds no term but the body, keyed by mask 0
+    scalar = all(len(x._num) == (0 in x._num) for r in work for x in r)
+    if scalar:
+        work = [[x.body() for x in r] for r in work]
     pivots = _gauss_jordan(work, nc)
     rank = len(pivots)
     degenerate = any(not c.is_zero() for row in work[rank:] for c in row)
@@ -299,7 +316,8 @@ def module_rank_report(rows, n_gen=None) -> ModuleRankReport:
             v = [zero] * nc
             v[j] = one
             for i, p in enumerate(pivots):
-                v[p] = -work[i][j]
+                v[p] = SuperNumber.scalar(n, -work[i][j]) if scalar \
+                    else -work[i][j]
             kernel_basis.append(v)
     return ModuleRankReport(nr, nc, rank, 0 if degenerate else nc - rank,
                             nr - rank, degenerate, kernel_basis)

@@ -33,6 +33,7 @@ from .grassmann import (
     is_scalar,
     square_and_multiply,
 )
+from .scalars import _new
 
 
 # The points of the coprimality certificate, tried in turn: a prime
@@ -149,6 +150,17 @@ class SuperPoly:
         self.coeffs = tuple(cs)
 
     @staticmethod
+    def _of(n, cs):
+        """Trusted constructor: cs a list of SuperNumbers over n generators;
+        trailing zeros are dropped."""
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        p = _new(SuperPoly)
+        p.n = n
+        p.coeffs = tuple(cs)
+        return p
+
+    @staticmethod
     def const(n, c):
         return SuperPoly(n, (c,))
 
@@ -202,12 +214,12 @@ class SuperPoly:
             a, b = b, a
         for i, c in enumerate(b):
             a[i] = a[i] + c
-        return SuperPoly(self.n, a)
+        return SuperPoly._of(self.n, a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.n, [-c for c in self.coeffs])
+        return SuperPoly._of(self.n, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -227,22 +239,22 @@ class SuperPoly:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if not a or not b:
-            return SuperPoly(self.n)
+            return SuperPoly._of(self.n, [])
         # a constant factor scales the other one's coefficients, still from
         # its own side
         if len(a) == 1:
             c = a[0]
-            return SuperPoly(self.n, [c * y for y in b])
+            return SuperPoly._of(self.n, [c * y for y in b])
         if len(b) == 1:
             c = b[0]
-            return SuperPoly(self.n, [x * c for x in a])
+            return SuperPoly._of(self.n, [x * c for x in a])
         out = []
         for k in range(len(a) + len(b) - 1):
             # coefficient k is the sum of a[i] * b[k - i]
             lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
             out.append(dot(self.n, a[lo:hi + 1],
                            [b[k - i] for i in range(lo, hi + 1)]))
-        return SuperPoly(self.n, out)
+        return SuperPoly._of(self.n, out)
 
     def __rmul__(self, other):
         # left and right products differ for odd cofactors; SuperNumber
@@ -274,7 +286,7 @@ class SuperPoly:
         o = self._coerced(other)
         if o is None or o.is_zero():
             raise GrassmannError("polynomial division by zero")
-        if not o.coeffs[-1].body():
+        if not o.coeffs[-1].is_invertible():
             raise GrassmannError("division needs an invertible leading "
                                  "coefficient")
         rem = list(self.coeffs)

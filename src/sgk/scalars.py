@@ -372,6 +372,12 @@ class ScalarPoly:
                              self._d * other._d)
         return ScalarPoly(_product(self.coeffs, other.coeffs, QI_ZERO))
 
+    def derivative(self):
+        if self._d:
+            return _int_poly([k * x for k, x in enumerate(self._num)][1:],
+                             self._d)
+        return ScalarPoly([c * k for k, c in enumerate(self._num)][1:])
+
     def __eq__(self, other):
         if not isinstance(other, ScalarPoly):
             return False

@@ -30,6 +30,7 @@ from .grassmann import (
     random_qi,
     scalar_lex_positive,
 )
+from .scalars import _new
 from .superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
                          reduced_bodies_distinct)
 
@@ -67,6 +68,16 @@ class SCMatrix:
                 raise GrassmannError("body of e must be +1 or -1, got %s" % eb)
 
     @staticmethod
+    def _of(n, a, b, c, d, e, alpha, beta, gamma, delta):
+        """Trusted constructor: Latin entries even, Greek entries odd, all
+        over n generators; the group constraints are not checked."""
+        m = _new(SCMatrix)
+        m.n = n
+        m.a, m.b, m.c, m.d, m.e = a, b, c, d, e
+        m.alpha, m.beta, m.gamma, m.delta = alpha, beta, gamma, delta
+        return m
+
+    @staticmethod
     def from_rows(n, rows, validate=True):
         (a, c, gamma), (b, d, delta), (alpha, beta, e) = rows
         return SCMatrix(n, a, b, c, d, e, alpha, beta, gamma, delta,
@@ -99,9 +110,11 @@ class SCMatrix:
     def mul(self, other: "SCMatrix") -> "SCMatrix":
         if self.n != other.n:
             raise GrassmannError("generator count mismatch in product")
+        n = self.n
         cols = list(zip(*other.rows()))
-        C = [[dot(self.n, row, col) for col in cols] for row in self.rows()]
-        return SCMatrix.from_rows(self.n, C, validate=False)
+        (a, c, gamma), (b, d, delta), (alpha, beta, e) = [
+            [dot(n, row, col) for col in cols] for row in self.rows()]
+        return SCMatrix._of(n, a, b, c, d, e, alpha, beta, gamma, delta)
 
     def __mul__(self, other):
         if isinstance(other, SCMatrix):
@@ -109,9 +122,9 @@ class SCMatrix:
         return NotImplemented
 
     def neg(self):
-        return SCMatrix(self.n, -self.a, -self.b, -self.c, -self.d, -self.e,
-                        -self.alpha, -self.beta, -self.gamma, -self.delta,
-                        validate=False)
+        return SCMatrix._of(self.n, -self.a, -self.b, -self.c, -self.d,
+                            -self.e, -self.alpha, -self.beta, -self.gamma,
+                            -self.delta)
 
     def normalized(self):
         """The representative of {M, -M} whose e has body +1."""
@@ -122,12 +135,9 @@ class SCMatrix:
     def inverse(self):
         m = self.normalized()
         one = SuperNumber.one(self.n)
-        inv = SCMatrix.from_rows(
-            m.n,
-            [[m.d, -m.c, m.beta],
-             [-m.b, m.a, -m.alpha],
-             [-m.delta, m.gamma, one - m.alpha * m.beta]],
-            validate=False)
+        inv = SCMatrix._of(m.n, m.d, -m.b, -m.c, m.a,
+                           one - m.alpha * m.beta, -m.delta, m.gamma,
+                           m.beta, -m.alpha)
         if self.e.body() == Qi(-1):
             return inv.neg()
         return inv
@@ -189,7 +199,7 @@ def lift_sl2(n, a, b, c, d):
         raise GrassmannError("Moebius lift needs determinant one, got %s" % det)
     zero = SuperNumber.zero(n)
     one = SuperNumber.one(n)
-    return SCMatrix(n, a, b, c, d, one, zero, zero, zero, zero, validate=False)
+    return SCMatrix._of(n, a, b, c, d, one, zero, zero, zero, zero)
 
 
 def susy(n, alpha, beta):
@@ -203,12 +213,8 @@ def susy(n, alpha, beta):
     one = SuperNumber.one(n)
     zero = SuperNumber.zero(n)
     diag = one + alpha * beta / 2
-    return SCMatrix.from_rows(
-        n,
-        [[diag, zero, -beta],
-         [zero, diag, alpha],
-         [alpha, beta, one - alpha * beta]],
-        validate=False)
+    return SCMatrix._of(n, diag, zero, zero, diag, one - alpha * beta,
+                        alpha, beta, -beta, alpha)
 
 
 def reflection(n):
@@ -236,7 +242,10 @@ def act_point(m: SCMatrix, pt):
     if P.n != m.n:
         raise GrassmannError("generator count mismatch between matrix and point")
     v = (P.Z1, P.Z2, P.Theta)
-    img = ProjPoint(m.n, *[dot(m.n, v, col) for col in zip(*m.rows())])
+    Z1, Z2, Theta = [dot(m.n, v, col) for col in zip(*m.rows())]
+    if not (Z1.is_invertible() or Z2.is_invertible()):
+        raise GrassmannError("homogeneous coordinates with no invertible entry")
+    img = ProjPoint._of(m.n, Z1, Z2, Theta)
     if not want_chart:
         return img
     c = img.chart1()
@@ -256,7 +265,7 @@ def chart_pullback(m: SCMatrix, pt: ChartPoint) -> ChartPoint:
     z, th = pt.p, pt.pi
     if pt.chart == 1:
         den = c * z + d
-        if not den.body():
+        if not den.is_invertible():
             raise GrassmannError("image leaves the chart; use act_point")
         dinv = den.invert()
         zz = (a * z + b) * dinv + th * (e * (gamma * z + delta)) * dinv * dinv
@@ -264,7 +273,7 @@ def chart_pullback(m: SCMatrix, pt: ChartPoint) -> ChartPoint:
             + th * (one - gamma * delta) * (e * den).invert()
         return ChartPoint(n, 1, zz, tt)
     den = a - b * z
-    if not den.body():
+    if not den.is_invertible():
         raise GrassmannError("image leaves the chart; use act_point")
     dinv = den.invert()
     # the odd correction enters with a plus here: expanding the quotient
@@ -289,11 +298,11 @@ def point_multiplier(m: SCMatrix, pt) -> SuperNumber:
     c1 = P.chart1()
     if c1 is not None:
         den = m.c * c1.p + m.d
-        if den.body():
+        if den.is_invertible():
             return den.invert() * m.e
     c2 = P.chart2()
     den = m.a - m.b * c2.p
-    if not den.body():
+    if not den.is_invertible():
         raise GrassmannError("point meets the polar locus of the lift")
     return den.invert() * m.e
 
@@ -394,7 +403,7 @@ def slice_normalize_one_point(p1):
     P = as_proj(p1)
     n = P.n
     X1, Y1, _ = _homog(P)
-    if Y1.body():
+    if Y1.is_invertible():
         m1 = lift_sl2(n, Y1, -X1, 0, Y1.invert())
     else:
         m1 = lift_sl2(n, Y1, -X1, X1.invert(), 0)
@@ -406,7 +415,7 @@ def slice_normalize_one_point(p1):
 def stabilizer_two_points(n, a):
     """The residual torus diag(a, 1/a, 1) of the two-point slice."""
     a = _want_parity(n, a, 0, "a")
-    if not a.body():
+    if not a.is_invertible():
         raise GrassmannError("diagonal parameter must be invertible")
     return lift_sl2(n, a, 0, 0, a.invert())
 

@@ -14,7 +14,7 @@ built.
 from __future__ import annotations
 
 from .grassmann import GrassmannError, SuperNumber
-from .scalars import _quote
+from .scalars import _new, _quote
 
 
 def _want_parity(n, v, parity: int, what: str) -> SuperNumber:
@@ -37,27 +37,38 @@ class ProjPoint:
         self.Z1 = _want_parity(n, Z1, 0, "Z1")
         self.Z2 = _want_parity(n, Z2, 0, "Z2")
         self.Theta = _want_parity(n, Theta, 1, "Theta")
-        if not self.Z1.body() and not self.Z2.body():
+        if not (self.Z1.is_invertible() or self.Z2.is_invertible()):
             raise GrassmannError("homogeneous coordinates with no invertible entry")
+
+    @staticmethod
+    def _of(n, Z1, Z2, Theta):
+        """Trusted constructor: Z1, Z2 even and Theta odd over n
+        generators, with Z1 or Z2 invertible."""
+        pt = _new(ProjPoint)
+        pt.n = n
+        pt.Z1 = Z1
+        pt.Z2 = Z2
+        pt.Theta = Theta
+        return pt
 
     def scale(self, lam):
         lam = SuperNumber.coerce(self.n, lam)
-        if not lam.body():
+        if not lam.is_invertible():
             raise GrassmannError("projective scale must be invertible")
         return ProjPoint(self.n, self.Z1 * lam, self.Z2 * lam, self.Theta * lam)
 
     def chart1(self):
         """Chart-1 coordinates, or None when Z2 is not invertible."""
-        if not self.Z2.body():
+        if not self.Z2.is_invertible():
             return None
         inv = self.Z2.invert()
-        return ChartPoint(self.n, 1, self.Z1 * inv, self.Theta * inv)
+        return ChartPoint._of(self.n, 1, self.Z1 * inv, self.Theta * inv)
 
     def chart2(self):
-        if not self.Z1.body():
+        if not self.Z1.is_invertible():
             return None
         inv = self.Z1.invert()
-        return ChartPoint(self.n, 2, -(self.Z2 * inv), self.Theta * inv)
+        return ChartPoint._of(self.n, 2, -(self.Z2 * inv), self.Theta * inv)
 
     def embed(self, m):
         return ProjPoint(m, self.Z1.embed(m), self.Z2.embed(m), self.Theta.embed(m))
@@ -86,11 +97,22 @@ class ChartPoint:
         self.p = _want_parity(n, p, 0, "base coordinate")
         self.pi = _want_parity(n, pi, 1, "odd coordinate")
 
+    @staticmethod
+    def _of(n, chart, p, pi):
+        """Trusted constructor: chart 1 or 2, p even and pi odd over n
+        generators."""
+        pt = _new(ChartPoint)
+        pt.n = n
+        pt.chart = chart
+        pt.p = p
+        pt.pi = pi
+        return pt
+
     def to_proj(self):
         one = SuperNumber.one(self.n)
         if self.chart == 1:
-            return ProjPoint(self.n, self.p, one, self.pi)
-        return ProjPoint(self.n, one, -self.p, self.pi)
+            return ProjPoint._of(self.n, self.p, one, self.pi)
+        return ProjPoint._of(self.n, one, -self.p, self.pi)
 
     def embed(self, m):
         return ChartPoint(m, self.chart, self.p.embed(m), self.pi.embed(m))
@@ -125,9 +147,9 @@ def proj_equal(a: ProjPoint, b: ProjPoint) -> bool:
     a, b = as_proj(a), as_proj(b)
     if a.n != b.n:
         return False
-    if a.Z2.body() and b.Z2.body():
+    if a.Z2.is_invertible() and b.Z2.is_invertible():
         sa, sb, ea, eb = a.Z2, b.Z2, a.Z1, b.Z1
-    elif a.Z1.body() and b.Z1.body():
+    elif a.Z1.is_invertible() and b.Z1.is_invertible():
         sa, sb, ea, eb = a.Z1, b.Z1, a.Z2, b.Z2
     else:
         return False
@@ -149,7 +171,7 @@ def point_infty(n):
 def torus_param(n, t) -> SuperNumber:
     """Validate a torus parameter: an even invertible element."""
     tt = SuperNumber.coerce(n, t)
-    if not tt.body() or not tt.is_even():
+    if not tt.is_invertible() or not tt.is_even():
         raise GrassmannError("torus parameter must be even and invertible")
     return tt
 
@@ -158,10 +180,10 @@ def torus_act_point(t, pt):
     """The odd-coordinate scaling z -> z, theta -> t*theta."""
     if isinstance(pt, ProjPoint):
         tt = torus_param(pt.n, t)
-        return ProjPoint(pt.n, pt.Z1, pt.Z2, tt * pt.Theta)
+        return ProjPoint._of(pt.n, pt.Z1, pt.Z2, tt * pt.Theta)
     pt = _as_chart(pt)
     tt = torus_param(pt.n, t)
-    return ChartPoint(pt.n, pt.chart, pt.p, tt * pt.pi)
+    return ChartPoint._of(pt.n, pt.chart, pt.p, tt * pt.pi)
 
 
 def _as_chart(pt) -> ChartPoint:
@@ -186,18 +208,25 @@ def odd_normal_part(pt):
 
 
 def reduce_point(pt) -> ChartPoint:
-    """Forget the nilpotents: body base coordinate, zero odd coordinate.
+    """Forget the nilpotents: body base coordinate, zero odd coordinate."""
+    chart, base = reduced_base(pt)
+    n = pt.n
+    return ChartPoint._of(n, chart, SuperNumber.scalar(n, base),
+                          SuperNumber.zero(n))
 
-    Only the bodies of Z1 and Z2 are read: the base coordinate of the
-    preferred chart has body Z1/Z2, or -Z2/Z1 at infinity.
+
+def reduced_base(pt):
+    """(chart, scalar body of the base coordinate) of the point's
+    preferred chart.
+
+    Only the bodies of Z1 and Z2 are read: the base coordinate has body
+    Z1/Z2, or -Z2/Z1 at infinity.
     """
     if isinstance(pt, ChartPoint):
-        chart, base = pt.chart, pt.p.body()
-    else:
-        P = as_proj(pt)
-        x, y = P.Z1.body(), P.Z2.body()
-        chart, base = (1, x / y) if y else (2, -(y / x))
-    return ChartPoint(pt.n, chart, SuperNumber.scalar(pt.n, base), 0)
+        return pt.chart, pt.p.body()
+    P = as_proj(pt)
+    x, y = P.Z1.body(), P.Z2.body()
+    return (1, x / y) if y else (2, -(y / x))
 
 
 def reduced_bodies_distinct(pts) -> bool:

@@ -310,7 +310,7 @@ def random_glue_pair(rng, n=1, attempts=400):
                         random_supernumber(rng, n, parity=1))
         w = eval_curve_at_superpoint(c1, p1)
         q2v = c2.Q.eval(p2.p)
-        if not q2v.body() or not w.V.body():
+        if not q2v.is_invertible() or not w.V.is_invertible():
             continue
         wa = w.U * w.V.invert()
         cur_val = c2.P.eval(p2.p) * q2v.invert()

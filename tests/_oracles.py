@@ -29,6 +29,11 @@ module_rank_report became a reading of the one Gauss-Jordan loop: a full
 pivot search on body units with row and column operations, and a tracker of
 the column operations from which the kernel basis is read.
 
+reference_susy1_matrix is the odd-translation matrix of a configuration as
+it was built before curves.susy1_matrix read bodies: the reduced
+configuration made in full, then bundles.susy1_matrix on its points and
+its curve, with the Wronskian as a SuperPoly product.
+
 reference_coprime_bodies is the coprimality test for curve bodies as it was
 before the modular certificate: exact Euclid over Q(i) or Q(i)(t).
 
@@ -51,6 +56,7 @@ cli did.
 import math
 from fractions import Fraction
 
+from sgk.bundles import susy1_matrix as bundles_susy1_matrix
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
 from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, SuperNumber, as_scalar,
                            scalar_is_zero)
@@ -508,6 +514,12 @@ def _identity(k, n):
     one = SuperNumber.one(n)
     zero = SuperNumber.zero(n)
     return [[one if i == j else zero for j in range(k)] for i in range(k)]
+
+
+def reference_susy1_matrix(cfg):
+    """The odd-translation matrix of cfg.reduced(), by bundles.susy1_matrix."""
+    red = cfg.reduced()
+    return bundles_susy1_matrix(list(red.points), red.curve)
 
 
 def reference_coprime_bodies(p, q) -> bool:

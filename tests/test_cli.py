@@ -13,7 +13,8 @@ import pytest
 
 from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
                      MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS,
-                     MAX_T_DEGREE, CLIError, Evaluator,
+                     MAX_SCRIPT_BYTES, MAX_STATEMENTS, MAX_T_DEGREE,
+                     CLIError, Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
 from sgk.grassmann import Qi, RatT, SuperNumber, T_PARAM
@@ -278,6 +279,56 @@ def test_t_degree_limit(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "line 2:15: result would exceed the degree limit" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_script_size_limit(monkeypatch):
+    import sgk.cli as cli
+
+    limit = MAX_SCRIPT_BYTES
+    seen = []
+
+    def no_work(text):
+        seen.append(len(text))
+        return [cli.Token("eof", "", 1, 1)]
+
+    # a script of exactly the limit reaches the tokenizer; one byte more is
+    # refused at the first character past the limit, and so is a two-byte
+    # character that would end past it, before anything is tokenized
+    monkeypatch.setattr(cli, "tokenize", no_work)
+    assert limit % 2 == 0
+    at_limit = "1\n" * (limit // 2)
+    assert parse_text(at_limit) == [] and seen == [limit]
+    for text, where in ((at_limit + "1", "%d:1" % (limit // 2 + 1)),
+                        ("#" + "x" * (limit - 2) + "\u00e9", "1:%d" % limit),
+                        ("1;" * limit, "1:%d" % (limit + 1))):
+        with pytest.raises(CLIError, match="^line %s: script exceeds the "
+                           "size limit of %d bytes$" % (where, limit)):
+            parse_text(text)
+    assert seen == [limit]
+    assert parse_text("#" + "x" * (limit - 3) + "\u00e9") == []
+
+
+def test_statement_limit(tmp_path, capsys, monkeypatch):
+    k = MAX_STATEMENTS
+    assert len(parse_text("1\n" * k)) == k
+    assert len(parse_text("\n".join(["1; 2"] * (k // 2)))) == k
+
+    def no_work(*args):
+        raise AssertionError("a statement ran")
+
+    # one statement more is refused where it starts, and nothing runs
+    monkeypatch.setattr(Evaluator, "eval", no_work)
+    for text, where in (("1\n" * (k + 1), "%d:1" % (k + 1)),
+                        ("\n" + "1;" * (k + 1), "2:%d" % (2 * k + 1))):
+        with pytest.raises(CLIError, match="^line %s: script exceeds the "
+                           "limit of %d statements$" % (where, k)):
+            parse_text(text)
+        script = tmp_path / "long.sgk"
+        script.write_text(text)
+        assert main(["run", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert "line %s: script exceeds the limit" % where in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_degree_limit(tmp_path, capsys, monkeypatch):

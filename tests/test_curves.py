@@ -6,20 +6,22 @@ import random
 import pytest
 
 from _oracles import (action_matches_pointwise, action_matches_symbolic,
-                      susy1_square)
+                      reference_susy1_matrix, susy1_square)
 from sgk.curves import (MarkedConfig, P1Point, SuperCurve, act_config,
                         act_general, act_sl2_on_curve, act_susy_on_curve,
                         eval_curve_at_superpoint, orbit_normalize_points,
                         phi_deformation_dim, psi_space_dim, random_config,
                         random_curve, same_orbit, slice_normalize_one_point,
-                        slice_normalize_two_points, susy1_report,
+                        slice_normalize_two_points, susy1_matrix,
+                        susy1_report,
                         torus_act_config, torus_act_curve)
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
     random_supernumber
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import (act_point, lift_sl2, random_sc_matrix,
                          random_sl2_qi, susy)
-from sgk.superspace import ChartPoint, point_infty, point_zero
+from sgk.linalg import module_rank_report
+from sgk.superspace import ChartPoint, ProjPoint, point_infty, point_zero
 
 
 def _gens(n, *idx):
@@ -256,6 +258,36 @@ def test_susy1_rank_profile_small():
             assert rep.rank == 2
             assert rep.kernel_rank == 0
             assert rep.coker_rank == k + 2 * d - 2
+
+
+def test_susy1_matrix_matches_reduced_config_route():
+    rng = random.Random(113)
+    cases = []
+    for _ in range(60):
+        n, k, d = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 3)
+        cases.append(random_config(rng, n, k, d, reduced=rng.random() < 0.2))
+    # points at infinity and projective points with a soul, in both charts,
+    # and a curve with t in its bodies
+    g1, g2, g3 = _gens(3, 1, 2, 3)
+    cur = SuperCurve(3, 2, SuperPoly(3, [1 + g1 * g2, T_PARAM, 1]),
+                     SuperPoly(3, [2, 0, Qi(0, 1)]),
+                     SuperPoly(3, [g3, 0, g1]))
+    cases.append(MarkedConfig(
+        [ProjPoint(3, 2 + g1 * g3, g2 * g3, g1),
+         ProjPoint(3, 1, 3 + g1 * g2, g2), ChartPoint(3, 2, 5, g3),
+         ChartPoint(3, 1, T_PARAM, g1 + g2 * g1 * g3)], cur))
+    for cfg in cases:
+        got, want = susy1_matrix(cfg), reference_susy1_matrix(cfg)
+        assert got == want
+        assert [[str(x) for x in row] for row in got] \
+            == [[str(x) for x in row] for row in want]
+        assert all(x.n == cfg.n and x.soul().is_zero()
+                   for row in got for x in row)
+        rep, ref = susy1_report(cfg), module_rank_report(want)
+        assert (rep.rank, rep.kernel_rank, rep.coker_rank, rep.degenerate,
+                rep.kernel_basis) == (ref.rank, ref.kernel_rank,
+                                      ref.coker_rank, ref.degenerate,
+                                      ref.kernel_basis)
 
 
 def test_susy1_equivariance_square_samples():

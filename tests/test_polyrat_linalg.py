@@ -587,6 +587,111 @@ def test_module_rank_report_matches_reference(case):
             == got.rank
 
 
+_body_scalars = st.one_of(
+    st.just(Qi(0)),
+    st.builds(Qi, st.integers(-3, 3), st.integers(-2, 2)),
+    st.builds(lambda a, b: a + b * T_PARAM, st.integers(-2, 2),
+              st.integers(-1, 1)),
+    st.builds(lambda a: Qi(1) / (T_PARAM + a), st.integers(-1, 1)))
+
+
+@st.composite
+def body_only_matrices(draw):
+    """(n, n_gen, rows): matrices whose entries have no soul, over
+    Gaussian rationals and rational functions in t, given as SuperNumbers
+    or as bare scalars (then over n_gen generators), with zero rows and
+    columns and dependent rows; sometimes one entry gets a soul."""
+    n = draw(st.integers(0, 4))
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(_body_scalars, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr and draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [Qi(0)] * nc
+    if nc and draw(st.booleans()):
+        j = draw(st.integers(0, nc - 1))
+        for row in rows:
+            row[j] = Qi(0)
+    if nr >= 2 and draw(st.booleans()):
+        f = draw(_body_scalars)
+        rows[1] = [f * x for x in rows[0]]
+    bare = draw(st.booleans())
+    if not bare:
+        rows = [[SuperNumber.scalar(n, x) for x in row] for row in rows]
+    if n and nr and nc and draw(st.booleans()):
+        i, j = draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))
+        rows[i][j] = SuperNumber.coerce(n, rows[i][j]) \
+            + SuperNumber.gen(n, 1) * (SuperNumber.gen(n, n) if n > 1 else 1)
+    return n, (n if bare else None), rows
+
+
+def _free_columns_by_prefix_rank(bodies, nc):
+    """The columns that do not raise the field rank of the columns before
+    them: the free columns of the reduced echelon form."""
+    cols = [[row[j] for row in bodies] for j in range(nc)]
+    free, rank = [], 0
+    for j in range(nc):
+        r = field_rank(list(zip(*cols[:j + 1]))) if bodies else 0
+        if r == rank:
+            free.append(j)
+        rank = r
+    return free
+
+
+@given(body_only_matrices())
+@example(case=(0, None, []))
+@example(case=(2, 2, [[0, 0], [0, 0]]))
+@example(case=(0, None, [[SuperNumber.scalar(0, Qi(1, 1)),
+                          SuperNumber.scalar(0, Qi(0, 1))]]))
+@example(case=(3, 3, [[T_PARAM, 1], [T_PARAM * T_PARAM, T_PARAM]]))
+@example(case=(2, None, [[SuperNumber.gen(2, 1), SuperNumber.zero(2)],
+                         [SuperNumber.zero(2), SuperNumber.one(2)]]))
+@settings(max_examples=300, deadline=None)
+def test_module_rank_report_scalar_route_matches_reference(case):
+    n, n_gen, rows = case
+    got = module_rank_report(rows, n_gen)
+    lifted = [[SuperNumber.coerce(n, x) for x in row] for row in rows]
+    want = reference_module_rank_report(lifted, n)
+    assert (got.rows, got.cols, got.rank, got.kernel_rank, got.coker_rank,
+            got.degenerate, len(got.kernel_basis)) \
+        == (want.rows, want.cols, want.rank, want.kernel_rank,
+            want.coker_rank, want.degenerate, len(want.kernel_basis))
+    body_only = all(x.soul().is_zero() for row in lifted for x in row)
+    if not body_only:
+        return
+    assert not got.degenerate
+    # the basis of the reduced form is unique: one vector per free column,
+    # 1 there and 0 at the other free columns, in the kernel
+    free = _free_columns_by_prefix_rank(
+        [[x.body() for x in row] for row in lifted], got.cols)
+    assert len(free) == len(got.kernel_basis)
+    for j, v in zip(free, got.kernel_basis):
+        assert all(x.n == n and x.soul().is_zero() for x in v)
+        assert [v[k] for k in free] == [SuperNumber.scalar(n, int(k == j))
+                                        for k in free]
+        assert all(x.is_zero() for x in mat_vec(lifted, v))
+
+
+def test_module_rank_report_route_by_souls(monkeypatch):
+    import sgk.linalg as linalg
+
+    seen = []
+
+    def spy(m, ncols):
+        seen.append({type(x) for row in m for x in row})
+        return _gauss_jordan(m, ncols)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    one, g = SuperNumber.one(2), SuperNumber.gen(2, 1)
+    rep = module_rank_report([[one, 2 * one], [Qi(0, 1), T_PARAM]])
+    assert seen.pop() <= {Qi, type(T_PARAM)} and rep.rank == 2
+    # a soul, even as the only term of an entry, keeps the Grassmann route
+    rep = module_rank_report([[one, 2 * one], [g, 2 * g]])
+    assert seen.pop() == {SuperNumber} and rep.rank == 1
+    assert rep.kernel_basis == [[-2 * one, one]]
+    rep = module_rank_report([[one, g], [g, one + g * SuperNumber.gen(2, 2)]])
+    assert seen.pop() == {SuperNumber} and rep.rank == 2
+
+
 def test_mat_helpers():
     n = 1
     one = SuperNumber.one(n)
