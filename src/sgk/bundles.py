@@ -54,9 +54,6 @@ class Section:
             return self.frame1.eval(cp.p)
         return self.frame2().eval(cp.p)
 
-    def is_zero(self):
-        return self.frame1.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, Section):
             return NotImplemented

@@ -636,11 +636,7 @@ class SuperNumber:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation names
-
-
-def mul(x: SuperNumber, y: SuperNumber) -> SuperNumber:
-    return x * y
+# The sum-of-products kernel
 
 
 def dot(n, xs, ys) -> SuperNumber:
@@ -688,25 +684,8 @@ def dot(n, xs, ys) -> SuperNumber:
     return _normal(n, d, out)
 
 
-def invert(x: SuperNumber) -> SuperNumber:
-    return x.invert()
-
-
-def parity_split(x: SuperNumber):
-    return x.parity_split()
-
-
-def reduce(x: SuperNumber):
-    """The body of x: its image under the projection killing all generators."""
-    return x.body()
-
-
-def embed(x: SuperNumber, m: int) -> SuperNumber:
-    return x.embed(m)
-
-
 # ---------------------------------------------------------------------------
-# Randomized element generators (used by tests and the CLI check suite)
+# Randomized element generators (used by tests and the paper suite)
 
 
 def random_qi(rng, nonzero=False):

@@ -187,12 +187,6 @@ class SuperPoly:
     def body_poly(self) -> ScalarPoly:
         return ScalarPoly([c.body() for c in self.coeffs])
 
-    def even_part(self):
-        return SuperPoly(self.n, [c.even_part() for c in self.coeffs])
-
-    def odd_part(self):
-        return SuperPoly(self.n, [c.odd_part() for c in self.coeffs])
-
     def map_coeffs(self, f):
         return SuperPoly(self.n, [f(c) for c in self.coeffs])
 

@@ -153,13 +153,6 @@ class SCMatrix:
         return ((m.a * scale, m.b * scale, m.c * scale, m.d * scale),
                 (m.alpha, m.beta))
 
-    def embed(self, new_n):
-        return SCMatrix(new_n, *[x.embed(new_n) for x in
-                                 (self.a, self.b, self.c, self.d, self.e,
-                                  self.alpha, self.beta, self.gamma,
-                                  self.delta)],
-                        validate=False)
-
     def is_reduced(self):
         """True when all four odd entries vanish (an even Moebius lift)."""
         return (self.alpha.is_zero() and self.beta.is_zero()

@@ -70,9 +70,6 @@ class ProjPoint:
         inv = self.Z1.invert()
         return ChartPoint._of(self.n, 2, -(self.Z2 * inv), self.Theta * inv)
 
-    def embed(self, m):
-        return ProjPoint(m, self.Z1.embed(m), self.Z2.embed(m), self.Theta.embed(m))
-
     def __eq__(self, other):
         if not isinstance(other, (ProjPoint, ChartPoint)):
             return NotImplemented
@@ -113,9 +110,6 @@ class ChartPoint:
         if self.chart == 1:
             return ProjPoint._of(self.n, self.p, one, self.pi)
         return ProjPoint._of(self.n, one, -self.p, self.pi)
-
-    def embed(self, m):
-        return ChartPoint(m, self.chart, self.p.embed(m), self.pi.embed(m))
 
     def __eq__(self, other):
         if not isinstance(other, (ProjPoint, ChartPoint)):

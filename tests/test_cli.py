@@ -17,7 +17,8 @@ from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
                      CLIError, Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
-from sgk.grassmann import Qi, RatT, SuperNumber, T_PARAM
+from sgk.grassmann import GrassmannError, Qi, RatT, SuperNumber, T_PARAM
+from sgk.paper import CheckFailure
 
 # literals that must survive parse -> format -> parse unchanged
 CORPUS = [
@@ -730,7 +731,13 @@ def test_hostile_input_is_reported_with_a_position(script, outcome, capsys,
     assert "Traceback" not in captured.err
     if outcome.startswith("syntax error: "):
         assert captured.err == outcome + "\n"
-        assert captured.out == ""
+        # the refused script's report holds the one error record
+        message = outcome[len("syntax error: "):]
+        payload = json.loads(captured.out)
+        assert payload["ok"] is False and len(payload["checks"]) == 1
+        rec = payload["checks"][0]
+        assert (rec["id"], rec["anchor"], rec["status"], rec["residual"]) \
+            == ("syntax", "line-1", "error", message)
     else:
         errors = [c for c in json.loads(captured.out)["checks"]
                   if c["status"] == "error"]
@@ -786,6 +793,24 @@ assert_error(inv(g1))
     assert by_id["assert-3"]["residual"] == "-1"
     assert by_id["assert-4"]["status"] == "pass"  # the error was expected
     assert all(r["anchor"].startswith("line-") for r in records)
+
+
+# (assertion, status, residual) of its one record
+ASSERT_OUTCOMES = [
+    ("assert_eq(true, true)", "pass", None),
+    ("assert_eq(true, false)", "fail", "true vs false"),
+    ("assert_eq(1, true)", "fail", "type mismatch: number vs boolean"),
+    ("assert_eq([1, 2], [1, 2, 3])", "fail", "length 2 vs 3"),
+    ("assert_eq([1, [2, g1]], [1, [2, 3]])", "fail", "-3 + g1"),
+    ("assert_error(1 + 1)", "fail", "no error raised"),
+]
+
+
+@pytest.mark.parametrize("text, status, residual", ASSERT_OUTCOMES)
+def test_assertion_records(text, status, residual):
+    records = ScriptRunner(n=3).run(parse_text(text))
+    assert [(r["status"], r["residual"]) for r in records] \
+        == [(status, residual)]
 
 
 def test_let_binding_and_echo(capsys):
@@ -856,6 +881,26 @@ def test_run_reports_syntax_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("syntax error: line 1:")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_run_json_reports_a_refused_script(tmp_path, capsys):
+    k = MAX_STATEMENTS
+    script = tmp_path / "refused.sgk"
+    for text, line, message in (
+            ("let a = (1", 1, "line 1:11: expected ')', got 'eof'"),
+            ("1\n" * (k + 1), k + 1, "line %d:1: script exceeds the limit "
+             "of %d statements" % (k + 1, k))):
+        script.write_text(text)
+        assert main(["run", str(script), "--format", "json",
+                     "--generators", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "syntax error: %s\n" % message
+        payload = json.loads(captured.out)
+        for rec in payload["checks"]:
+            del rec["millis"]
+        assert payload == {"ok": False, "generators": 2, "checks": [
+            {"id": "syntax", "anchor": "line-%d" % line, "status": "error",
+             "residual": message}]}
 
 
 def test_run_missing_file(capsys):
@@ -1019,3 +1064,31 @@ def test_verify_paper_reseeding_still_passes():
     for seed in (1, 2):
         records = verify_paper(select=["sp21-closure"], seed=seed)
         assert all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("exc, status", [
+    (CheckFailure("residual 7"), "fail"),
+    (GrassmannError("not invertible: body is zero"), "error")])
+def test_verify_paper_records_fail_and_error(capsys, exc, status):
+    import sgk.cli as cli
+    import sgk.paper as paper
+
+    # cli.SUITE is the list the tracer wraps in place
+    assert cli.SUITE is paper.SUITE
+
+    def check(rng):
+        raise exc
+
+    entry = cli.SUITE[1]
+    cid, anchor, _ = entry
+    cli.SUITE[1] = (cid, anchor, check)
+    try:
+        assert main(["verify-paper", "--select", cid + ",sp21-closure",
+                     "--format", "json"]) == 1
+    finally:
+        cli.SUITE[1] = entry
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert [(r["id"], r["status"], r["residual"])
+            for r in payload["checks"]] == [
+        ("sp21-closure", "pass", None), (cid, status, str(exc))]
