@@ -43,6 +43,7 @@ the Grassmann linear solver are built on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -700,15 +701,26 @@ def random_qi(rng, nonzero=False):
             return x
 
 
-def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):
-    """A random element, optionally of pure parity or with invertible body."""
+@functools.cache
+def _draw_subsets(n, parity):
+    """The index tuples random_supernumber draws from: the empty tuple
+    unless the parity is odd, then the subsets of 1..n by size, in
+    lexicographic order within a size, keeping the sizes of that parity."""
     subsets = [()] if parity in (0, None) else []
-    pool = list(range(1, n + 1))
     for size in range(1, n + 1):
-        if parity is not None and size % 2 != parity:
-            continue
-        for combo in itertools.combinations(pool, size):
-            subsets.append(combo)
+        if parity is None or size % 2 == parity:
+            subsets.extend(itertools.combinations(range(1, n + 1), size))
+    return tuple(subsets)
+
+
+def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):
+    """A random element, optionally of pure parity or with invertible body.
+
+    Each of 1..max_terms draws picks a monomial of the wanted parity and a
+    random_qi coefficient, so a value asked for with a parity has it when
+    built; an odd value then drops the body that invertible adds.
+    """
+    subsets = _draw_subsets(n, parity)
     terms = {}
     count = rng.randint(1, max_terms)
     for _ in range(count):
@@ -720,8 +732,6 @@ def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):
     if invertible:
         b = Qi(rng.choice((1, 2, -1, 3)), 0)
         x = x.soul() + SuperNumber.scalar(n, b)
-    if parity == 0:
-        x = x.even_part()
-    elif parity == 1:
-        x = x.odd_part()
+        if parity == 1:
+            x = x.odd_part()
     return x

@@ -28,6 +28,7 @@ from .grassmann import (
     SuperNumber,
     dot,
     random_qi,
+    random_supernumber,
     scalar_lex_positive,
 )
 from .scalars import _new
@@ -428,16 +429,36 @@ def random_sl2_qi(rng):
 
 
 def random_sc_matrix(rng, n, with_odd=True):
-    """A random group element, exercising both factors and both signs."""
-    a, b, c, d = random_sl2_qi(rng)
-    m = lift_sl2(n, a, b, c, d)
+    """A random group element, exercising both factors and both signs.
+
+    The element is lift(a, b, c, d) . susy(alpha, beta), times the
+    reflection with probability 1/2, negated with probability 1/4; the odd
+    factor is the identity when with_odd is false or n = 0.  Its entries are
+    written out instead of multiplied.  With D = 1 + alpha beta / 2 and
+    E = 1 - alpha beta, the rows of lift . susy are
+
+        [ a D    c D    c alpha - a beta ]
+        [ b D    d D    d alpha - b beta ]
+        [ alpha  beta   E                ]
+
+    The reflection diag(-1, -1, 1) on the right negates the first two
+    columns, which is the same product with a, b, c, d, alpha and beta
+    negated, since D, E and the odd column are unchanged by that flip; -M
+    negates every entry.  The rng is read in a fixed order: the quadruple,
+    alpha, beta, the reflection draw, then the sign draw.
+    """
+    a, b, c, d = (SuperNumber.scalar(n, v) for v in random_sl2_qi(rng))
+    one = SuperNumber.one(n)
+    alpha = beta = SuperNumber.zero(n)
     if with_odd and n >= 1:
-        from .grassmann import random_supernumber
         alpha = random_supernumber(rng, n, parity=1, max_terms=2)
         beta = random_supernumber(rng, n, parity=1, max_terms=2)
-        m = m.mul(susy(n, alpha, beta))
+    ab = alpha * beta
+    scale = one + ab / 2
     if rng.random() < 0.5:
-        m = m.mul(reflection(n))
+        a, b, c, d, alpha, beta = -a, -b, -c, -d, -alpha, -beta
+    m = SCMatrix._of(n, a * scale, b * scale, c * scale, d * scale, one - ab,
+                     alpha, beta, c * alpha - a * beta, d * alpha - b * beta)
     if rng.random() < 0.25:
         m = m.neg()
     return m

@@ -296,9 +296,28 @@ def act_tree_config(m, cfg: TreeConfig) -> TreeConfig:
 def random_glue_pair(rng, n=1, attempts=400):
     """Two random single-vertex configurations whose last marks match.
 
-    The second curve is shifted by a multiple of its denominator so that it
-    sends its last mark to the same target the first curve hits; draws whose
-    odd mismatch cannot be absorbed that way are discarded and retried.
+    Each draw takes curves c1, c2 of degrees d1, d2 uniform in 0..2 and
+    last marks p1, p2, and then shifts c2 by a multiple of its denominator
+    so that it sends p2 where c1 sends p1.  Write w for the target of p1
+    under c1 and v for that of p2 under c2.  A draw with either target at
+    infinity (w.V or v.V not invertible, which for v means that Q(p2) is
+    not) is discarded and redrawn; no other draw is.  Otherwise
+    g = w.U/w.V - v.U/v.V is even, and c2 is replaced by the curve with
+    numerator P + g Q, the same Q and the same r:
+
+    * it sends p2 to w.  In chart 1 the image of p is
+      [P(p) Q(p) + pi r(p) : Q(p)^2], of value P(p)/Q(p) + pi r(p)/Q(p)^2;
+      the shift adds g Q(p)/Q(p) = g to it, so the value becomes w.U/w.V,
+      and two targets with invertible V are equal when their values are.
+      The even nilpotent pi r(p)/Q(p)^2, which vanishes at n = 1, is part
+      of v, so g absorbs it at every n.
+    * its bodies stay coprime: gcd(P0 + g0 Q0, Q0) = gcd(P0, Q0) = 1 for
+      the bodies P0, Q0, g0, since a common factor of any two of P0 + g0 Q0,
+      P0 and Q0 divides the third.  So P0 + g0 Q0 is zero only when Q0 is a
+      unit and d2 = 0, where a zero body numerator is allowed.
+    * its degree stays <= d2, and max(deg P0 + g0 Q0, deg Q0) = d2: either
+      deg Q0 = d2, or deg P0 = d2 > deg Q0 and adding g0 Q0 keeps the top
+      term.
     """
     for _ in range(attempts):
         d1, d2 = rng.randint(0, 2), rng.randint(0, 2)
@@ -309,18 +328,11 @@ def random_glue_pair(rng, n=1, attempts=400):
         p2 = ChartPoint(n, 1, random_qi(rng),
                         random_supernumber(rng, n, parity=1))
         w = eval_curve_at_superpoint(c1, p1)
-        q2v = c2.Q.eval(p2.p)
-        if not q2v.is_invertible() or not w.V.is_invertible():
+        v = eval_curve_at_superpoint(c2, p2)
+        if not (w.V.is_invertible() and v.V.is_invertible()):
             continue
-        wa = w.U * w.V.invert()
-        cur_val = c2.P.eval(p2.p) * q2v.invert()
-        gap = (wa - cur_val).even_part()
-        try:
-            c2b = SuperCurve(n, d2, c2.P + SuperPoly(n, [gap]), c2.Q, c2.r)
-        except GrassmannError:
-            continue
-        if eval_curve_at_superpoint(c2b, p2) != w:
-            continue
+        gap = w.U * w.V.invert() - v.U * v.V.invert()
+        c2b = SuperCurve(n, d2, c2.P + SuperPoly(n, [gap]) * c2.Q, c2.Q, c2.r)
         cfg1 = single_vertex_config(
             [ChartPoint(n, 1, p1.p + 1, 0), ChartPoint(n, 1, p1.p + 2, 0),
              p1], c1)

@@ -24,6 +24,12 @@ the trusted constructor; reference_invert, the terminating geometric series
 on those products; and fraction_random_qi, random_qi as it was drawn through
 two Fractions.
 
+product_random_supernumber and product_random_sc_matrix are the two
+generators as they were before they were built by construction: the draw
+subsets rebuilt and the parity part taken on every call, and the group
+element formed by SCMatrix products of the lift, the shear, the reflection
+and the sign.
+
 reference_module_rank_report is the rank report as it was computed before
 module_rank_report became a reading of the one Gauss-Jordan loop: a full
 pivot search on body units with row and column operations, and a tracker of
@@ -53,15 +59,17 @@ reference_ratt_str and reference_bits print and size its result as RatT and
 cli did.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from sgk.bundles import susy1_matrix as bundles_susy1_matrix
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
 from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, SuperNumber, as_scalar,
-                           scalar_is_zero)
+                           random_qi, scalar_is_zero)
 from sgk.linalg import ModuleRankReport, mat_mul
 from sgk.polyrat import SuperPoly
+from sgk.scgroup import lift_sl2, random_sl2_qi, reflection, susy
 from sgk.superspace import as_proj, preferred_chart
 
 
@@ -430,6 +438,51 @@ def fraction_random_qi(rng, nonzero=False):
         q = Qi(re, im)
         if not nonzero or not q.is_zero():
             return q
+
+
+def product_random_supernumber(rng, n, parity=None, max_terms=3,
+                               invertible=False):
+    """random_supernumber as it was drawn before its subset tables: the
+    subsets rebuilt on every call and the parity part always taken."""
+    subsets = [()] if parity in (0, None) else []
+    pool = list(range(1, n + 1))
+    for size in range(1, n + 1):
+        if parity is not None and size % 2 != parity:
+            continue
+        for combo in itertools.combinations(pool, size):
+            subsets.append(combo)
+    terms = {}
+    count = rng.randint(1, max_terms)
+    for _ in range(count):
+        if not subsets:
+            break
+        key = rng.choice(subsets)
+        terms[key] = random_qi(rng)
+    x = SuperNumber(n, terms)
+    if invertible:
+        b = Qi(rng.choice((1, 2, -1, 3)), 0)
+        x = x.soul() + SuperNumber.scalar(n, b)
+    if parity == 0:
+        x = x.even_part()
+    elif parity == 1:
+        x = x.odd_part()
+    return x
+
+
+def product_random_sc_matrix(rng, n, with_odd=True):
+    """random_sc_matrix as it was built before its closed form: the lift
+    times the shear, times the reflection, negated, each by SCMatrix.mul."""
+    a, b, c, d = random_sl2_qi(rng)
+    m = lift_sl2(n, a, b, c, d)
+    if with_odd and n >= 1:
+        alpha = product_random_supernumber(rng, n, parity=1, max_terms=2)
+        beta = product_random_supernumber(rng, n, parity=1, max_terms=2)
+        m = m.mul(susy(n, alpha, beta))
+    if rng.random() < 0.5:
+        m = m.mul(reflection(n))
+    if rng.random() < 0.25:
+        m = m.neg()
+    return m
 
 
 def reference_module_rank_report(rows, n_gen=None) -> ModuleRankReport:

@@ -19,7 +19,8 @@ from sgk.cli import RatFunc, _size
 from sgk.polyrat import SuperPoly, coprime_bodies
 
 from _oracles import (FractionQi, ReferencePoly, _merge_indices,
-                      fraction_random_qi, reference_bits, reference_dot,
+                      fraction_random_qi, product_random_supernumber,
+                      reference_bits, reference_dot,
                       reference_invert, reference_make_rat, reference_product,
                       reference_ratt_str)
 
@@ -851,3 +852,19 @@ def test_random_qi_draws_match_the_two_fraction_construction():
             assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
         # the same calls on the generator, so every later draw matches too
         assert rng.getstate() == ref.getstate()
+
+
+def test_random_supernumber_draws_match_the_rebuilding_generator():
+    for seed in (0, 407):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(9):
+            for parity in (None, 0, 1):
+                for invertible in (False, True):
+                    for max_terms in (1, 3, 6):
+                        got = random_supernumber(rng, n, parity, max_terms,
+                                                 invertible)
+                        want = product_random_supernumber(
+                            ref, n, parity, max_terms, invertible)
+                        assert list(got.terms.items()) == \
+                            list(want.terms.items())
+                        assert rng.getstate() == ref.getstate()

@@ -17,6 +17,8 @@ from sgk.superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
                             point_infty, point_one, point_zero,
                             preferred_chart, torus_param)
 
+from _oracles import product_random_sc_matrix
+
 
 def _gens(n, *idx):
     return tuple(SuperNumber.gen(n, i) for i in idx)
@@ -336,3 +338,17 @@ def test_random_sl2_det_one():
     for _ in range(50):
         a, b, c, d = random_sl2_qi(rng)
         assert a * d - b * c == Qi(1)
+
+
+def test_random_sc_matrix_matches_the_product_route():
+    # same entries and the same generator state after every draw, so every
+    # caller sees the elements the product route gave it
+    for seed in (0, 409):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(9):
+            for with_odd in (True, False):
+                for _ in range(8):
+                    got = random_sc_matrix(rng, n, with_odd)
+                    want = product_random_sc_matrix(ref, n, with_odd)
+                    assert got == want and str(got) == str(want)
+                    assert rng.getstate() == ref.getstate()

@@ -1,12 +1,15 @@
 """Stable marked trees, their decorated configurations, and the gluing and
 forgetful operations."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
-from sgk.curves import SuperCurve, eval_curve_at_superpoint
-from sgk.grassmann import GrassmannError, Qi, SuperNumber
+from sgk.curves import SuperCurve, eval_curve_at_superpoint, random_curve
+from sgk.grassmann import (GrassmannError, Qi, SuperNumber, random_qi,
+                           random_supernumber)
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import act_point, lift_sl2, random_sc_matrix
 from sgk.superspace import ChartPoint
@@ -166,6 +169,79 @@ def test_glue_shapes_and_validity():
     v2 = c2.tree.marking[-1] + c1.tree.nv
     assert glued.nodal[(v1, v2)] == c1.marked[-1]
     assert glued.nodal[(v2, v1)] == c2.marked[-1]
+
+
+GLUE_SEEDS = range(1, 41)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_glue_pairs_are_valid(n):
+    # eight pairs per seed; at n = 3 a sampler that rejects nilpotent node
+    # mismatches runs out of attempts at seeds 18 and 40
+    for seed in GLUE_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(8):
+            c1, c2 = random_glue_pair(rng, n)
+            assert validate(c1).ok and validate(c2).ok
+            assert validate(glue(c1, c2)).ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_glue_pair_rejects_only_points_at_infinity(n):
+    # one attempt per call replays the sampler draw by draw; each draw is
+    # made again from the saved state as random_glue_pair makes it
+    rejected = 0
+    for seed in GLUE_SEEDS:
+        rng, ref = random.Random(seed), random.Random()
+        for _ in range(12):
+            ref.setstate(rng.getstate())
+            try:
+                got = random_glue_pair(rng, n, attempts=1)
+            except GrassmannError:
+                got = None
+            d1, d2 = ref.randint(0, 2), ref.randint(0, 2)
+            c1, c2 = random_curve(ref, n, d1), random_curve(ref, n, d2)
+            p1, p2 = (ChartPoint(n, 1, random_qi(ref),
+                                 random_supernumber(ref, n, parity=1))
+                      for _ in range(2))
+            assert rng.getstate() == ref.getstate()
+            finite = c1.Q.eval(p1.p).is_invertible() and \
+                c2.Q.eval(p2.p).is_invertible()
+            assert (got is not None) == finite
+            if got is None:
+                rejected += 1
+                continue
+            cfg1, cfg2 = got
+            c2b = cfg2.curves[0]
+            assert cfg1.curves[0] == c1 and cfg1.marked[-1] == p1
+            assert cfg2.marked[-1] == p2 and c2b.d == d2
+            assert c2b.Q == c2.Q and c2b.r == c2.r
+            assert eval_curve_at_superpoint(c2b, p2) == \
+                eval_curve_at_superpoint(c1, p1)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_glue_pair_degrees_are_near_uniform(n):
+    # (d1, d2) is drawn uniform on {0, 1, 2}^2 and only draws with a target
+    # at infinity are redrawn, so each of the 9 cells is close to
+    # Binomial(N, 1/9), sigma = sqrt(N (1/9) (8/9)) = 5.6 at N = 320.  A
+    # cell beyond 4 sigma has two-sided probability 6e-5 under the normal
+    # approximation, so some cell of 9 exceeds it with probability below
+    # 6e-4.  A sampler that shifts by the constant g gives d2 = 0 in 250 of
+    # 320 pairs at n = 1, and one whose g misses the nilpotent
+    # pi r(p2)/Q(p2)^2 gives it in 267 of 320 at n = 2.
+    cells = Counter()
+    for seed in GLUE_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(8):
+            c1, c2 = random_glue_pair(rng, n)
+            cells[c1.curves[0].d, c2.curves[0].d] += 1
+    total = sum(cells.values())
+    sigma = math.sqrt(total * (1 / 9) * (8 / 9))
+    for d1 in range(3):
+        for d2 in range(3):
+            assert abs(cells[d1, d2] - total / 9) <= 4 * sigma, cells
 
 
 def test_glue_requires_matching_targets():
