@@ -58,7 +58,8 @@ result would be larger, as estimated from the operands, is an error at that
 operator or call before it runs.  The degree d of a `curve` and k of a `sec`
 is at most MAX_DEGREE; a larger one is an error at the literal's head,
 raised before any of its fields is evaluated.  The degree in t of scalars
-is at most MAX_T_DEGREE, estimated and refused like their size.  A script
+is at most MAX_T_DEGREE, and the degree in z of rational expressions at
+most MAX_Z_DEGREE, both estimated and refused like their size.  A script
 holds at most MAX_SCRIPT_BYTES bytes of UTF-8, checked before it is
 tokenized, and at most MAX_STATEMENTS statements; a longer one is a syntax
 error at the first character or statement past the limit, and nothing of it
@@ -220,15 +221,21 @@ MAX_SCALAR_BITS = 8192
 _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 
 # Largest degree d of a `curve` literal and k of a `sec` literal.  The cost
-# of acting on a curve grows steeply with its degree: a general group
-# element acts through an odd shear, whose gauge pair inverts a 2d x 2d
-# matrix over Z[i], and at n = 8 that act takes about 0.1 s at d = 16 and
-# 1.8 s at d = 32 on a 2-vCPU Xeon (an even lift alone takes 0.3 s at
-# d = 80).  The bound stays at 16 because a curve whose bodies share a
-# factor is refused by exact Euclid over Q(i)(t): with the coefficient
-# arithmetic on integers that takes 0.035 s at d = 8, 0.075 s at d = 10 and
-# 1.1 s at d = 16 (1.6 s at d = 8 and 15 s at d = 10 on Q(i) coefficients).
+# of acting on a curve grows with its degree: a general group element acts
+# through an odd shear, whose gauge pair is one Bezout cofactor and a few
+# polynomial divisions, and at n = 8 that act takes about 0.01 s at d = 16,
+# 0.06 s at d = 32 and 0.2 s at d = 40 on a 2-vCPU Xeon (an even lift alone
+# takes 0.08 s at d = 80).  The bound stays at 16 because a curve whose
+# bodies share a factor is refused by exact Euclid over Q(i)(t), and with
+# the coefficient arithmetic on integers that takes 0.02 s at d = 8, 0.05 s
+# at d = 10 and 1.0 s at d = 16.
 MAX_DEGREE = 16
+
+# Largest degree in z of a rational expression in a curve literal, estimated
+# from the operands as the degree in t is (see _z_degree).  The printed form
+# psi = (r) / (Q^2) of a degree-d curve reaches the estimate 4d - 1 at its
+# "/" and in the sum that spells out Q^2, so every curve of MAX_DEGREE fits.
+MAX_Z_DEGREE = 4 * MAX_DEGREE
 
 # Largest degree in t of the scalars a script may build, estimated from the
 # operands before an operation runs, as their size is (see _size).  The
@@ -609,13 +616,23 @@ def _inverse_size(v):
     return bits, degree
 
 
-def _check_size(bits, degree, line, col):
+def _z_degree(v):
+    """The larger degree in z of a rational expression's numerator and
+    denominator, 0 for other values; it adds under + - * / and multiplies
+    by |k| under ^, as the degree in t does."""
+    return max(v.num.degree(), v.den.degree()) if isinstance(v, RatFunc) else 0
+
+
+def _check_size(bits, degree, line, col, z_degree=0):
     if bits > MAX_SCALAR_BITS:
         raise CLIError("result would exceed the scalar size limit of %d bits"
                        % MAX_SCALAR_BITS, line, col)
     if degree > MAX_T_DEGREE:
         raise CLIError("result would exceed the degree limit of %d in t"
                        % MAX_T_DEGREE, line, col)
+    if z_degree > MAX_Z_DEGREE:
+        raise CLIError("result would exceed the degree limit of %d in z"
+                       % MAX_Z_DEGREE, line, col)
 
 
 def _typename(v):
@@ -739,7 +756,8 @@ class Evaluator:
                 b = self.eval(rhs, local)
                 sa = _size(a)
                 sb = _inverse_size(b) if op == "/" else _size(b)
-                _check_size(sa[0] + sb[0], sa[1] + sb[1], line, col)
+                _check_size(sa[0] + sb[0], sa[1] + sb[1], line, col,
+                            _z_degree(a) + _z_degree(b))
                 return self._arith(op, a, b, line, col)
             if kind == "pow":
                 _, base, expo, line, col = node
@@ -749,7 +767,8 @@ class Evaluator:
                     raise CLIError("exponent exceeds the limit of %d in "
                                    "absolute value" % MAX_EXPONENT, line, col)
                 bits, degree = _inverse_size(v) if k < 0 else _size(v)
-                _check_size(abs(k) * bits, abs(k) * degree, line, col)
+                _check_size(abs(k) * bits, abs(k) * degree, line, col,
+                            abs(k) * _z_degree(v))
                 if isinstance(v, RatFunc):
                     return v.pow(k)
                 if isinstance(v, SuperNumber):

@@ -18,6 +18,8 @@ with h = beta z - alpha: writing r = X1 Q - Y1 P for the (unique, odd)
 gauge pair of degree < d turns the shifted curve back into the standard
 shape with numerator P + h X1, denominator Q + h Y1, and odd numerator
 h W + (1 - alpha beta / 2) r - 2 h X1 Y1, W the Wronskian of (P, Q).
+The gauge pair is solved as a polynomial Bezout equation through one
+cofactor of the bodies, polyrat.inverse_mod (see _gauge_pair).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from fractions import Fraction
 
 from .bundles import chart_row, deformation_rows, wronskian, wronskian_of
 from .grassmann import GrassmannError, Qi, SuperNumber, random_qi
-from .linalg import field_rank, module_rank_report, solve_body_invertible
-from .polyrat import SuperPoly, chart2_poly, coprime_bodies, homog_subst
+from .linalg import field_rank, module_rank_report
+from .polyrat import (SuperPoly, chart2_poly, coprime_bodies, homog_subst,
+                      inverse_mod)
 from .scgroup import SCMatrix, act_point, reflection
 from .scgroup import slice_normalize_one_point as _slice_one
 from .scgroup import slice_normalize_two_points as _slice_two
@@ -250,22 +253,40 @@ def act_sl2_on_curve(g, cur: SuperCurve) -> SuperCurve:
 def _gauge_pair(cur: SuperCurve):
     """The odd pair (X1, Y1) of degree < d with X1 Q - Y1 P = r.
 
-    The coefficient matrix is the Sylvester-style pairing of (Q, -P); its
-    body is invertible precisely because the bodies are coprime with top
-    degree d, so the nilpotent solver applies.
+    With bodies P0, Q0 and souls Ps, Qs, the body equation X Q0 - Y P0 = R,
+    deg X, Y < d, is solved modulo F, the body of degree d (Q0 first): the
+    other body G has an inverse s mod F, the unknown on G is R s (or -R s)
+    mod F and the one on F an exact quotient by F.  The full solution is the
+    terminating series sum_k (-B^-1 N)^k B^-1 r, B^-1 that body solve and
+    N(X, Y) = Qs X - Ps Y nilpotent.  Bodies with a common factor, or with
+    no F, raise the singular-system error.
     """
     n, d = cur.n, cur.d
     if d == 0:
         return SuperPoly.zero(n), SuperPoly.zero(n)
-    rows = []
-    rhs = []
-    for m in range(2 * d):
-        row = [cur.Q.coeff(m - j) for j in range(d)]
-        row += [-cur.P.coeff(m - j) for j in range(d)]
-        rows.append(row)
-        rhs.append(cur.r.coeff(m))
-    sol = solve_body_invertible(rows, rhs)
-    return SuperPoly(n, sol[:d]), SuperPoly(n, sol[d:])
+    P0, Q0 = cur.P.body_poly(), cur.Q.body_poly()
+    q_is_f = Q0.degree() == d
+    F, G = (Q0, P0) if q_is_f else (P0, Q0)
+    s = inverse_mod(G, F) if F.degree() == d else None
+    if s is None:
+        raise GrassmannError("singular scalar system")
+    F, G, s = (SuperPoly(n, p.coeffs) for p in (F, G, s))
+
+    def body_solve(R):
+        if q_is_f:
+            Y = (-R * s).divmod(F)[1]
+            return (R + Y * G).divmod(F)[0], Y
+        X = (R * s).divmod(F)[1]
+        return X, (X * G - R).divmod(F)[0]
+
+    Ps, Qs = (p.map_coeffs(SuperNumber.soul) for p in (cur.P, cur.Q))
+    X, Y = tX, tY = body_solve(cur.r)
+    for _ in range(n):
+        if tX.is_zero() and tY.is_zero():
+            break
+        tX, tY = body_solve(Ps * tY - Qs * tX)
+        X, Y = X + tX, Y + tY
+    return X, Y
 
 
 def act_susy_on_curve(alpha, beta, cur: SuperCurve) -> SuperCurve:
@@ -462,7 +483,7 @@ def phi_deformation_dim(d: int) -> int:
 
 
 def random_curve(rng, n, d, reduced=False) -> SuperCurve:
-    from .grassmann import ScalarPoly, random_supernumber
+    from .grassmann import ScalarPoly, _draw_subsets, random_supernumber
 
     while True:
         bp = [random_qi(rng) for _ in range(d)] + [random_qi(rng, nonzero=True)]
@@ -476,8 +497,10 @@ def random_curve(rng, n, d, reduced=False) -> SuperCurve:
     r = SuperPoly.zero(n)
     if not reduced:
         if n >= 2:
-            soul = lambda: random_supernumber(rng, n, parity=0,
-                                              max_terms=2).soul()
+            # one or two terms on the nonempty even monomials
+            souls = _draw_subsets(n, 0)[1:]
+            soul = lambda: SuperNumber(n, {rng.choice(souls): random_qi(rng)
+                                           for _ in range(rng.randint(1, 2))})
             P = P + SuperPoly(n, [soul() for _ in range(d + 1)])
             Q = Q + SuperPoly(n, [soul() for _ in range(d + 1)])
         if d > 0 and n >= 1:

@@ -5,13 +5,9 @@ scalars, or SuperNumbers with a nonzero body) and multiplies from the left,
 so odd entries keep their signs.  The field routines and module_rank_report
 read their results off its reduced form; a Grassmann matrix whose leftover
 rows are nonzero (soul entries only) is reported as degenerate rather than
-silently mis-ranked.  The one exception is the inverse of a matrix whose
-entries are all Gaussian rationals: it clears each row's denominators and
-runs Bareiss's fraction-free Gauss-Jordan over the Gaussian integers, so no
-row operation pays a gcd and each entry of the result is made once.  The
-square Grassmann solver splits a matrix into body plus nilpotent soul and
-inverts through the terminating geometric series, which suffices because
-every square system this package meets has an invertible body.
+silently mis-ranked.  The square Grassmann solver splits a matrix into body
+plus nilpotent soul and inverts through the terminating geometric series,
+which needs an invertible body.
 
 module_rank_report takes a scalar route when no entry has a soul: such a
 matrix is a scalar matrix, and its module rank is its field rank.  The loop
@@ -23,19 +19,16 @@ anywhere keeps the Grassmann route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grassmann import (
     QI_ONE,
     QI_ZERO,
     GrassmannError,
-    Qi,
     SuperNumber,
     as_scalar,
     dot,
 )
-from .scalars import _canonical
 
 
 # ---------------------------------------------------------------------------
@@ -112,90 +105,14 @@ def field_solve(rows, rhs):
 
 
 def field_inverse(rows):
-    """Inverse of a square scalar matrix.
-
-    A matrix of Gaussian rationals is inverted over the Gaussian integers
-    (_zi_inverse); one with a RatT entry by eliminating [A | I] once.
-    """
+    """Inverse of a square scalar matrix, by eliminating [A | I] once."""
     n = _square_size(rows)
     m = [[as_scalar(c) for c in row] for row in rows]
-    if all(type(c) is Qi for row in m for c in row):
-        return _zi_inverse(m)
     for i, row in enumerate(m):
         row += [QI_ONE if i == j else QI_ZERO for j in range(n)]
     if len(_gauss_jordan(m, n)) < n:
         raise GrassmannError("singular scalar system")
     return [row[n:] for row in m]
-
-
-def _zi_inverse(m):
-    """Inverse of a square matrix of Qi, by fraction-free Gauss-Jordan
-    elimination over Z[i] (Bareiss, Math. Comp. 22, 1968).
-
-    Row i is multiplied by s_i, the lcm of its denominators, so that S A has
-    Gaussian-integer entries, kept as (re, im) lists.  Each step takes the
-    next pivot a and updates every other row to (a * row - f * pivot row)
-    / prev, f the row's entry in the pivot column and prev the previous
-    pivot; the division is exact because every entry is then a minor of
-    [S A | I].  The left block ends as det * I and the right one as
-    det * (S A)^-1, so entry (i, j) of A^-1 is X[i][j] * s_j / det.  Only
-    the columns right of the pivot are kept: row lists shrink by one per
-    step and end as the right block X.
-    """
-    n = len(m)
-    scales = []
-    rows = []
-    for i, row in enumerate(m):
-        # a list, not a generator: star-args from a generator make a tuple
-        # by resizing, outside the interpreter's tuple free list, and each
-        # one freed grows that list (up to 2000 tuples per size)
-        s = math.lcm(*[c.d for c in row])
-        unit = [0] * n
-        unit[i] = 1
-        scales.append(s)
-        rows.append(([c.a * (s // c.d) for c in row] + unit,
-                     [c.b * (s // c.d) for c in row] + [0] * n))
-    pr, pi = 1, 0
-    for k in range(n):
-        piv = next((r for r in range(k, n) if rows[r][0][0] or rows[r][1][0]),
-                   None)
-        if piv is None:
-            raise GrassmannError("singular scalar system")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        kre, kim = rows[k]
-        ar, ai = kre[0], kim[0]
-        kre, kim = kre[1:], kim[1:]
-        norm = pr * pr + pi * pi
-        for r in range(n):
-            if r == k:
-                rows[r] = kre, kim
-                continue
-            re, im = rows[r]
-            fr, fi = re[0], im[0]
-            re, im = re[1:], im[1:]
-            # a * x - f * y for x in this row and y in the pivot row
-            nre = [ar * xr - ai * xi - fr * yr + fi * yi
-                   for xr, xi, yr, yi in zip(re, im, kre, kim)]
-            nim = [ar * xi + ai * xr - fr * yi - fi * yr
-                   for xr, xi, yr, yi in zip(re, im, kre, kim)]
-            if pi:
-                # exact division by pr + pi*i: times its conjugate, over norm
-                nre, nim = ([(xr * pr + xi * pi) // norm
-                             for xr, xi in zip(nre, nim)],
-                            [(xi * pr - xr * pi) // norm
-                             for xr, xi in zip(nre, nim)])
-            elif pr != 1:
-                nre = [x // pr for x in nre]
-                nim = [x // pr for x in nim]
-            rows[r] = nre, nim
-        pr, pi = ar, ai
-    # X[i][j] * s_j / det, det = pr + pi*i: times the conjugate over the
-    # norm, as one canonical Qi per entry
-    norm = pr * pr + pi * pi
-    return [[_canonical((xr * pr + xi * pi) * s, (xi * pr - xr * pi) * s,
-                        norm)
-             for xr, xi, s in zip(re, im, scales)]
-            for re, im in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,25 @@ def coprime_bodies(p: ScalarPoly, q: ScalarPoly) -> bool:
     return p.gcd(q).degree() == 0
 
 
+def inverse_mod(a: ScalarPoly, f: ScalarPoly):
+    """The s with deg s < deg f and a * s = 1 mod f, for deg f > 0, or None
+    when a and f share a factor of positive degree.
+
+    Extended Euclid keeping only the cofactor of a: every remainder r_k of
+    f, a mod f, ... is s_k * a mod f, so the first constant one, c, gives
+    s = s_k / c, and a zero one means the gcd came before it.
+    """
+    r0, r1 = f, a.divmod(f)[1]
+    s0, s1 = ScalarPoly(), ScalarPoly((1,))
+    while r1.degree() > 0:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r1.is_zero():
+        return None
+    return s1 * (1 / r1.lead())
+
+
 def _fp_image(poly: ScalarPoly, prime, r, t0):
     """The coefficients of poly mapped to F_prime, leading coefficient
     first, or None when a denominator maps to zero.  An integer-form poly
@@ -276,26 +295,29 @@ class SuperPoly:
         return out
 
     def divmod(self, other):
-        """Long division; the divisor's leading coefficient must have a body."""
+        """Long division; the divisor's leading coefficient must have a body.
+
+        With a divisor b of degree m, q_k = (a_(k+m) - sum_(j>k) q_j
+        b_(k+m-j)) / b_m top down and r_i = a_i - sum_j q_j b_(i-j): one dot
+        per coefficient, the quotient on the left as in a = q * b + r.
+        """
         o = self._coerced(other)
         if o is None or o.is_zero():
             raise GrassmannError("polynomial division by zero")
         if not o.coeffs[-1].is_invertible():
             raise GrassmannError("division needs an invertible leading "
                                  "coefficient")
-        rem = list(self.coeffs)
-        shift = len(rem) - len(o.coeffs)
+        n, a, b = self.n, self.coeffs, o.coeffs
+        m, shift = len(b) - 1, len(a) - len(b)
         if shift < 0:
-            return SuperPoly(self.n), self
-        quo = [SuperNumber.zero(self.n)] * (shift + 1)
-        inv = o.coeffs[-1].invert()
+            return SuperPoly(n), self
+        inv = b[-1].invert()
+        quo = [None] * (shift + 1)
         for k in range(shift, -1, -1):
-            c = rem[k + o.degree()] * inv
-            quo[k] = c
-            if not c.is_zero():
-                for j, oc in enumerate(o.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return SuperPoly(self.n, quo), SuperPoly(self.n, rem)
+            top = a[k + m] - dot(n, quo[k + 1:k + m + 1], b[m - 1::-1])
+            quo[k] = top * inv
+        rem = [a[i] - dot(n, quo[:i + 1], b[i::-1]) for i in range(m)]
+        return SuperPoly._of(n, quo), SuperPoly._of(n, rem)
 
     def derivative(self):
         return SuperPoly(self.n, [self.coeffs[i] * Qi(i)

@@ -43,6 +43,11 @@ its curve, with the Wronskian as a SuperPoly product.
 reference_coprime_bodies is the coprimality test for curve bodies as it was
 before the modular certificate: exact Euclid over Q(i) or Q(i)(t).
 
+reference_gauge_pair is the odd gauge pair of a shear as it was solved
+before the Bezout cofactor: the 2d x 2d Sylvester-style system of
+X1 Q - Y1 P = r, one row per coefficient of z^m, m < 2d, solved by
+linalg.solve_body_invertible.
+
 reference_homog_subst is the homogeneous substitution as it was before
 Horner's rule: every power of num and den built in full and each term
 num^j * den^(total - j) * c_j formed as a product of two dense polynomials.
@@ -67,7 +72,7 @@ from sgk.bundles import susy1_matrix as bundles_susy1_matrix
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
 from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, SuperNumber, as_scalar,
                            random_qi, scalar_is_zero)
-from sgk.linalg import ModuleRankReport, mat_mul
+from sgk.linalg import ModuleRankReport, mat_mul, solve_body_invertible
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import lift_sl2, random_sl2_qi, reflection, susy
 from sgk.superspace import as_proj, preferred_chart
@@ -580,6 +585,19 @@ def reference_coprime_bodies(p, q) -> bool:
     if p.is_zero() or q.is_zero():
         return not (p.is_zero() and q.is_zero())
     return p.gcd(q).degree() == 0
+
+
+def reference_gauge_pair(cur):
+    """(X1, Y1) of degree < d with X1 Q - Y1 P = r, from the Sylvester rows."""
+    n, d = cur.n, cur.d
+    if d == 0:
+        return SuperPoly.zero(n), SuperPoly.zero(n)
+    rows = []
+    for m in range(2 * d):
+        rows.append([cur.Q.coeff(m - j) for j in range(d)]
+                    + [-cur.P.coeff(m - j) for j in range(d)])
+    sol = solve_body_invertible(rows, [cur.r.coeff(m) for m in range(2 * d)])
+    return SuperPoly(n, sol[:d]), SuperPoly(n, sol[d:])
 
 
 def reference_homog_subst(poly, num, den, total):

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,12 @@ import pytest
 from sgk.cli import (_FUNCTIONS, _LITERALS, _MAX_LITERAL_DIGITS,
                      MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, MAX_SCALAR_BITS,
                      MAX_SCRIPT_BYTES, MAX_STATEMENTS, MAX_T_DEGREE,
-                     CLIError, Evaluator,
+                     MAX_Z_DEGREE, CLIError, Evaluator,
                      RatFunc, ScriptRunner, format_value, main, parse_text,
                      tokenize, verify_paper)
 from sgk.grassmann import GrassmannError, Qi, RatT, SuperNumber, T_PARAM
 from sgk.paper import CheckFailure
+from sgk.polyrat import SuperPoly
 
 # literals that must survive parse -> format -> parse unchanged
 CORPUS = [
@@ -373,6 +375,69 @@ def test_degree_limit(tmp_path, capsys, monkeypatch):
     assert "line 2:9: curve degree %d exceeds the limit of %d" % (k + 1, k) \
         in captured.out + captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_z_degree_limit(tmp_path, capsys, monkeypatch):
+    limit = MAX_Z_DEGREE
+
+    def zpow(k):
+        return RatFunc(3, SuperPoly(3, [0] * k + [1]), SuperPoly(3, [1]))
+
+    def run(text, **values):
+        ev = Evaluator(3)
+        ev.vars.update(values)
+        return ev.eval(parse_text(text)[0][1])
+
+    # operands built outside the checks: x = z^40, so deg(x) + deg(b)
+    # reaches the limit exactly for b = z^(limit - 40) and passes it by one
+    # for b of one degree more; a power counts |k| * deg(base) in both signs
+    x, top, kp = zpow(40), limit - 40, limit // 4
+    b = zpow(top)
+    for text, want in (("x * b", x.mul(b)), ("x - b", x.sub(b)),
+                       ("x / b", x.div(b)), ("p^%d" % kp, zpow(4 * kp)),
+                       ("p^-%d" % kp, zpow(0).div(zpow(4 * kp)))):
+        assert str(run(text, x=x, b=b, p=zpow(4))) == str(want), text
+    b = zpow(top + 1)
+    over = [("x * b", 3), ("x + b", 3), ("x - b", 3), ("x / b", 3),
+            ("p^%d" % (kp + 1), 2), ("p^-%d" % (kp + 1), 2)]
+
+    # over the limit is refused at the operator before anything is computed
+    def no_work(*args):
+        raise AssertionError("an operation was computed")
+
+    for name in ("add", "sub", "mul", "div", "pow"):
+        monkeypatch.setattr(RatFunc, name, no_work)
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(SuperPoly, name, no_work)
+    for text, col in over:
+        with pytest.raises(CLIError, match="^line 1:%d: result would exceed "
+                           "the degree limit of %d in z$" % (col, limit)):
+            run(text, x=x, b=b, p=zpow(4))
+
+    # a power of z past the limit in a literal ends its script in one error
+    # record, at once; the product of six factors ran 4.9 s before it failed,
+    # and the power of a power ran past 30 s
+    message = "line 1:26: result would exceed the degree limit of %d in z" \
+        % limit
+    for phi in ("(z^1000 + 1)^1000", " * ".join(["(z^1000 + 1)"] * 6)):
+        script = tmp_path / "zdeg.sgk"
+        script.write_text("let c = curve(1; phi = %s / (1); psi = 0)\n" % phi)
+        t0 = time.perf_counter()
+        assert main(["run", "--format", "json", str(script)]) == 1
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        records = json.loads(captured.out)["checks"]
+        assert [(r["status"], r["residual"]) for r in records] \
+            == [("error", message)]
+        assert "Traceback" not in captured.out + captured.err
+    monkeypatch.undo()
+
+    # a literal whose psi reaches the limit at its "/" still builds
+    k, half = MAX_DEGREE, limit // 2
+    cur = _eval_one("curve(%d; phi = (z^%d + 2) / (z + 1); psi = (g1*z^%d) "
+                    "/ (z^%d))" % (k, k, half, half))
+    g1 = SuperNumber.gen(3, 1)
+    assert cur.d == k and cur.r == SuperPoly(3, [g1, g1 * 2, g1])
 
 
 def test_imaginary_literal():

@@ -4,10 +4,14 @@ odd-translation rank bookkeeping."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (action_matches_pointwise, action_matches_symbolic,
-                      reference_susy1_matrix, susy1_square)
-from sgk.curves import (MarkedConfig, P1Point, SuperCurve, act_config,
+                      reference_gauge_pair, reference_susy1_matrix,
+                      susy1_square)
+from sgk.curves import (MarkedConfig, P1Point, SuperCurve, _gauge_pair,
+                        act_config,
                         act_general, act_sl2_on_curve, act_susy_on_curve,
                         eval_curve_at_superpoint, orbit_normalize_points,
                         phi_deformation_dim, psi_space_dim, random_config,
@@ -151,6 +155,63 @@ def test_act_on_curves_composes_contravariantly():
         rhs = act_general(m1, act_general(m2, cur))
         alt = act_general(m2, act_general(m1, cur))
         assert lhs == rhs or lhs == alt
+
+
+def _example_curve(n, d, P, Q, r, validate=True):
+    """A curve from coefficient lists over n generators, g the generators
+    g[1] .. g[n] (g[0] unused), each list a function of g."""
+    g = (None,) + _gens(n, *range(1, n + 1))
+    return SuperCurve(n, d, P(g), Q(g), r(g), validate=validate)
+
+
+_t = T_PARAM
+
+
+@st.composite
+def _gauge_curves(draw):
+    n, d = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    return random_curve(random.Random(draw(st.integers(0, 2 ** 32))), n, d)
+
+
+@given(cur=_gauge_curves())
+# deg P0 < d, with a soul on P
+@example(cur=_example_curve(2, 2, lambda g: [1, 1 + g[1] * g[2]],
+                            lambda g: [3, 0, 1],
+                            lambda g: [g[1], g[2], 0, g[1]]))
+# deg Q0 < d, with a soul on Q
+@example(cur=_example_curve(3, 2, lambda g: [-2, 0, 1],
+                            lambda g: [1 + g[1] * g[2], 1],
+                            lambda g: [g[1], 0, g[3]]))
+# no soul on P or Q
+@example(cur=_example_curve(1, 3, lambda g: [0, Qi(0, 1), 0, 1],
+                            lambda g: [-1, 0, 2],
+                            lambda g: [g[1], g[1], 0, 0, 0, g[1]]))
+# souls on both P and Q; the series needs its third term at n = 6
+@example(cur=_example_curve(6, 2, lambda g: [g[3] * g[4], g[2] * g[3], 1],
+                            lambda g: [1, g[4] * g[5], 2 + g[5] * g[6]],
+                            lambda g: [g[1], g[6]]))
+# t in the bodies
+@example(cur=_example_curve(2, 2, lambda g: [_t, 0, 1],
+                            lambda g: [-1 + g[1] * g[2], _t],
+                            lambda g: [g[2], g[1]]))
+# unvalidated: bodies sharing z - 1, and bodies both below degree d
+@example(cur=_example_curve(2, 2, lambda g: [-2, 1, 1], lambda g: [-3, 3],
+                            lambda g: [g[1]], validate=False))
+@example(cur=_example_curve(2, 3, lambda g: [0, 0, 1], lambda g: [1, 1],
+                            lambda g: [g[1]], validate=False))
+@settings(max_examples=60, deadline=None)
+def test_gauge_pair_matches_sylvester_route(cur):
+    try:
+        want = reference_gauge_pair(cur)
+    except GrassmannError as exc:
+        assert str(exc) == "singular scalar system"
+        with pytest.raises(GrassmannError, match="^singular scalar system$"):
+            _gauge_pair(cur)
+        return
+    X, Y = _gauge_pair(cur)
+    assert (X, Y) == want
+    assert X * cur.Q - Y * cur.P == cur.r
+    assert X.degree() < cur.d and Y.degree() < cur.d
 
 
 def test_torus_action_on_curves():
@@ -328,6 +389,19 @@ def test_random_constructors_are_valid():
             assert cur.is_reduced()
             cfg = random_config(rng, n, 3, d)
             assert cfg.k() == 3 and cfg.curve.d == d
+
+
+def test_random_curve_souls_are_rarely_zero():
+    # at n = 2 the one soul monomial is g1*g2, so a soul coefficient is zero
+    # only when its last draw is a zero random_qi, 1/9 * (3/4 + 1/4 * 1/7),
+    # about 8.7%; drawing the body monomial too would zero about 44%
+    rng = random.Random(118)
+    souls = []
+    for _ in range(1000):
+        cur = random_curve(rng, 2, 1)
+        souls += [p.coeff(i).soul() for p in (cur.P, cur.Q) for i in (0, 1)]
+    share = sum(c.is_zero() for c in souls) / len(souls)
+    assert share < 0.2
 
 
 def test_curve_string_form():

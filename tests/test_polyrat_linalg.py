@@ -18,7 +18,8 @@ from sgk.linalg import (_gauss_jordan, field_inverse, field_rank,
                         field_solve, mat_mul, mat_vec, module_rank_report,
                         solve_body_invertible)
 from sgk.polyrat import (CERTIFICATE_POINTS, SuperPoly, chart2_poly,
-                         coprime_bodies, homog_subst, reverse_coeffs)
+                         coprime_bodies, homog_subst, inverse_mod,
+                         reverse_coeffs)
 
 
 def _rand_poly(rng, n, max_deg):
@@ -285,6 +286,22 @@ shared_factors = st.lists(st.one_of(body_qi, body_ratt), min_size=1,
 def test_coprime_bodies_matches_exact_euclid(p, q, common):
     p, q = p * common, q * common
     assert coprime_bodies(p, q) == reference_coprime_bodies(p, q)
+
+
+@given(bodies, bodies, st.one_of(st.just(_ONE), shared_factors))
+# a shared factor (z - t)(z + 1), and a zero a
+@example(a=_lin(2), f=_lin(-3), common=_lin(-T_PARAM) * _lin(1))
+@example(a=ScalarPoly(), f=_lin(_I), common=_ONE)
+@settings(max_examples=200, deadline=None)
+def test_inverse_mod_is_the_bezout_cofactor(a, f, common):
+    a, f = a * common, f * common
+    if f.degree() < 1:
+        return
+    s = inverse_mod(a, f)
+    if a.gcd(f).degree() != 0:
+        assert s is None
+    else:
+        assert s.degree() < f.degree() and (a * s).divmod(f)[1] == _ONE
 
 
 def _product(factors):
