@@ -14,7 +14,6 @@ exact linear map so ranks and kernels can be read off.
 from __future__ import annotations
 
 from .grassmann import GrassmannError, SuperNumber
-from .linalg import ModuleRankReport, module_rank_report
 from .polyrat import SuperPoly, chart2_poly, homog_subst
 from .superspace import ChartPoint, preferred_chart
 
@@ -147,10 +146,6 @@ def susy1_matrix(points, curve):
     """
     return [point_row(p) for p in points] + deformation_rows(
         curve.n, curve.d, wronskian(curve).coeffs)
-
-
-def susy1_report(points, curve) -> ModuleRankReport:
-    return module_rank_report(susy1_matrix(points, curve))
 
 
 def susy1_shift_point(alpha, beta, pt) -> ChartPoint:

@@ -7,7 +7,8 @@ runs the exact checks of sgk.paper.  The parser is hand-written recursive
 descent: the grammar is small and error spans should point at the offending
 token.
 
-Grammar sketch (statements are separated by newlines or semicolons):
+Grammar sketch (statements are separated by semicolons and by newlines
+outside brackets; tokenize drops a newline inside brackets):
 
     statement  = "set" "generators" NUM
                | "let" IDENT "=" expr
@@ -126,8 +127,10 @@ _PUNCT = "+-*/^()[],;:="
 
 
 def tokenize(text):
+    """The tokens of a script, ending with one "eof" token.  A newline
+    inside brackets is dropped: it does not end a statement."""
     toks = []
-    i, line, col = 0, 1, 1
+    i, line, col, depth = 0, 1, 1, 0
     size = len(text)
     while i < size:
         ch = text[i]
@@ -140,7 +143,8 @@ def tokenize(text):
                 i += 1
             continue
         if ch == "\n":
-            toks.append(Token("newline", "\n", line, col))
+            if depth <= 0:
+                toks.append(Token("newline", "\n", line, col))
             i += 1
             line += 1
             col = 1
@@ -171,6 +175,10 @@ def tokenize(text):
             i = j
             continue
         if ch in _PUNCT:
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth -= 1
             toks.append(Token(ch, ch, line, col))
             i += 1
             col += 1
@@ -232,7 +240,7 @@ _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 MAX_DEGREE = 16
 
 # Largest degree in z of a rational expression in a curve literal, estimated
-# from the operands as the degree in t is (see _z_degree).  The printed form
+# from the operands as the degree in t is (see _size).  The printed form
 # psi = (r) / (Q^2) of a degree-d curve reaches the estimate 4d - 1 at its
 # "/" and in the sum that spells out Q^2, so every curve of MAX_DEGREE fits.
 MAX_Z_DEGREE = 4 * MAX_DEGREE
@@ -261,24 +269,14 @@ class Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.depth = 0
         self.nesting = 0
 
-    def _skip_nested_newlines(self):
-        while self.depth > 0 and self.toks[self.pos].kind == "newline":
-            self.pos += 1
-
     def peek(self) -> Token:
-        self._skip_nested_newlines()
         return self.toks[self.pos]
 
     def advance(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
-        if t.kind in ("(", "["):
-            self.depth += 1
-        elif t.kind in (")", "]"):
-            self.depth -= 1
         return t
 
     def expect(self, kind) -> Token:
@@ -558,38 +556,49 @@ class RatFunc:
         return "(%s) / (%s)" % (self.num, self.den)
 
 
-def _size(v):
-    """(bits, degree): the size of a value's scalars, for the
-    MAX_SCALAR_BITS estimate, and their degree in t, for MAX_T_DEGREE.
+def _size(v, inverse=False):
+    """(bits, t-degree, z-degree): the size of a value's scalars, for the
+    MAX_SCALAR_BITS estimate, their degree in t, for MAX_T_DEGREE, and for a
+    rational expression the larger degree in z of its numerator and
+    denominator, for MAX_Z_DEGREE; with inverse, the size of 1/v.
 
-    A Gaussian rational counts the bit length of its widest integer and
-    degree 0, a rational function in t the bits of its coefficients and
-    the larger degree of its numerator and denominator; any other value
-    the sums over its scalar coefficients (0 for values without any).  A
-    coefficient of a sum or product of two values is then at most
-    _size(a) + _size(b) bits wide, give or take a carry per term, and of at
-    most that degree, because each term of one operand meets each term of
-    the other at most once.
+    A Gaussian rational counts the bit length of its widest integer, a
+    rational function in t the bits of its coefficients and the larger
+    degree of its numerator and denominator; any other value the sums over
+    its scalar coefficients (0 for values without any).  A coefficient of a
+    sum or product of two values is then at most _size(a) + _size(b) bits
+    wide, give or take a carry per term, and of at most that degree, because
+    each term of one operand meets each term of the other at most once; the
+    degree in z adds the same way, and multiplies by |k| under ^.
+    Inverting a Gaussian rational squares its norm, and the inverse of a
+    number with a soul sums up to one power of the soul per further term
+    over a power of the body, so its bits and its degree grow with the term
+    count; a rational expression inverts by swapping.
     """
     if isinstance(v, Qi):
-        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length()), 0
+        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length()), 0, 0
     if isinstance(v, RatT):
         return (_poly_bits(v.num) + _poly_bits(v.den),
-                max(v.num.degree(), v.den.degree()))
+                max(v.num.degree(), v.den.degree()), 0)
+    z_degree = 0
     if isinstance(v, RatFunc):
         parts = v.num.coeffs + v.den.coeffs
+        z_degree = max(v.num.degree(), v.den.degree())
     elif isinstance(v, SuperNumber):
         parts = v._scalars().values()
     elif isinstance(v, SCMatrix):
         parts = [x for row in v.rows() for x in row]
     else:
-        return 0, 0
+        return 0, 0, 0
     bits = degree = 0
     for x in parts:
-        b, d = _size(x)
+        b, d, _ = _size(x)
         bits += b
         degree += d
-    return bits, degree
+    if inverse and isinstance(v, SuperNumber):
+        k = len(v._num)
+        return 2 * k * bits, k * degree, 0
+    return bits, degree, z_degree
 
 
 def _poly_bits(p):
@@ -604,26 +613,11 @@ def _poly_bits(p):
                 for a in p._num for g in (math.gcd(a, d),)])
 
 
-def _inverse_size(v):
-    """_size of 1/v.  Inverting a Gaussian rational squares its norm, and
-    the inverse of a number with a soul sums up to one power of the soul
-    per further term over a power of the body, so its bits and its degree
-    grow with the term count; a rational expression inverts by swapping."""
-    bits, degree = _size(v)
-    if isinstance(v, SuperNumber):
-        k = len(v._num)
-        return 2 * k * bits, k * degree
-    return bits, degree
-
-
-def _z_degree(v):
-    """The larger degree in z of a rational expression's numerator and
-    denominator, 0 for other values; it adds under + - * / and multiplies
-    by |k| under ^, as the degree in t does."""
-    return max(v.num.degree(), v.den.degree()) if isinstance(v, RatFunc) else 0
-
-
-def _check_size(bits, degree, line, col, z_degree=0):
+def _check_size(sizes, line, col, k=1):
+    """CLIError at (line, col) when k times the sum of the _size triples
+    passes a limit."""
+    bits, degree, z_degree = (k * sum([s[i] for s in sizes])
+                              for i in range(3))
     if bits > MAX_SCALAR_BITS:
         raise CLIError("result would exceed the scalar size limit of %d bits"
                        % MAX_SCALAR_BITS, line, col)
@@ -754,10 +748,7 @@ class Evaluator:
                 _, op, lhs, rhs, line, col = node
                 a = self.eval(lhs, local)
                 b = self.eval(rhs, local)
-                sa = _size(a)
-                sb = _inverse_size(b) if op == "/" else _size(b)
-                _check_size(sa[0] + sb[0], sa[1] + sb[1], line, col,
-                            _z_degree(a) + _z_degree(b))
+                _check_size([_size(a), _size(b, op == "/")], line, col)
                 return self._arith(op, a, b, line, col)
             if kind == "pow":
                 _, base, expo, line, col = node
@@ -766,9 +757,7 @@ class Evaluator:
                 if abs(k) > MAX_EXPONENT:
                     raise CLIError("exponent exceeds the limit of %d in "
                                    "absolute value" % MAX_EXPONENT, line, col)
-                bits, degree = _inverse_size(v) if k < 0 else _size(v)
-                _check_size(abs(k) * bits, abs(k) * degree, line, col,
-                            abs(k) * _z_degree(v))
+                _check_size([_size(v, k < 0)], line, col, abs(k))
                 if isinstance(v, RatFunc):
                     return v.pow(k)
                 if isinstance(v, SuperNumber):
@@ -812,9 +801,7 @@ class Evaluator:
         if len(args) != len(wants):
             raise CLIError("%s takes %d argument(s), got %d"
                            % (name, len(wants), len(args)), line, col)
-        sizes = [_size(v) for v in args]
-        _check_size(sum([b for b, _ in sizes]), sum([d for _, d in sizes]),
-                    line, col)
+        _check_size([_size(v) for v in args], line, col)
         try:
             for want, v in zip(wants, args):
                 if isinstance(want, dict):
@@ -1027,8 +1014,6 @@ def _value_is_zero(v):
         return v.is_zero()
     if isinstance(v, list):
         return all(_value_is_zero(x) for x in v)
-    if isinstance(v, RatFunc):
-        return v.num.is_zero()
     return False
 
 

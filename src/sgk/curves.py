@@ -75,21 +75,14 @@ class P1Point:
     __repr__ = __str__
 
 
-def _even_poly(n, coeffs, what):
+def _parity_poly(n, coeffs, what, odd=False):
     p = coeffs if isinstance(coeffs, SuperPoly) else SuperPoly(n, coeffs)
     if p.n != n:
         raise GrassmannError("generator count mismatch in %s" % what)
-    if not all(c.is_even() for c in p.coeffs):
-        raise GrassmannError("%s must have even coefficients" % what)
-    return p
-
-
-def _odd_poly(n, coeffs, what):
-    p = coeffs if isinstance(coeffs, SuperPoly) else SuperPoly(n, coeffs)
-    if p.n != n:
-        raise GrassmannError("generator count mismatch in %s" % what)
-    if not all(c.is_odd() for c in p.coeffs):
-        raise GrassmannError("%s must have odd coefficients" % what)
+    if not all(map(SuperNumber.is_odd if odd else SuperNumber.is_even,
+                   p.coeffs)):
+        raise GrassmannError("%s must have %s coefficients"
+                             % (what, "odd" if odd else "even"))
     return p
 
 
@@ -103,9 +96,10 @@ class SuperCurve:
             raise GrassmannError("curve degree must be nonnegative")
         self.n = n
         self.d = d
-        self.P = _even_poly(n, P, "numerator")
-        self.Q = _even_poly(n, Q, "denominator")
-        self.r = _odd_poly(n, r if r is not None else (), "odd numerator")
+        self.P = _parity_poly(n, P, "numerator")
+        self.Q = _parity_poly(n, Q, "denominator")
+        self.r = _parity_poly(n, r if r is not None else (), "odd numerator",
+                              odd=True)
         if validate:
             self._validate()
 

@@ -346,14 +346,12 @@ def three_point_normalize(p1, p2, p3):
     m1 = lift_sl2(n,
                   Y1 * u * rinv, -X1 * u * rinv,
                   Y3 * v * rinv, -X3 * v * rinv)
-    q1 = act_point(m1, as_proj(p1)).chart1()
-    q3 = act_point(m1, as_proj(p3)).chart2()
-    m2 = susy(n, -q1.pi, q3.pi)
-    q2 = act_point(m1.mul(m2), as_proj(p2)).chart1()
+    m12 = _clear_odd(m1, p1, p3)
+    q2 = act_point(m12, as_proj(p2)).chart1()
     s = q2.p.invert().sqrt_even()
     m3 = lift_sl2(n, s, 0, 0, s.invert())
     eps = q2.pi * s
-    m = m1.mul(m2).mul(m3)
+    m = m12.mul(m3)
     if not _sign_ok(m, eps):
         m = m.mul(reflection(n))
         eps = -eps
@@ -385,11 +383,7 @@ def slice_normalize_two_points(p1, p2):
     (X1, Y1, _), (X2, Y2, _) = map(_homog, (p1, p2))
     w = X1 * Y2 - X2 * Y1
     winv = w.invert()
-    m1 = lift_sl2(n, Y1, -X1, Y2 * winv, -X2 * winv)
-    q1 = act_point(m1, as_proj(p1)).chart1()
-    q2 = act_point(m1, as_proj(p2)).chart2()
-    m2 = susy(n, -q1.pi, q2.pi)
-    return m1.mul(m2)
+    return _clear_odd(lift_sl2(n, Y1, -X1, Y2 * winv, -X2 * winv), p1, p2)
 
 
 def slice_normalize_one_point(p1):
@@ -401,9 +395,18 @@ def slice_normalize_one_point(p1):
         m1 = lift_sl2(n, Y1, -X1, 0, Y1.invert())
     else:
         m1 = lift_sl2(n, Y1, -X1, X1.invert(), 0)
-    q1 = act_point(m1, P).chart1()
-    m2 = susy(n, -q1.pi, 0)
-    return m1.mul(m2)
+    return _clear_odd(m1, P)
+
+
+def _clear_odd(m1, at_zero, at_infinity=None):
+    """m1 times the shear that clears the odd coordinates m1 leaves on the
+    images of at_zero, read in the first chart, and of at_infinity, read in
+    the second."""
+    q1 = act_point(m1, as_proj(at_zero)).chart1()
+    beta = 0
+    if at_infinity is not None:
+        beta = act_point(m1, as_proj(at_infinity)).chart2().pi
+    return m1.mul(susy(m1.n, -q1.pi, beta))
 
 
 def stabilizer_two_points(n, a):

@@ -62,6 +62,14 @@ operations, and gcd by Euclid over the scalar field.  reference_make_rat is
 make_rat on it (gcd, exact division, denominator made monic), and
 reference_ratt_str and reference_bits print and size its result as RatT and
 cli did.
+
+reference_tokenize is the script lexer as it was before it dropped the
+newlines inside brackets: it emits every newline, and the parser skipped
+the ones it met at bracket depth above zero.  reference_size,
+reference_inverse_size and reference_z_degree are the three size estimates
+of script values as cli kept them before one _size returned all three:
+(bits, t-degree) of a value, the same of its inverse, and the z-degree of a
+rational expression.
 """
 
 import itertools
@@ -69,12 +77,15 @@ import math
 from fractions import Fraction
 
 from sgk.bundles import susy1_matrix as bundles_susy1_matrix
+from sgk.cli import (_MAX_LITERAL_DIGITS, _PUNCT, MAX_SCALAR_BITS, CLIError,
+                     RatFunc, Token)
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, SuperNumber, as_scalar,
-                           random_qi, scalar_is_zero)
+from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, RatT, SuperNumber,
+                           as_scalar, random_qi, scalar_is_zero)
 from sgk.linalg import ModuleRankReport, mat_mul, solve_body_invertible
 from sgk.polyrat import SuperPoly
-from sgk.scgroup import lift_sl2, random_sl2_qi, reflection, susy
+from sgk.scgroup import (SCMatrix, lift_sl2, random_sl2_qi, reflection,
+                          susy)
 from sgk.superspace import as_proj, preferred_chart
 
 
@@ -748,3 +759,107 @@ def reference_bits(v):
     if isinstance(v, Qi):
         return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length())
     return sum(map(reference_bits, v[0].coeffs + v[1].coeffs))
+
+
+def reference_tokenize(text):
+    """The tokens of a script, every newline included."""
+    toks = []
+    i, line, col = 0, 1, 1
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < size and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            toks.append(Token("newline", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < size and text[j].isdecimal():
+                j += 1
+            if j - i > _MAX_LITERAL_DIGITS:
+                raise CLIError("number literal exceeds the scalar size limit "
+                               "of %d bits" % MAX_SCALAR_BITS, line, col)
+            if j < size and text[j] == "i" and \
+                    (j + 1 >= size or not (text[j + 1].isalnum()
+                                           or text[j + 1] == "_")):
+                toks.append(Token("imag", text[i:j], line, col))
+                j += 1
+            else:
+                toks.append(Token("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < size and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            toks.append(Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise CLIError("unexpected character %r" % ch, line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def reference_size(v):
+    """(bits, degree in t) of a value's scalars."""
+    if isinstance(v, Qi):
+        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length()), 0
+    if isinstance(v, RatT):
+        return (_reference_poly_bits(v.num) + _reference_poly_bits(v.den),
+                max(v.num.degree(), v.den.degree()))
+    if isinstance(v, RatFunc):
+        parts = v.num.coeffs + v.den.coeffs
+    elif isinstance(v, SuperNumber):
+        parts = v._scalars().values()
+    elif isinstance(v, SCMatrix):
+        parts = [x for row in v.rows() for x in row]
+    else:
+        return 0, 0
+    bits = degree = 0
+    for x in parts:
+        b, d = reference_size(x)
+        bits += b
+        degree += d
+    return bits, degree
+
+
+def _reference_poly_bits(p):
+    d = p._d
+    if not d:
+        return sum(reference_size(c)[0] for c in p.coeffs)
+    if d == 1:
+        return sum([a.bit_length() or 1 for a in p._num])
+    return sum([max((a // g).bit_length(), (d // g).bit_length())
+                for a in p._num for g in (math.gcd(a, d),)])
+
+
+def reference_inverse_size(v):
+    """reference_size of 1/v."""
+    bits, degree = reference_size(v)
+    if isinstance(v, SuperNumber):
+        k = len(v._num)
+        return 2 * k * bits, k * degree
+    return bits, degree
+
+
+def reference_z_degree(v):
+    """The larger degree in z of a rational expression's numerator and
+    denominator, 0 for other values."""
+    return max(v.num.degree(), v.den.degree()) if isinstance(v, RatFunc) else 0

@@ -6,10 +6,11 @@ import pytest
 
 from sgk.bundles import (Section, h0_dim, pair_section_with_curve, point_row,
                          sl2_act_section, spinor_section, susy1_matrix,
-                         susy1_report, susy1_shift_point, wronskian)
+                         susy1_shift_point, wronskian)
 from sgk.curves import SuperCurve
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
     random_supernumber
+from sgk.linalg import module_rank_report
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import act_point, lift_sl2, point_multiplier, \
     random_sl2_qi, susy
@@ -137,7 +138,7 @@ def test_susy1_matrix_shape_and_report():
     pts = [ChartPoint(n, 1, v, 0) for v in (0, 1, 2)]
     rows = susy1_matrix(pts, cur)
     assert len(rows) == 3 + 2 * cur.d
-    rep = susy1_report(pts, cur)
+    rep = module_rank_report(rows)
     assert rep.rank == 2
     assert rep.coker_rank == len(rows) - 2
     assert not rep.degenerate
