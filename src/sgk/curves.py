@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bundles import chart_row, deformation_rows, wronskian, wronskian_of
-from .grassmann import GrassmannError, Qi, SuperNumber, random_qi
+from .grassmann import (GrassmannError, Qi, ScalarPoly, SuperNumber,
+                        _draw_subsets, random_qi, random_supernumber)
 from .linalg import field_rank, module_rank_report
 from .polyrat import (SuperPoly, chart2_poly, coprime_bodies, homog_subst,
                       inverse_mod)
@@ -477,8 +478,6 @@ def phi_deformation_dim(d: int) -> int:
 
 
 def random_curve(rng, n, d, reduced=False) -> SuperCurve:
-    from .grassmann import ScalarPoly, _draw_subsets, random_supernumber
-
     while True:
         bp = [random_qi(rng) for _ in range(d)] + [random_qi(rng, nonzero=True)]
         bq = [random_qi(rng) for _ in range(d + 1)]
@@ -505,8 +504,6 @@ def random_curve(rng, n, d, reduced=False) -> SuperCurve:
 
 
 def random_config(rng, n, k, d, reduced=False) -> MarkedConfig:
-    from .grassmann import random_supernumber
-
     bodies = []
     while len(bodies) < k:
         c = random_qi(rng)

@@ -66,7 +66,6 @@ from .scalars import (  # noqa: F401  (re-exported scalar layer)
     scalar_is_zero,
     scalar_lex_positive,
     scalar_sqrt,
-    scalar_str,
     square_and_multiply,
 )
 from .scalars import _canonical
@@ -576,7 +575,7 @@ class SuperNumber:
         root = scalar_sqrt(b)
         if root is None or scalar_is_zero(b):
             raise GrassmannError(
-                "no exact square root for body %s" % scalar_str(b))
+                "no exact square root for body %s" % b)
         u = self / b - SuperNumber.one(self.n)
         out = SuperNumber.zero(self.n)
         power = SuperNumber.one(self.n)
@@ -611,12 +610,12 @@ class SuperNumber:
     def _term_str(self, idx, coeff):
         mono = "*".join("g%d" % i for i in idx)
         if not idx:
-            return scalar_str(coeff)
+            return str(coeff)
         if coeff == QI_ONE:
             return mono
         if coeff == Qi(-1):
             return "-" + mono
-        return "%s*%s" % (scalar_str(coeff), mono)
+        return "%s*%s" % (coeff, mono)
 
     def __str__(self):
         if self.is_zero():

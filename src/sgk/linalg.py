@@ -97,19 +97,21 @@ def field_solve(rows, rhs):
     if len(rhs) != n:
         raise GrassmannError(
             "right-hand side has %d entries for %d equations" % (len(rhs), n))
-    m = [[as_scalar(c) for c in row] + [as_scalar(b)]
-         for row, b in zip(rows, rhs)]
-    if len(_gauss_jordan(m, n)) < n:
-        raise GrassmannError("singular scalar system")
-    return [row[n] for row in m]
+    return [x for x, in _eliminate(rows, [[b] for b in rhs])]
 
 
 def field_inverse(rows):
     """Inverse of a square scalar matrix, by eliminating [A | I] once."""
     n = _square_size(rows)
-    m = [[as_scalar(c) for c in row] for row in rows]
-    for i, row in enumerate(m):
-        row += [QI_ONE if i == j else QI_ZERO for j in range(n)]
+    return _eliminate(rows, [[QI_ONE if i == j else QI_ZERO
+                              for j in range(n)] for i in range(n)])
+
+
+def _eliminate(rows, right):
+    """The right block of [A | B] reduced: X with A X = B, for a square
+    scalar A given by rows and B by right; raises on singular A."""
+    n = len(rows)
+    m = [[as_scalar(c) for c in (*row, *b)] for row, b in zip(rows, right)]
     if len(_gauss_jordan(m, n)) < n:
         raise GrassmannError("singular scalar system")
     return [row[n:] for row in m]

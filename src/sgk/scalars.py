@@ -764,8 +764,6 @@ def is_scalar(v):
 
 
 def scalar_is_zero(s):
-    if isinstance(s, RatT):
-        return s.is_zero()
     return as_scalar(s).is_zero()
 
 
@@ -773,10 +771,6 @@ def scalar_sqrt(s):
     """Exact square root of a scalar, or None when it leaves the field."""
     s = as_scalar(s)
     return s.sqrt()
-
-
-def scalar_str(s):
-    return str(as_scalar(s))
 
 
 def scalar_lex_positive(s):

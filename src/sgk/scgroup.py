@@ -18,6 +18,8 @@ The constraints force body(e) = +-1, and the two global signs +-M act the
 same way, so every element has a unique representative with body(e) = 1.
 Every such representative factors as an even Moebius lift times a purely odd
 shear, which is what decompose() returns.
+An even lift moves the spinor frames of a point by point_multiplier, each
+frame read in the preferred chart of its point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .grassmann import (
 )
 from .scalars import _new
 from .superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
-                         reduced_bodies_distinct)
+                         preferred_chart, reduced_bodies_distinct)
 
 
 class NormalizationError(GrassmannError):
@@ -240,10 +242,7 @@ def act_point(m: SCMatrix, pt):
     if not (Z1.is_invertible() or Z2.is_invertible()):
         raise GrassmannError("homogeneous coordinates with no invertible entry")
     img = ProjPoint._of(m.n, Z1, Z2, Theta)
-    if not want_chart:
-        return img
-    c = img.chart1()
-    return c if c is not None else img.chart2()
+    return preferred_chart(img) if want_chart else img
 
 
 def chart_pullback(m: SCMatrix, pt: ChartPoint) -> ChartPoint:
@@ -280,25 +279,22 @@ def chart_pullback(m: SCMatrix, pt: ChartPoint) -> ChartPoint:
 
 
 def point_multiplier(m: SCMatrix, pt) -> SuperNumber:
-    """The odd-frame scaling factor of an even lift at a point.
+    """The factor f of an even lift at a point: (g.s)(g.z) = f^k s(z) for
+    every section s of O(k), with s(z) read in the frame of the point's
+    preferred chart and (g.s)(g.z) in that of its image's.
 
-    In chart 1 this is 1/(c p + d); in chart 2 it is 1/(a - b q).  Only
-    reduced (purely even) elements scale frames linearly, so anything with a
-    nonzero odd entry is rejected.
+    f = e/W for the point's coordinates [Z1 : Z2] in its preferred chart,
+    W the coordinate the image's chart divides by: c Z1 + d Z2 when that is
+    invertible, else a Z1 + b Z2 (ad - bc = 1 makes one of them
+    invertible).  A matrix with an odd entry is rejected.
     """
     if not m.is_reduced():
         raise GrassmannError("frame multiplier needs an even lift")
-    P = as_proj(pt)
-    c1 = P.chart1()
-    if c1 is not None:
-        den = m.c * c1.p + m.d
-        if den.is_invertible():
-            return den.invert() * m.e
-    c2 = P.chart2()
-    den = m.a - m.b * c2.p
-    if not den.is_invertible():
-        raise GrassmannError("point meets the polar locus of the lift")
-    return den.invert() * m.e
+    P = preferred_chart(pt).to_proj()
+    W = m.c * P.Z1 + m.d * P.Z2
+    if not W.is_invertible():
+        W = m.a * P.Z1 + m.b * P.Z2
+    return m.e / W
 
 
 def same_automorphism(m1: SCMatrix, m2: SCMatrix) -> bool:

@@ -175,30 +175,25 @@ def torus_act_point(t, pt):
     if isinstance(pt, ProjPoint):
         tt = torus_param(pt.n, t)
         return ProjPoint._of(pt.n, pt.Z1, pt.Z2, tt * pt.Theta)
-    pt = _as_chart(pt)
+    pt = preferred_chart(pt)
     tt = torus_param(pt.n, t)
     return ChartPoint._of(pt.n, pt.chart, pt.p, tt * pt.pi)
 
 
-def _as_chart(pt) -> ChartPoint:
+def preferred_chart(pt) -> ChartPoint:
+    """The chart a point is read in: a ChartPoint's own, and for a ProjPoint
+    chart 1 when Z2 is invertible, chart 2 otherwise."""
     if isinstance(pt, ChartPoint):
         return pt
     if isinstance(pt, ProjPoint):
         c = pt.chart1()
-        if c is None:
-            c = pt.chart2()
-        return c
+        return c if c is not None else pt.chart2()
     raise GrassmannError("not a superpoint: %s" % _quote(pt))
-
-
-def preferred_chart(pt) -> ChartPoint:
-    """Chart-1 coordinates when the point is finite, chart-2 otherwise."""
-    return _as_chart(pt)
 
 
 def odd_normal_part(pt):
     """The odd coordinate of a point in its preferred chart."""
-    return _as_chart(pt).pi
+    return preferred_chart(pt).pi
 
 
 def reduce_point(pt) -> ChartPoint:

@@ -1,6 +1,7 @@
 """Sections of O(k), the spinor pairing, and the odd-translation matrix."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +9,14 @@ from sgk.bundles import (Section, h0_dim, pair_section_with_curve, point_row,
                          sl2_act_section, spinor_section, susy1_matrix,
                          susy1_shift_point, wronskian)
 from sgk.curves import SuperCurve
-from sgk.grassmann import GrassmannError, Qi, SuperNumber, \
+from sgk.grassmann import GrassmannError, Qi, SuperNumber, random_qi, \
     random_supernumber
 from sgk.linalg import module_rank_report
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import act_point, lift_sl2, point_multiplier, \
     random_sl2_qi, susy
-from sgk.superspace import ChartPoint, point_infty, preferred_chart
+from sgk.superspace import ChartPoint, ProjPoint, point_infty, \
+    preferred_chart
 
 
 def test_h0_dim():
@@ -72,24 +74,50 @@ def test_sl2_act_section_needs_reduced():
         sl2_act_section(susy(n, al, be), spinor_section(n, al, be))
 
 
+def _frame_points(rng, n, lift):
+    """Chart-1, chart-2 and projective points with odd coordinates, half of
+    them on the lift's polar locus, whose images leave chart 1."""
+    a, b, c, d = lift
+    x = SuperNumber.gen(n, 1) * SuperNumber.gen(n, 2)
+    pts = []
+    poles = (-d / c if c else Qi(0), c / d if d else Qi(0))
+    for chart, pole in zip((1, 2), poles):
+        for base in (random_qi(rng), pole):
+            pts.append(ChartPoint(
+                n, chart, base + random_qi(rng) * x,
+                random_supernumber(rng, n, parity=1, max_terms=2)))
+    pts += [ProjPoint(n, random_qi(rng, nonzero=True) + x, x,
+                      SuperNumber.gen(n, 1)),
+            ProjPoint(n, x - d, c, SuperNumber.gen(n, 2))]
+    return pts
+
+
 def test_sl2_act_section_frame_factor():
-    """(g.s)(g.z) = multiplier^k s(z), the defining pushforward property."""
+    """(g.s)(g.z) = multiplier^k s(z), the defining pushforward property,
+    with each side read in the frame of its point's preferred chart."""
     rng = random.Random(92)
     n = 2
-    for _ in range(20):
+    g1 = SuperNumber.gen(n, 1)
+    cases = [(lift_sl2(n, 0, 1, -1, 0), ChartPoint(n, 1, 0, 0), 1),
+             (lift_sl2(n, 2, 0, 0, Fraction(1, 2)), ChartPoint(n, 2, 1, g1),
+              -2)]
+    for m, pt, want in cases:
+        assert point_multiplier(m, pt) == want
+    for _ in range(40):
+        lift = random_sl2_qi(rng)
+        m = lift_sl2(n, *lift)
+        for pt in _frame_points(rng, n, lift):
+            cases.append((m if rng.random() < 0.5 else m.neg(), pt, None))
+    charts = set()
+    for m, pt, _ in cases:
         k = rng.randint(1, 3)
         s = Section(n, k, [random_supernumber(rng, n, max_terms=2)
                            for _ in range(k + 1)])
-        a, b, c, d = random_sl2_qi(rng)
-        m = lift_sl2(n, a, b, c, d)
-        moved = sl2_act_section(m, s)
-        for z in range(-2, 3):
-            pt = ChartPoint(n, 1, z, 0)
-            img = preferred_chart(act_point(m, pt))
-            if img.chart != 1:
-                continue
-            mult = point_multiplier(m, pt)
-            assert moved.eval_at(img) == mult ** k * s.eval_at(pt)
+        img = act_point(m, pt)
+        charts.add((preferred_chart(pt).chart, preferred_chart(img).chart))
+        assert sl2_act_section(m, s).eval_at(img) \
+            == point_multiplier(m, pt) ** k * s.eval_at(pt)
+    assert charts == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_sl2_act_section_is_an_action():

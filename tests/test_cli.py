@@ -818,6 +818,25 @@ def test_booleans_are_not_scalars():
         "error: line 1:1: not a scalar: False"
 
 
+def test_matrix_operators_and_negation():
+    runner = ScriptRunner(n=2)
+    assert runner.run(parse_text(PIN_PRELUDE)) == []
+    same = [("m * m", "mul(m, m)"),
+            ("-m", "mul(m, sc[[-1, 0, 0], [0, -1, 0], [0, 0, -1]])"),
+            ("curve(1; phi = -z / (1 + z); psi = g1 / (1 + z)^2)",
+             "curve(1; phi = (-1*z) / (1 + z); psi = g1 / (1 + z)^2)")]
+    for lhs, rhs in same:
+        assert _outcome(runner.ev, lhs) == _outcome(runner.ev, rhs)
+        assert not _outcome(runner.ev, lhs).startswith("error")
+    assert _outcome(runner.ev, "sameauto(-m, m)") == "true"
+    assert _outcome(runner.ev, "m + m") == \
+        "error: line 1:3: matrices only combine with *"
+    assert _outcome(runner.ev, "  -sec(1; 1, 2)") == \
+        "error: line 1:3: cannot negate section"
+    assert _outcome(runner.ev, "-[1 : 2]") == \
+        "error: line 1:1: cannot negate target point"
+
+
 def test_every_literal_head_has_a_builder():
     heads = {parse_text(text)[0][1][0]
              for text in CORPUS + ["[1, 2]", "sl2[[1, 0], [0, 1]]"]}

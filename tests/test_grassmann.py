@@ -380,6 +380,22 @@ def test_scalar_sqrt_ratt():
     assert root is not None and root * root == sq
 
 
+def test_polynomial_sqrt_of_squares_and_non_squares():
+    rng = random.Random(378)
+    t = T_PARAM
+    for deg in (2, 3, 4):
+        p = ScalarPoly([random_qi(rng) for _ in range(deg)]
+                       + [random_qi(rng, nonzero=True)])
+        assert (p * p).sqrt() in (p, -p)
+        q = make_rat(ScalarPoly([random_qi(rng, nonzero=True)]), p)
+        assert (q * q).sqrt() in (q, -q)
+    for p in (ScalarPoly([1, 2, 3, 4]), ScalarPoly([0, 0, 2]),
+              ScalarPoly([1, 0, 1])):
+        assert p.sqrt() is None
+        assert make_rat(p, ScalarPoly([1])).sqrt() is None
+    assert (2 * t * t).sqrt() is None and (t * t + 1).sqrt() is None
+
+
 # ---------------------------------------------------------------------------
 # Grassmann numbers
 
@@ -453,6 +469,17 @@ def test_invert_round_trip_and_failure():
     nil = SuperNumber.gen(3, 1) * SuperNumber.gen(3, 2)
     with pytest.raises(GrassmannError):
         nil.invert()
+
+
+def test_reflected_subtraction_scalar_equality_and_truth():
+    n = 2
+    g1 = SuperNumber.gen(n, 1)
+    assert 3 - g1 == SuperNumber.scalar(n, 3) - g1
+    assert (3 - g1).terms == {(): Qi(3), (1,): Qi(-1)}
+    x = SuperNumber.scalar(n, 3)
+    assert x == 3 and 3 == x and x != 2 and x + g1 != 3
+    assert x != "3"
+    assert bool(x) and bool(g1) and not bool(SuperNumber.zero(n))
 
 
 def test_division_and_pow():

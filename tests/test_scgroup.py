@@ -11,8 +11,8 @@ from sgk.scgroup import (NormalizationError, SCMatrix, act_point,
                          chart_pullback, identity, lift_sl2,
                          point_multiplier, random_sc_matrix, random_sl2_qi,
                          reflection, same_automorphism,
-                         stabilizer_two_points, susy, three_point_normalize,
-                         torus_matrix)
+                         slice_normalize_one_point, stabilizer_two_points,
+                         susy, three_point_normalize, torus_matrix)
 from sgk.superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
                             point_infty, point_one, point_zero,
                             preferred_chart, torus_param)
@@ -316,6 +316,18 @@ def test_three_point_normalize_needs_distinct_bodies():
     b = ChartPoint(n, 1, 1, eta)
     with pytest.raises(GrassmannError):
         three_point_normalize(a, b, point_infty(n))
+
+
+def test_one_point_slice_at_infinity():
+    # Z2 = 0, so the first lift cannot be upper triangular
+    n = 2
+    g1 = SuperNumber.gen(n, 1)
+    for pt in (ChartPoint(n, 2, 0, g1), ProjPoint(n, 1, 0, g1)):
+        m = slice_normalize_one_point(pt)
+        img = act_point(m, pt)
+        assert m.is_valid() and img == point_zero(n)
+        assert preferred_chart(img).chart == 1
+        assert preferred_chart(img).pi.is_zero()
 
 
 def test_stabilizer_fixes_the_slice_points():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from _oracles import reference_proj_equal
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
     random_supernumber
-from sgk.superspace import (ChartPoint, ProjPoint, _as_chart, as_proj,
-                            point_infty, point_one, point_zero,
-                            preferred_chart, proj_equal, reduce_point,
+from sgk.superspace import (ChartPoint, ProjPoint, as_proj, point_infty,
+                            point_one, point_zero, preferred_chart,
+                            proj_equal, reduce_point,
                             reduced_bodies_distinct, torus_act_point)
 
 
@@ -204,7 +204,7 @@ def test_proj_equal_matches_chart_division(pair):
 @example(pt=ChartPoint(3, 2, 5 + _e[0] * _e[2], _e[1]))
 @settings(max_examples=200, deadline=None)
 def test_reduce_point_matches_chart_route(pt):
-    cp = _as_chart(pt)
+    cp = preferred_chart(pt)
     want = ChartPoint(cp.n, cp.chart, SuperNumber.scalar(cp.n, cp.p.body()),
                       0)
     got = reduce_point(pt)
