@@ -56,7 +56,8 @@ MAX_EXPONENT; a larger one is an error at the "^", raised before any power
 is computed.  Scalars stay below MAX_SCALAR_BITS: a longer number literal is
 an error at the literal, and an operator, power or function call whose
 result would be larger, as estimated from the operands, is an error at that
-operator or call before it runs.  The degree d of a `curve` and k of a `sec`
+operator or call before it runs; the size of a value bound by `let` is
+taken once, when it is bound.  The degree d of a `curve` and k of a `sec`
 is at most MAX_DEGREE; a larger one is an error at the literal's head,
 raised before any of its fields is evaluated.  The degree in t of scalars
 is at most MAX_T_DEGREE, and the degree in z of rational expressions at
@@ -575,30 +576,56 @@ def _size(v, inverse=False):
     over a power of the body, so its bits and its degree grow with the term
     count; a rational expression inverts by swapping.
     """
-    if isinstance(v, Qi):
-        return max(v.a.bit_length(), v.b.bit_length(), v.d.bit_length()), 0, 0
-    if isinstance(v, RatT):
-        return (_poly_bits(v.num) + _poly_bits(v.den),
-                max(v.num.degree(), v.den.degree()), 0)
+    if isinstance(v, (Qi, RatT)):
+        return _scalar_size(v) + (0,)
     z_degree = 0
-    if isinstance(v, RatFunc):
-        parts = v.num.coeffs + v.den.coeffs
-        z_degree = max(v.num.degree(), v.den.degree())
-    elif isinstance(v, SuperNumber):
-        parts = v._scalars().values()
+    if isinstance(v, SuperNumber):
+        numbers = (v,)
     elif isinstance(v, SCMatrix):
-        parts = [x for row in v.rows() for x in row]
+        numbers = [x for row in v.rows() for x in row]
+    elif isinstance(v, RatFunc):
+        numbers = v.num.coeffs + v.den.coeffs
+        z_degree = max(v.num.degree(), v.den.degree())
     else:
         return 0, 0, 0
     bits = degree = 0
-    for x in parts:
-        b, d, _ = _size(x)
-        bits += b
-        degree += d
-    if inverse and isinstance(v, SuperNumber):
-        k = len(v._num)
-        return 2 * k * bits, k * degree, 0
+    for x in numbers:
+        # the integer form's terms a / d, each reduced by gcd(a, d) as its
+        # Qi coefficient is; else the scalars themselves
+        d = x._d
+        if d == 1:
+            bits += sum([a.bit_length() for a in x._num.values()])
+        elif d:
+            bits += sum([max((a // g).bit_length(), (d // g).bit_length())
+                         for a in x._num.values() for g in (math.gcd(a, d),)])
+        else:
+            for c in x._num.values():
+                b, deg = _scalar_size(c)
+                bits += b
+                degree += deg
+    if inverse:
+        return _inverse_size(v, (bits, degree, z_degree))
     return bits, degree, z_degree
+
+
+def _inverse_size(v, size):
+    """_size(v, inverse=True), given size = _size(v)."""
+    if isinstance(v, SuperNumber):
+        k = len(v._num)
+        return 2 * k * size[0], k * size[1], 0
+    return size
+
+
+def _scalar_size(c):
+    """(bits, t-degree) of a Qi or RatT scalar."""
+    if type(c) is Qi:
+        return _qi_bits(c), 0
+    return (_poly_bits(c.num) + _poly_bits(c.den),
+            max(c.num.degree(), c.den.degree()))
+
+
+def _qi_bits(c):
+    return max(c.a.bit_length(), c.b.bit_length(), c.d.bit_length())
 
 
 def _poly_bits(p):
@@ -606,7 +633,7 @@ def _poly_bits(p):
     form where it has one: each coefficient a/d reduced by gcd(a, d)."""
     d = p._d
     if not d:
-        return sum(_size(c)[0] for c in p.coeffs)
+        return sum([_qi_bits(c) for c in p.coeffs])
     if d == 1:
         return sum([a.bit_length() or 1 for a in p._num])
     return sum([max((a // g).bit_length(), (d // g).bit_length())
@@ -669,6 +696,8 @@ class Evaluator:
     def __init__(self, n=3):
         self.n = n
         self.vars = {}
+        # name -> (value, _size(value)) of each let binding
+        self._bound = {}
 
     def set_generators(self, n, line=None):
         if not 0 <= n <= 8:
@@ -697,7 +726,21 @@ class Evaluator:
             return SuperNumber.gen(self.n, k)
         raise CLIError("unknown identifier %r" % name, line, col)
 
+    def _bind(self, name, value):
+        """Bind name to value, and keep the value's size for its operands."""
+        self.vars[name] = value
+        self._bound[name] = (value, _size(value))
+
     # -- helpers
+
+    def _operand_size(self, node, v, inverse=False):
+        """_size(v, inverse) of the value v of node; read from the binding
+        when node names the variable that still holds that very value."""
+        if node[0] == "ident":
+            bound = self._bound.get(node[1])
+            if bound is not None and bound[0] is v:
+                return _inverse_size(v, bound[1]) if inverse else bound[1]
+        return _size(v, inverse)
 
     def _arith(self, op, a, b, line, col):
         if isinstance(a, SCMatrix) and isinstance(b, SCMatrix):
@@ -748,7 +791,9 @@ class Evaluator:
                 _, op, lhs, rhs, line, col = node
                 a = self.eval(lhs, local)
                 b = self.eval(rhs, local)
-                _check_size([_size(a), _size(b, op == "/")], line, col)
+                _check_size([self._operand_size(lhs, a),
+                             self._operand_size(rhs, b, op == "/")],
+                            line, col)
                 return self._arith(op, a, b, line, col)
             if kind == "pow":
                 _, base, expo, line, col = node
@@ -757,7 +802,8 @@ class Evaluator:
                 if abs(k) > MAX_EXPONENT:
                     raise CLIError("exponent exceeds the limit of %d in "
                                    "absolute value" % MAX_EXPONENT, line, col)
-                _check_size([_size(v, k < 0)], line, col, abs(k))
+                _check_size([self._operand_size(base, v, k < 0)], line, col,
+                            abs(k))
                 if isinstance(v, RatFunc):
                     return v.pow(k)
                 if isinstance(v, SuperNumber):
@@ -801,7 +847,8 @@ class Evaluator:
         if len(args) != len(wants):
             raise CLIError("%s takes %d argument(s), got %d"
                            % (name, len(wants), len(args)), line, col)
-        _check_size([_size(v) for v in args], line, col)
+        _check_size([self._operand_size(e, v)
+                     for e, v in zip(arg_nodes, args)], line, col)
         try:
             for want, v in zip(wants, args):
                 if isinstance(want, dict):
@@ -1049,11 +1096,14 @@ class ScriptRunner:
                     self.ev.set_generators(stmt[1], stmt[2])
                 elif kind == "let":
                     value = self.ev.eval(stmt[2])
-                    self.ev.vars[stmt[1]] = value
-                    self._say("%s = %s" % (stmt[1], format_value(value)))
+                    self.ev._bind(stmt[1], value)
+                    # only an echoed value is formatted
+                    if self.echo is not None:
+                        self._say("%s = %s" % (stmt[1], format_value(value)))
                 else:
                     value = self.ev.eval(stmt[1])
-                    self._say(format_value(value))
+                    if self.echo is not None:
+                        self._say(format_value(value))
             except (CLIError, GrassmannError) as exc:
                 self._record("stmt-%d" % self.stmt_count, stmt[-1],
                              "error", str(exc), t0)

@@ -131,15 +131,18 @@ class SuperCurve:
     # (or of P for the constant-infinity case) to one
 
     def _pivot(self):
-        for poly in (self.Q, self.P):
+        """(position, coefficient) of the pivot: the top invertible
+        coefficient of Q, else of P.  Scaling by an invertible c keeps the
+        position, because c x is invertible exactly when x is."""
+        for which, poly in enumerate((self.Q, self.P)):
             for m in range(self.d, -1, -1):
                 c = poly.coeff(m)
                 if c.is_invertible():
-                    return c
+                    return (which, m), c
         raise GrassmannError("curve with no invertible coefficient")
 
     def canonical(self) -> "SuperCurve":
-        lam = self._pivot().invert()
+        lam = self._pivot()[1].invert()
         return SuperCurve(self.n, self.d, self.P * lam, self.Q * lam,
                           self.r * (lam * lam), validate=False)
 
@@ -161,8 +164,18 @@ class SuperCurve:
             return NotImplemented
         if self.n != other.n or self.d != other.d:
             return False
-        a, b = self.canonical(), other.canonical()
-        return a.P == b.P and a.Q == b.Q and a.r == b.r
+        # the canonical forms agree when the pivots sit at the same position
+        # and the cross products do: pa and pb are even, invertible and
+        # central, so Q / pa == Q' / pb exactly when Q pb == Q' pa, and when
+        # pa == pb exactly when Q == Q'
+        (at, pa), (other_at, pb) = self._pivot(), other._pivot()
+        if at != other_at:
+            return False
+        if pa == pb:
+            return self.Q == other.Q and self.P == other.P and \
+                self.r == other.r
+        return (self.Q * pb == other.Q * pa and self.P * pb == other.P * pa
+                and self.r * (pb * pb) == other.r * (pa * pa))
 
     def __str__(self):
         c = self.canonical()

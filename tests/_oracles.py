@@ -48,6 +48,10 @@ before the Bezout cofactor: the 2d x 2d Sylvester-style system of
 X1 Q - Y1 P = r, one row per coefficient of z^m, m < 2d, solved by
 linalg.solve_body_invertible.
 
+reference_curve_eq is curve equality as it was before cross products:
+both curves brought to their canonical forms, each through the inverse of
+its pivot, and the three fields compared.
+
 reference_homog_subst is the homogeneous substitution as it was before
 Horner's rule: every power of num and den built in full and each term
 num^j * den^(total - j) * c_j formed as a product of two dense polynomials.
@@ -609,6 +613,14 @@ def reference_gauge_pair(cur):
                     + [-cur.P.coeff(m - j) for j in range(d)])
     sol = solve_body_invertible(rows, [cur.r.coeff(m) for m in range(2 * d)])
     return SuperPoly(n, sol[:d]), SuperPoly(n, sol[d:])
+
+
+def reference_curve_eq(a, b) -> bool:
+    """Equality of two curves by their canonical forms' fields."""
+    if a.n != b.n or a.d != b.d:
+        return False
+    a, b = a.canonical(), b.canonical()
+    return a.P == b.P and a.Q == b.Q and a.r == b.r
 
 
 def reference_homog_subst(poly, num, den, total):

@@ -1,7 +1,7 @@
 """Randomized checks of the script front end: a grammar fuzzer over
-`sgk run --format json`, the lexer against the one that kept every newline,
-and the size estimate of script values against the three estimates it
-replaced."""
+`sgk run` in both formats, the lexer against the one that kept every newline,
+and the size estimate of script values, bound or not, against the three
+estimates it replaced."""
 
 import contextlib
 import io
@@ -10,13 +10,15 @@ import random
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sgk.cli as cli
 from sgk.cli import (_FIELD_LITERALS, _FUNCTIONS, _LITERAL_HEADS,
-                     _MAX_LITERAL_DIGITS, CLIError, RatFunc, _size, main,
-                     tokenize)
+                     _MAX_LITERAL_DIGITS, CLIError, Evaluator, RatFunc,
+                     ScriptRunner, _size, main, parse_text, tokenize)
 from sgk.curves import random_curve
 from sgk.grassmann import Qi, SuperNumber, T_PARAM
 from sgk.polyrat import SuperPoly
@@ -106,22 +108,53 @@ _SCRIPTS = st.tuples(
 ).map(lambda x: "".join(s + sep for s, sep in zip(*x)))
 
 
-def _run_json(text):
+def _run(text, fmt="json"):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", "--format", "json"])
+            code = main(["run", "--format", fmt])
     finally:
         sys.stdin = saved
     return code, out.getvalue()
 
 
+def _run_records(text, fmt):
+    """(exit code, records) of `sgk run --format fmt` on text, each record
+    as (id, anchor, status, residual); records are None when the run
+    printed no report."""
+    with mock.patch.object(cli, "_emit_report",
+                           wraps=cli._emit_report) as emit:
+        code, _ = _run(text, fmt)
+    if not emit.called:
+        return code, None
+    return code, [(r["id"], r["anchor"], r["status"], r["residual"])
+                  for r in emit.call_args.args[0]]
+
+
+@contextlib.contextmanager
+def _checked_operand_sizes():
+    """Make every operand size the evaluator uses assert that it equals the
+    reference estimate of its operand; yields the list of sized values."""
+    sized = []
+    operand_size = Evaluator._operand_size
+
+    def checked(self, node, v, inverse=False):
+        size = operand_size(self, node, v, inverse)
+        want = reference_inverse_size(v) if inverse else reference_size(v)
+        assert size == want + (reference_z_degree(v),), (node, size)
+        sized.append(v)
+        return size
+
+    with mock.patch.object(Evaluator, "_operand_size", checked):
+        yield sized
+
+
 @given(text=_SCRIPTS)
 @settings(max_examples=200, deadline=3000)
 def test_run_json_reports_any_script(text):
-    code, out = _run_json(text)
+    code, out = _run(text)
     assert code in (0, 1)
     report = json.loads(out)
     assert report["ok"] is (code == 0)
@@ -129,6 +162,22 @@ def test_run_json_reports_any_script(text):
     for rec in report["checks"]:
         m = re.fullmatch(r"line-([0-9]+)", rec["anchor"])
         assert m and 1 <= int(m.group(1)) <= last, rec
+
+
+@given(text=_SCRIPTS)
+@settings(max_examples=200, deadline=3000)
+def test_text_and_json_runs_give_the_same_records(text):
+    # a text run formats every value it echoes, a JSON run none, so a value
+    # whose formatting raised would show only as a missing record
+    with _checked_operand_sizes():
+        code, records = _run_records(text, "json")
+        text_code, text_records = _run_records(text, "text")
+    assert text_code == code
+    if text_records is None:
+        # a refused script: the text run reports it on stderr only
+        assert [r[0] for r in records] == ["syntax"]
+    else:
+        assert text_records == records
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +275,67 @@ def test_size_matches_the_estimates_it_replaced(v):
     z_degree = reference_z_degree(v)
     assert _size(v) == reference_size(v) + (z_degree,)
     assert _size(v, inverse=True) == reference_inverse_size(v) + (z_degree,)
+
+
+def _runner(text, n=3):
+    runner = ScriptRunner(n)
+    runner.run(parse_text(text))
+    return runner
+
+
+def test_bound_operand_sizes_match_the_reference():
+    with _checked_operand_sizes() as sized, \
+            mock.patch.object(cli, "_size", wraps=_size) as size_calls:
+        # rebinding: a * a reads the old binding, then a holds the product
+        runner = _runner("let a = 2/3 + g1*g2 + t*g3\nlet a = a * a\n"
+                         "let b = a * a + 1 / a\nb^2")
+        size_calls.reset_mock()
+        runner.run(parse_text("a * a; mul(a, b); b^-2"))
+        assert size_calls.call_count == 0
+        # the curve literal's z is the coordinate, not the variable z
+        runner.run(parse_text("let z = 5 + g1*g2\n"
+                              "let c = curve(1; phi = (z + 1) / (z - 1); "
+                              "psi = (g1) / ((z - 1)^2))\nz * z"))
+        assert any(isinstance(v, RatFunc) for v in sized)
+        # the bound values keep their sizes when the generator count moves
+        runner.run(parse_text("set generators 2\na * b\n"
+                              "set generators 4\nb / a\nz * g4"))
+        # a value written straight into vars has no binding; one written
+        # over a binding no longer matches it
+        runner.ev.vars["w"] = runner.ev.vars["b"] * runner.ev.vars["b"]
+        runner.ev.vars["a"] = runner.ev.vars["w"] * runner.ev.vars["b"]
+        size_calls.reset_mock()
+        runner.run(parse_text("w * a; a^3; mul(a, w)"))
+        assert size_calls.call_count == 5
+    assert [r["status"] for r in runner.records] == ["error"]
+    assert "generator count mismatch" in runner.records[0]["residual"]
+
+
+_K = "2^1000 * 2^1000 * 2^1000 * 2^1000"
+
+
+def test_bound_operands_are_refused_where_they_were():
+    scalar = "result would exceed the scalar size limit of 8192 bits"
+    degree = "result would exceed the degree limit of 2000 in t"
+    cases = [
+        ("let a = %s\nlet b = a * a\nlet c = b * a\n" % _K,
+         ["line 3:11: " + scalar]),
+        ("let a = %s + g1\nlet b = a * a\nlet c = a * b\n"
+         "let d = mul(a, b)\n" % _K,
+         ["line 3:11: " + scalar, "line 4:9: " + scalar]),
+        ("let a = 2^300 + g1*g2\nlet b = 1 / a\nlet c = a^30\n"
+         "let d = b^30\n", ["line 3:10: " + scalar, "line 4:10: " + scalar]),
+        ("let m = sl2[[2^1000*2^1000, 0], [0, 1/(2^1000*2^1000)]]\n"
+         "let k = mul(m, m)\nlet j = mul(k, m)\n", ["line 3:9: " + scalar]),
+        ("let p = t^900 + 1\nlet q = p * p\nlet r = q + p*p\n"
+         "let s = q * p\n", ["line 3:11: " + degree, "line 4:11: " + degree]),
+        ("let p = t^700 + g1\nlet q = 1 / p\nlet r = p^3\n",
+         ["line 3:10: " + degree]),
+        ("let a = t^1000 * t^500\nlet a = a * a\nlet b = t^600\n"
+         "let b = b * b\nlet b = b * b\n",
+         ["line 2:11: " + degree, "line 5:11: " + degree]),
+    ]
+    for text, want in cases:
+        with _checked_operand_sizes():
+            runner = _runner(text)
+        assert [r["residual"] for r in runner.records] == want, text

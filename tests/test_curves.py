@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (action_matches_pointwise, action_matches_symbolic,
-                      reference_gauge_pair, reference_susy1_matrix,
-                      susy1_square)
+                      reference_curve_eq, reference_gauge_pair,
+                      reference_susy1_matrix, susy1_square)
 from sgk.curves import (MarkedConfig, P1Point, SuperCurve, _gauge_pair,
                         act_config,
                         act_general, act_sl2_on_curve, act_susy_on_curve,
@@ -20,7 +20,7 @@ from sgk.curves import (MarkedConfig, P1Point, SuperCurve, _gauge_pair,
                         susy1_report,
                         torus_act_config, torus_act_curve)
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, T_PARAM, \
-    random_supernumber
+    random_qi, random_supernumber
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import (act_point, lift_sl2, random_sc_matrix,
                          random_sl2_qi, susy)
@@ -36,6 +36,16 @@ def _random_points(rng, n, count):
     return [ChartPoint(n, 1, random_supernumber(rng, n, parity=0),
                        random_supernumber(rng, n, parity=1, max_terms=2))
             for _ in range(count)]
+
+
+def _example_curve(n, d, P, Q, r, validate=True):
+    """A curve from coefficient lists over n generators, g the generators
+    g[1] .. g[n] (g[0] unused), each list a function of g."""
+    g = (None,) + _gens(n, *range(1, n + 1))
+    return SuperCurve(n, d, P(g), Q(g), r(g), validate=validate)
+
+
+_t = T_PARAM
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +96,118 @@ def test_curve_equality_is_projective():
     b = SuperCurve(n, 1, P * lam, Q * lam, r * (lam * lam))
     assert a == b
     assert a != SuperCurve(n, 1, P, Q)
+
+
+def _scaled(cur, c):
+    """The same curve, given by (c P, c Q, c^2 r)."""
+    return SuperCurve(cur.n, cur.d, cur.P * c, cur.Q * c, cur.r * (c * c))
+
+
+def _even_unit(rng, n, with_t):
+    """An even invertible number, with a soul when n >= 2 and t in its body
+    when with_t."""
+    body = random_qi(rng, nonzero=True)
+    c = SuperNumber.scalar(n, body + _t if with_t else body)
+    if n < 2:
+        return c
+    soul = random_supernumber(rng, n, parity=0, max_terms=2).soul()
+    if soul.is_zero():
+        soul = SuperNumber.gen(n, 1) * SuperNumber.gen(n, 2)
+    return c + soul
+
+
+def _with_coeff_added(cur, field, m, e):
+    """cur with e added to coefficient m of field "P", "Q" or "r"; cur
+    itself when that is no curve."""
+    fields = {"P": cur.P, "Q": cur.Q, "r": cur.r}
+    cs = list(fields[field].coeffs)
+    cs += [SuperNumber.zero(cur.n)] * (m + 1 - len(cs))
+    cs[m] = cs[m] + e
+    fields[field] = SuperPoly(cur.n, cs)
+    try:
+        return SuperCurve(cur.n, cur.d, fields["P"], fields["Q"], fields["r"])
+    except GrassmannError:
+        return cur
+
+
+def _perturbed(rng, cur):
+    """cur with one coefficient moved: a soul (or 1 below n = 2) added to P
+    or Q, or a generator added to r."""
+    n, d = cur.n, cur.d
+    field = rng.choice("PQr" if n and d else "PQ")
+    if field == "r":
+        return _with_coeff_added(cur, "r", rng.randrange(2 * d),
+                                 SuperNumber.gen(n, rng.randint(1, n)))
+    e = SuperNumber.gen(n, 1) * SuperNumber.gen(n, 2) if n >= 2 else 1
+    return _with_coeff_added(cur, field, rng.randint(0, d), e)
+
+
+def _moved_pivot(cur):
+    """cur with the body of its pivot coefficient dropped, so the pivot sits
+    lower in Q or in P; None when that is no curve."""
+    (which, m), c = cur._pivot()
+    moved = _with_coeff_added(cur, "QP"[which], m, -c.body())
+    return None if moved is cur else moved
+
+
+@st.composite
+def _curve_pairs(draw):
+    """(kind, a, b): a curve at n = 0-4 and d = 0-3, t in a body
+    coefficient half the time, and a second curve made from it as kind
+    says."""
+    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    with_t = draw(st.booleans())
+    if d == 0 and draw(st.booleans()):
+        # the pivot is in P: Q is nilpotent
+        a = SuperCurve(n, 0, SuperPoly(n, [_even_unit(rng, n, with_t)]),
+                       SuperPoly(n, [random_supernumber(
+                           rng, n, parity=0, max_terms=2).soul()]))
+    else:
+        a = random_curve(rng, n, d)
+        if with_t:
+            a = _with_coeff_added(a, "P", 0, _t)
+    c = _even_unit(rng, n, draw(st.booleans()))
+    kind = draw(st.sampled_from(["scaled", "perturbed", "scaled perturbed",
+                                 "moved pivot", "independent"]))
+    if kind == "moved pivot":
+        moved = _moved_pivot(a)
+        if moved is not None:
+            return kind, a, _scaled(moved, c)
+        kind = "scaled"
+    if kind == "scaled":
+        return kind, a, _scaled(a, c)
+    if kind == "perturbed":
+        return kind, a, _perturbed(rng, a)
+    if kind == "scaled perturbed":
+        return kind, a, _scaled(_perturbed(rng, a), c)
+    return kind, a, random_curve(rng, n, d)
+
+
+@given(pair=_curve_pairs())
+# d = 0, the pivot in P, scaled by an even unit with t in its body
+@example(pair=("scaled", _example_curve(2, 0, lambda g: [2 + g[1] * g[2]],
+                                        lambda g: [3 * g[1] * g[2]],
+                                        lambda g: []),
+               _example_curve(2, 0, lambda g: [(2 + g[1] * g[2])
+                                               * (_t + 1 + g[1] * g[2])],
+                              lambda g: [3 * g[1] * g[2] * (_t + 1)],
+                              lambda g: [])))
+# the same curve with its pivot moved from Q into P
+@example(pair=("moved pivot",
+               _example_curve(2, 0, lambda g: [2], lambda g: [1 + g[1] * g[2]],
+                              lambda g: []),
+               _example_curve(2, 0, lambda g: [2], lambda g: [g[1] * g[2]],
+                              lambda g: [])))
+@settings(max_examples=200, deadline=None)
+def test_curve_equality_matches_canonical_forms(pair):
+    kind, a, b = pair
+    assert (a == b) is reference_curve_eq(a, b)
+    assert (b == a) is reference_curve_eq(b, a)
+    if kind == "scaled":
+        assert a == b
+    if kind == "moved pivot":
+        assert a != b
 
 
 def test_eval_curve_examples():
@@ -155,16 +277,6 @@ def test_act_on_curves_composes_contravariantly():
         rhs = act_general(m1, act_general(m2, cur))
         alt = act_general(m2, act_general(m1, cur))
         assert lhs == rhs or lhs == alt
-
-
-def _example_curve(n, d, P, Q, r, validate=True):
-    """A curve from coefficient lists over n generators, g the generators
-    g[1] .. g[n] (g[0] unused), each list a function of g."""
-    g = (None,) + _gens(n, *range(1, n + 1))
-    return SuperCurve(n, d, P(g), Q(g), r(g), validate=validate)
-
-
-_t = T_PARAM
 
 
 def _short_p_curve(rng, n, d):
