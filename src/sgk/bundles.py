@@ -13,8 +13,8 @@ exact linear map so ranks and kernels can be read off.
 
 from __future__ import annotations
 
-from .grassmann import GrassmannError, SuperNumber
-from .polyrat import SuperPoly, chart2_poly, homog_subst
+from .grassmann import GrassmannError, ScalarPoly, SuperNumber
+from .polyrat import SuperPoly, chart2_poly, even_wronskian, homog_subst
 from .superspace import ChartPoint, preferred_chart
 
 
@@ -108,8 +108,11 @@ def wronskian(curve) -> SuperPoly:
 
 
 def wronskian_of(P, Q):
-    """P'Q - PQ' for two SuperPolys, or for two body ScalarPolys."""
-    return P.derivative() * Q - P * Q.derivative()
+    """P'Q - PQ' for two SuperPolys with even coefficients, in one pass
+    (polyrat.even_wronskian), or for two body ScalarPolys."""
+    if isinstance(P, ScalarPoly):
+        return P.derivative() * Q - P * Q.derivative()
+    return even_wronskian(P, Q)
 
 
 def point_row(pt) -> list:

@@ -584,7 +584,7 @@ def _size(v, inverse=False):
     elif isinstance(v, SCMatrix):
         numbers = [x for row in v.rows() for x in row]
     elif isinstance(v, RatFunc):
-        numbers = v.num.coeffs + v.den.coeffs
+        numbers = (v.num, v.den)
         z_degree = max(v.num.degree(), v.den.degree())
     else:
         return 0, 0, 0

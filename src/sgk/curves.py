@@ -80,8 +80,7 @@ def _parity_poly(n, coeffs, what, odd=False):
     p = coeffs if isinstance(coeffs, SuperPoly) else SuperPoly(n, coeffs)
     if p.n != n:
         raise GrassmannError("generator count mismatch in %s" % what)
-    if not all(map(SuperNumber.is_odd if odd else SuperNumber.is_even,
-                   p.coeffs)):
+    if not (p.is_odd() if odd else p.is_even()):
         raise GrassmannError("%s must have %s coefficients"
                              % (what, "odd" if odd else "even"))
     return p
@@ -135,10 +134,9 @@ class SuperCurve:
         coefficient of Q, else of P.  Scaling by an invertible c keeps the
         position, because c x is invertible exactly when x is."""
         for which, poly in enumerate((self.Q, self.P)):
-            for m in range(self.d, -1, -1):
-                c = poly.coeff(m)
-                if c.is_invertible():
-                    return (which, m), c
+            m = poly.body_degree()
+            if m >= 0:
+                return (which, m), poly.coeff(m)
         raise GrassmannError("curve with no invertible coefficient")
 
     def canonical(self) -> "SuperCurve":
@@ -149,13 +147,11 @@ class SuperCurve:
     def is_reduced(self):
         if not self.r.is_zero():
             return False
-        return all(c.soul().is_zero() for c in self.P.coeffs) and \
-            all(c.soul().is_zero() for c in self.Q.coeffs)
+        return self.P.soul().is_zero() and self.Q.soul().is_zero()
 
     def reduced(self) -> "SuperCurve":
         """Forget every nilpotent: body coefficients, vanishing psi."""
-        body = lambda p: p.map_coeffs(
-            lambda c: SuperNumber.scalar(self.n, c.body()))
+        body = lambda p: SuperPoly.from_body(self.n, p.body_poly())
         return SuperCurve(self.n, self.d, body(self.P), body(self.Q),
                           validate=False)
 
@@ -164,16 +160,16 @@ class SuperCurve:
             return NotImplemented
         if self.n != other.n or self.d != other.d:
             return False
-        # the canonical forms agree when the pivots sit at the same position
-        # and the cross products do: pa and pb are even, invertible and
-        # central, so Q / pa == Q' / pb exactly when Q pb == Q' pa, and when
-        # pa == pb exactly when Q == Q'
+        # equal fields are equal curves.  Otherwise the canonical forms
+        # agree when the pivots sit at the same position and the cross
+        # products do: pa and pb are even, invertible and central, so
+        # Q / pa == Q' / pb exactly when Q pb == Q' pa; with pa == pb that
+        # needs equal fields
+        if self.Q == other.Q and self.P == other.P and self.r == other.r:
+            return True
         (at, pa), (other_at, pb) = self._pivot(), other._pivot()
-        if at != other_at:
+        if at != other_at or pa == pb:
             return False
-        if pa == pb:
-            return self.Q == other.Q and self.P == other.P and \
-                self.r == other.r
         return (self.Q * pb == other.Q * pa and self.P * pb == other.P * pa
                 and self.r * (pb * pb) == other.r * (pa * pa))
 
@@ -278,7 +274,7 @@ def _gauge_pair(cur: SuperCurve):
     s = inverse_mod(G, F) if F.degree() == d else None
     if s is None:
         raise GrassmannError("singular scalar system")
-    F, G, s = (SuperPoly(n, p.coeffs) for p in (F, G, s))
+    F, G, s = (SuperPoly.from_body(n, p) for p in (F, G, s))
 
     def body_solve(R):
         if q_is_f:
@@ -287,7 +283,7 @@ def _gauge_pair(cur: SuperCurve):
         X = (R * s).divmod(F)[1]
         return X, (X * G - R).divmod(F)[0]
 
-    Ps, Qs = (p.map_coeffs(SuperNumber.soul) for p in (cur.P, cur.Q))
+    Ps, Qs = cur.P.soul(), cur.Q.soul()
     X, Y = tX, tY = body_solve(cur.r)
     for _ in range(n):
         if tX.is_zero() and tY.is_zero():

@@ -10,34 +10,35 @@ the layout of FLINT's fmpq_poly: one common denominator d > 0 and one
 integer numerator per nonzero term, keyed by the monomial's int bitmask,
 bit i - 1 standing for g_i.  The form is canonical, gcd(d, every numerator)
 == 1, so two values in integer form are equal exactly when their fields
-are.  g2*g1 is -1 times the monomial 0b11: the sign of a product of
-disjoint monomials ka, kb is read off a row of bytes built for ka on first
-use (_sign_row), and ka & kb != 0 marks a vanishing product.  Products,
-sums and dot of integer-form values run their loops on the ints and divide
-the result by one gcd.  A value with an imaginary part or a RatT
-coefficient keeps a dict from masks to scalars instead, and so does every
-result of arithmetic with such an operand, even when its coefficients come
-out real; that arithmetic runs the same loop (_accumulate) on the scalars,
-reading an integer-form operand's coefficients as Qi.  SuperNumber.terms is
-a read-only mapping from increasing index tuples to Qi/RatT coefficients,
-converted on demand, in the order the terms were made; a sum that reaches
-zero deletes its term at once, so a term made again later goes to the end.
+are.  A value with an imaginary part or a RatT coefficient keeps a dict
+from masks to scalars instead (d == 0), and so does every result of
+arithmetic with such an operand, even when its coefficients come out real.
+SuperNumber.terms is a read-only mapping from increasing index tuples to
+Qi/RatT coefficients, converted on demand, in the order the terms were
+made; a sum that reaches zero deletes its term at once, so a term made
+again later goes to the end.
+
+polyrat.SuperPoly keeps the same two forms, with the key (i << 8) | mask
+for the term z^i g_mask, so a SuperNumber's dict is a constant
+polynomial's.  _accumulate is the one product loop of both classes: keys
+ka, kb multiply when ka & 0xFF & kb == 0, to the key ka + kb, with the
+sign of g_ka * g_kb read off a row of bytes built for the low byte of ka on
+first use (_sign_row).  It runs on ints or on scalars; _sum and _times are
+the sums and products of both classes, divided by one gcd (_lowest).
 
 The public SuperNumber constructor validates indices and coefficients;
-results the class builds itself (sums, products, negation, parity and
-projection parts, inverses) and the constructors scalar, zero and one (and
-coerce, which goes through scalar) pass their fields positionally to the
-same __init__, which skips the checks; those constructors still check n and
+results the class builds itself and the constructors scalar, zero and one
+(and coerce, through scalar) pass their fields positionally to the same
+__init__, which skips the checks; those constructors still check n and
 coerce and drop a zero scalar.  A product with a body-only operand scales
-the other operand's numerators without monomial merging, and the inverse of
-a body-only value is the scalar inverse.
+the other operand's numerators, and the inverse of a body-only value is
+the scalar inverse.
 
-dot(n, xs, ys) is the package's one sum-of-products kernel: it returns
-x1*y1 + x2*y2 + ... as one SuperNumber, accumulating every product over the
-lcm of the pairs' denominators into a single dict through the loop the
-product itself runs, so no SuperNumber is built per product or per partial
-sum.  The left factor of each product comes from xs, which fixes the signs
-of odd-by-odd terms.  Group products, point actions, SuperPoly products and
+dot(n, xs, ys) returns x1*y1 + x2*y2 + ... as one SuperNumber,
+accumulating every product over the lcm of the pairs' denominators into a
+single dict, so no SuperNumber is built per product or per partial sum.
+The left factor of each product comes from xs, which fixes the signs of
+odd-by-odd terms.  Group products, point actions, SuperPoly division and
 the Grassmann linear solver are built on it.
 """
 
@@ -116,27 +117,30 @@ def _sign_row(ka):
 
 
 def _accumulate(out, ta, tb):
-    """Add the product of the mask-keyed coefficient dicts ta and tb, ta on
-    the left, into out, deleting every coefficient whose sum reaches zero.
+    """Add the product of the coefficient dicts ta and tb, ta on the left,
+    into out, deleting every coefficient whose sum reaches zero.
 
-    The coefficients may be ints, Qi or RatT values: the loop only
-    multiplies, adds, negates and tests them for zero."""
+    A key's low byte is a monomial's mask and its higher bits a power of z
+    (none for a SuperNumber), so two keys with disjoint masks multiply to
+    their sum.  The coefficients may be ints, Qi or RatT values: the loop
+    only multiplies, adds, negates and tests them for zero."""
     get = out.get
     other_terms = tb.items()
     for ka, va in ta.items():
-        signs = _SIGNS[ka]
+        ma = ka & 0xFF
+        signs = _SIGNS[ma]
         if signs is None:
-            signs = _sign_row(ka)
+            signs = _sign_row(ma)
         for kb, vb in other_terms:
-            if ka & kb:
+            if ma & kb:
                 continue
-            key = ka | kb
+            key = ka + kb
             c = va * vb
             prev = get(key)
             if prev is None:
-                out[key] = -c if signs[kb] else c
+                out[key] = -c if signs[kb & 0xFF] else c
                 continue
-            s = prev - c if signs[kb] else prev + c
+            s = prev - c if signs[kb & 0xFF] else prev + c
             if s:
                 out[key] = s
             else:
@@ -159,6 +163,85 @@ def _product(ta, tb):
     return out
 
 
+def _lowest(d, num):
+    """(num, d) for the integer form num / d, divided by the gcd of d and
+    every numerator; the scalar form (d == 0) comes back unchanged."""
+    if d > 1:
+        g = d
+        for v in num.values():
+            g = math.gcd(g, v)
+            if g == 1:
+                return num, d
+        d //= g
+        num = {k: v // g for k, v in num.items()}
+    return num, d
+
+
+def _scaled(x, f):
+    """The numerators of the integer-form x, times f."""
+    return x._num if f == 1 else {k: v * f for k, v in x._num.items()}
+
+
+def _times(x, y):
+    """(num, d) of x * y, x and y SuperNumbers or SuperPolys: one pass of
+    the product loop, on ints when both have the integer form."""
+    if not (x._num and y._num):
+        return {}, 1
+    d = x._d * y._d
+    if d == 1:
+        return _product(x._num, y._num), 1
+    if not d:
+        return _product(x._scalars(), y._scalars()), 0
+    return _lowest(d, _product(x._num, y._num))
+
+
+def _sum(x, y):
+    """(num, d) of x + y, x and y SuperNumbers or SuperPolys.  Over the lcm
+    of two canonical denominators a sum of disjoint terms is canonical, so
+    only a sum with shared keys needs _lowest.  On scalars, a term new to x
+    is added to 0, which collapses a RatT constant such as RatT.lift(2)."""
+    da, db = x._d, y._d
+    # x + 0 keeps the fields of x; 0 + y on scalars may collapse a RatT
+    if not y._num:
+        return x._num, da
+    if not x._num and db:
+        return y._num, db
+    if not (da and db):
+        out = dict(x._scalars())
+        for k, v in y._scalars().items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = v if type(v) is Qi else QI_ZERO + v
+                continue
+            s = prev + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return out, 0
+    if da == db:
+        d, fb = da, 1
+        out = dict(x._num)
+    else:
+        d = da // math.gcd(da, db) * db
+        fa, fb = d // da, d // db
+        out = _scaled(x, fa) if fa != 1 else dict(x._num)
+    shared = False
+    get = out.get
+    for k, v in y._num.items():
+        if fb != 1:
+            v *= fb
+        prev = get(k)
+        if prev is not None:
+            shared = True
+            v += prev
+            if not v:
+                del out[k]
+                continue
+        out[k] = v
+    return _lowest(d, out) if shared else (out, d)
+
+
 def _check_generators(n):
     if not isinstance(n, int) or not 0 <= n <= MAX_GENERATORS:
         raise GrassmannError(
@@ -179,26 +262,6 @@ def _fields(terms):
     # over the least common denominator no prime divides every numerator,
     # since it would divide the numerator and the denominator of one Qi
     return {k: v.a * (d // v.d) for k, v in terms.items()}, d
-
-
-def _normal(n, d, num):
-    """The integer-form value num / d, divided by the gcd of d and every
-    numerator."""
-    if d != 1:
-        g = d
-        for v in num.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        else:
-            d //= g
-            num = {k: v // g for k, v in num.items()}
-    return SuperNumber(n, num, d)
-
-
-def _scaled(x, f):
-    """The numerators of the integer-form x, times f."""
-    return x._num if f == 1 else {k: v * f for k, v in x._num.items()}
 
 
 class _TermsView(Mapping):
@@ -354,9 +417,7 @@ class SuperNumber:
     def _part(self, keep):
         """The sum of the terms whose masks m have keep[m] set."""
         num = {k: v for k, v in self._num.items() if keep[k]}
-        if not self._d:
-            return SuperNumber(self.n, num, 0)
-        return _normal(self.n, self._d, num)
+        return SuperNumber(self.n, *_lowest(self._d, num))
 
     def _signed(self, flip):
         """The value with the terms whose masks m have flip[m] set negated."""
@@ -435,61 +496,14 @@ class SuperNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerced(other)
+        o = other if type(other) is SuperNumber and other.n == self.n \
+            else self._coerced(other)
         if o is None:
             return NotImplemented
-        da, db = self._d, o._d
-        # x + 0 keeps the fields of x; 0 + v on scalars may collapse a RatT
-        if not o._num:
-            return SuperNumber(self.n, self._num, da)
-        if not self._num and db:
-            return SuperNumber(self.n, o._num, db)
-        if not (da and db):
-            return self._add_scalars(o)
-        if da == db:
-            d, fb = da, 1
-            out = dict(self._num)
-        else:
-            d = da // math.gcd(da, db) * db
-            fa, fb = d // da, d // db
-            out = _scaled(self, fa) if fa != 1 else dict(self._num)
-        # over the lcm of two canonical denominators a sum of disjoint
-        # terms is canonical; only a sum with shared monomials needs _normal
-        shared = False
-        get = out.get
-        for k, v in o._num.items():
-            if fb != 1:
-                v *= fb
-            prev = get(k)
-            if prev is not None:
-                shared = True
-                v += prev
-                if not v:
-                    del out[k]
-                    continue
-            out[k] = v
-        if shared and d != 1:
-            return _normal(self.n, d, out)
-        return SuperNumber(self.n, out, d)
+        num, d = _sum(self, o)
+        return SuperNumber(self.n, num, d)
 
     __radd__ = __add__
-
-    def _add_scalars(self, o):
-        """self + o on scalar coefficients, for a value without the integer
-        form on either side."""
-        out = dict(self._scalars())
-        for k, v in o._scalars().items():
-            prev = out.get(k)
-            if prev is None:
-                # 0 + v collapses a RatT constant such as RatT.lift(2) to Qi
-                out[k] = v if type(v) is Qi else QI_ZERO + v
-                continue
-            s = prev + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return SuperNumber(self.n, out, 0)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -507,19 +521,12 @@ class SuperNumber:
         return self._signed(_ALL)
 
     def __mul__(self, other):
-        o = self._coerced(other)
+        o = other if type(other) is SuperNumber and other.n == self.n \
+            else self._coerced(other)
         if o is None:
             return NotImplemented
-        if not (self._num and o._num):
-            return SuperNumber(self.n, {}, 1)
-        d = self._d * o._d
-        if not d:
-            return SuperNumber(self.n, _product(self._scalars(), o._scalars()),
-                               0)
-        out = _product(self._num, o._num)
-        if d == 1:
-            return SuperNumber(self.n, out, 1)
-        return _normal(self.n, d, out)
+        num, d = _times(self, o)
+        return SuperNumber(self.n, num, d)
 
     def __rmul__(self, other):
         # scalars are central, so reflected multiplication needs no signs
@@ -679,9 +686,7 @@ def dot(n, xs, ys) -> SuperNumber:
     for x, y in pairs:
         if x._num and y._num:
             _accumulate(out, _scaled(x, d // (x._d * y._d)), y._num)
-    if d == 1:
-        return SuperNumber(n, out, 1)
-    return _normal(n, d, out)
+    return SuperNumber(n, *_lowest(d, out))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,25 @@ actions are built from.  Its body is a grassmann.ScalarPoly, the dense
 polynomial over the scalar field (Gaussian rationals, possibly with the
 transcendental t), and coprimality checks run on those bodies.
 
+A SuperPoly is stored like a SuperNumber, in one dict for the whole
+polynomial: the term z^i g_mask has the key (i << MAX_GENERATORS) | mask,
+and its value is an int numerator over one common denominator _d > 0 in
+lowest terms (the integer form), or, when some coefficient is Gaussian or
+a RatT, the scalar itself with _d == 0; no entry is zero, so the top key
+gives the degree.  A SuperNumber's dict is then a
+constant polynomial's, and products of any two of them, sums and
+negation are grassmann's _times, _sum and dict maps: one pass of the
+product loop _accumulate and one gcd per product, and eval is Horner's
+rule on the dict.  coeffs, the tuple of SuperNumber coefficients, is built
+on first read only, for printing and divmod; a coefficient read from it
+or from coeff(i) has the integer form in lowest terms exactly when all
+its scalars are real Qi.
+
 homog_subst runs Horner's rule in the two factors num and den, O(d^2)
 coefficient products for the linear factors of a Moebius map, and keeps the
 factor order num, den, coefficient in every term, so odd coefficients
-anywhere come out with the right signs.
+anywhere come out with the right signs.  It works on the integer dicts of
+the three polynomials and divides by one gcd at the end.
 
 Coprimality is first decided by a modular certificate (coprime_bodies):
 the two bodies are mapped into F_p[z] by a ring map that sends i to a
@@ -24,16 +39,28 @@ Gathen and Gerhard, Modern Computer Algebra, ch. 6).
 
 from __future__ import annotations
 
+import math
+
 from .grassmann import (
+    MAX_GENERATORS,
+    QI_ONE,
     GrassmannError,
     Qi,
     ScalarPoly,
     SuperNumber,
+    _accumulate,
+    _fields,
+    _lowest,
+    _ODD,
+    _product,
+    _scaled,
+    _sum,
+    _times,
     dot,
     is_scalar,
     square_and_multiply,
 )
-from .scalars import _new
+from .scalars import _canonical, _int_poly, _new
 
 
 # The points of the coprimality certificate, tried in turn: a prime
@@ -157,27 +184,23 @@ def _fp_coprime(a, b, prime):
 
 
 class SuperPoly:
-    """Dense univariate polynomial in z with SuperNumber coefficients."""
+    """Univariate polynomial in z with SuperNumber coefficients, stored in
+    one dict from term keys to int numerators over _d, or to scalars (see
+    the module docstring); coeffs is built on first read."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_d", "_num", "_coeffs")
 
     def __init__(self, n, coeffs=()):
         self.n = n
-        cs = [SuperNumber.coerce(n, c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._num, self._d = _gather(
+            [SuperNumber.coerce(n, c) for c in coeffs])
+        self._coeffs = None
 
     @staticmethod
     def _of(n, cs):
-        """Trusted constructor: cs a list of SuperNumbers over n generators;
-        trailing zeros are dropped."""
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        p = _new(SuperPoly)
-        p.n = n
-        p.coeffs = tuple(cs)
-        return p
+        """Trusted constructor: cs a list of SuperNumbers over n
+        generators."""
+        return _poly(n, *_gather(cs))
 
     @staticmethod
     def const(n, c):
@@ -192,19 +215,68 @@ class SuperPoly:
         """The polynomial a0 + a1*z."""
         return SuperPoly(n, (a0, a1))
 
+    @staticmethod
+    def from_body(n, p: ScalarPoly):
+        """The polynomial with the scalar coefficients of p."""
+        if not p._d:
+            return SuperPoly(n, p.coeffs)
+        return _poly(n, {i * _Z: a for i, a in enumerate(p._num) if a}, p._d)
+
+    @property
+    def coeffs(self):
+        cs = self._coeffs
+        if cs is None:
+            cs = self._coeffs = tuple([_number(self.n, self._d, b)
+                                       for b in _blocks(self._num)])
+        return cs
+
+    def _scalars(self):
+        """The dict from keys to scalar coefficients."""
+        d = self._d
+        if not d:
+            return self._num
+        return {k: _canonical(v, 0, d) for k, v in self._num.items()}
+
     def degree(self):
-        return len(self.coeffs) - 1
+        return max(self._num) >> _SHIFT if self._num else -1
+
+    def body_degree(self):
+        """The degree of the body polynomial: the top power of z whose
+        coefficient is invertible, or -1."""
+        return max([k >> _SHIFT for k in self._num if not k & _LOW],
+                   default=-1)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._num
+
+    def is_even(self):
+        for k in self._num:
+            if _ODD[k & _LOW]:
+                return False
+        return True
+
+    def is_odd(self):
+        for k in self._num:
+            if not _ODD[k & _LOW]:
+                return False
+        return True
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return SuperNumber.zero(self.n)
+        return _number(self.n, self._d, {k & _LOW: v for k, v in
+                                         self._num.items()
+                                         if k >> _SHIFT == i})
 
     def body_poly(self) -> ScalarPoly:
-        return ScalarPoly([c.body() for c in self.coeffs])
+        out = [0] * (self.degree() + 1)
+        for k, v in self._num.items():
+            if not k & _LOW:
+                out[k >> _SHIFT] = v
+        return _int_poly(out, self._d) if self._d else ScalarPoly(out)
+
+    def soul(self):
+        """The polynomial of the coefficients' souls."""
+        return _poly(self.n, *_lowest(self._d, {
+            k: v for k, v in self._num.items() if k & _LOW}))
 
     def map_coeffs(self, f):
         return SuperPoly(self.n, [f(c) for c in self.coeffs])
@@ -215,24 +287,20 @@ class SuperPoly:
                 raise GrassmannError("generator count mismatch in polynomials")
             return other
         if isinstance(other, SuperNumber) or is_scalar(other):
-            return SuperPoly.const(self.n, other)
+            # a SuperNumber's dict is a constant polynomial's
+            return SuperNumber.coerce(self.n, other)
         return None
 
     def __add__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        a, b = list(self.coeffs), list(o.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] = a[i] + c
-        return SuperPoly._of(self.n, a)
+        return _poly(self.n, *_sum(self, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly._of(self.n, [-c for c in self.coeffs])
+        return _poly(self.n, {k: -v for k, v in self._num.items()}, self._d)
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -244,38 +312,21 @@ class SuperPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _poly(self.n, *_sum(o, -self))
 
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return SuperPoly._of(self.n, [])
-        # a constant factor scales the other one's coefficients, still from
-        # its own side
-        if len(a) == 1:
-            c = a[0]
-            return SuperPoly._of(self.n, [c * y for y in b])
-        if len(b) == 1:
-            c = b[0]
-            return SuperPoly._of(self.n, [x * c for x in a])
-        out = []
-        for k in range(len(a) + len(b) - 1):
-            # coefficient k is the sum of a[i] * b[k - i]
-            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-            out.append(dot(self.n, a[lo:hi + 1],
-                           [b[k - i] for i in range(lo, hi + 1)]))
-        return SuperPoly._of(self.n, out)
+        return _poly(self.n, *_times(self, o))
 
     def __rmul__(self, other):
-        # left and right products differ for odd cofactors; SuperNumber
-        # multiplication carries the signs, so order just has to be kept
+        # left and right products differ for odd cofactors; the product
+        # loop carries the signs, so order just has to be kept
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return o * self
+        return _poly(self.n, *_times(o, self))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -284,15 +335,33 @@ class SuperPoly:
 
     def __eq__(self, other):
         if isinstance(other, SuperPoly):
-            return self.n == other.n and self.coeffs == other.coeffs
+            if self.n != other.n:
+                return False
+            if self._d and other._d:
+                return self._d == other._d and self._num == other._num
+            return self._scalars() == other._scalars()
         return NotImplemented
 
     def eval(self, x):
+        """The value at x, by Horner's rule on the dict.  In integer form,
+        with x = X/e and m the degree, e^m times the value is A_0 / _d for
+        A_m = C_m and A_i = A_(i+1) X + e^(m-i) C_i, so one gcd ends it."""
         x = SuperNumber.coerce(self.n, x)
-        out = SuperNumber.zero(self.n)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        if not self._num:
+            return SuperNumber.zero(self.n)
+        if self._d and x._d:
+            cs, X, e = _blocks(self._num), x._num, x._d
+            d = self._d * e ** (len(cs) - 1)
+        else:
+            cs, X, e, d = _blocks(self._scalars()), x._scalars(), 1, 0
+        acc, scale = {}, 1
+        for c in reversed(cs):
+            step = dict(c) if scale == 1 else {k: v * scale
+                                               for k, v in c.items()}
+            _accumulate(step, acc, X)
+            acc, scale = step, scale * e
+        num, d = _lowest(d, acc)
+        return SuperNumber(self.n, num, d)
 
     def divmod(self, other):
         """Long division; the divisor's leading coefficient must have a body.
@@ -304,6 +373,8 @@ class SuperPoly:
         o = self._coerced(other)
         if o is None or o.is_zero():
             raise GrassmannError("polynomial division by zero")
+        if isinstance(o, SuperNumber):
+            o = SuperPoly._of(self.n, [o])
         if not o.coeffs[-1].is_invertible():
             raise GrassmannError("division needs an invertible leading "
                                  "coefficient")
@@ -320,11 +391,12 @@ class SuperPoly:
         return SuperPoly._of(n, quo), SuperPoly._of(n, rem)
 
     def derivative(self):
-        return SuperPoly(self.n, [self.coeffs[i] * Qi(i)
-                                  for i in range(1, len(self.coeffs))])
+        return _poly(self.n, *_lowest(self._d, {
+            k - _Z: v * (k >> _SHIFT) for k, v in self._num.items()
+            if k >= _Z}))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -341,6 +413,59 @@ class SuperPoly:
     __repr__ = __str__
 
 
+# A key's low byte is the monomial's mask, the bits above it the power of z.
+_SHIFT = MAX_GENERATORS
+_Z = 1 << _SHIFT
+_LOW = _Z - 1
+
+
+def _poly(n, num, d):
+    """Trusted constructor: the fields num, d in canonical form."""
+    p = _new(SuperPoly)
+    p.n = n
+    p._num = num
+    p._d = d
+    p._coeffs = None
+    return p
+
+
+def _gather(cs):
+    """(num, d) of the polynomial with the SuperNumber coefficients cs:
+    the integer form over the lcm of their denominators, in lowest terms
+    because each coefficient is, unless one of them has the scalar form;
+    then _fields decides from all the scalars."""
+    d = 1
+    for c in cs:
+        if not c._d:
+            return _fields({i * _Z + k: v for i, c in enumerate(cs)
+                            for k, v in c._scalars().items()})
+        if d % c._d:
+            d = d // math.gcd(d, c._d) * c._d
+    return {i * _Z + k: v * (d // c._d) for i, c in enumerate(cs)
+            for k, v in c._num.items()}, d
+
+
+def _blocks(num):
+    """The values of num as dicts from masks, one per power of z, z^0
+    first, up to the top power."""
+    out = [{} for _ in range((max(num) >> _SHIFT) + 1 if num else 0)]
+    for k, v in num.items():
+        out[k >> _SHIFT][k & _LOW] = v
+    return out
+
+
+def _number(n, d, terms):
+    """The SuperNumber with the mask-keyed coefficients terms, ints over d
+    or, for d == 0, scalars: in integer form and lowest terms exactly when
+    every scalar is a real Qi."""
+    if d:
+        return SuperNumber(n, *_lowest(d, terms))
+    num, d = _fields(terms)
+    x = SuperNumber(n, num, d)
+    x._scalar_terms = terms
+    return x
+
+
 def homog_subst(poly: SuperPoly, num: SuperPoly, den: SuperPoly, total: int) -> SuperPoly:
     """Substitute z -> num/den and clear denominators up to degree `total`.
 
@@ -352,37 +477,79 @@ def homog_subst(poly: SuperPoly, num: SuperPoly, den: SuperPoly, total: int) -> 
     m the degree, each step multiplies the sum by num from the left and adds
     den^(total - j) * c_j, so every term keeps its factor order (num, then
     den, then c_j) and the sum stays exact for odd coefficients; with
-    linear num and den that is O(d^2) coefficient products.
+    linear num and den that is O(d^2) coefficient products.  In integer
+    form num = N/e and den = D/e over e, the lcm of their denominators, and
+    the sum is homogeneous of degree `total` in (num, den), so it runs on
+    the integer dicts of N, D and poly and is divided by one gcd at the end.
     """
     if total < poly.degree():
         raise GrassmannError("substitution bound below polynomial degree")
+    n = poly.n
     if poly.is_zero():
-        return SuperPoly.zero(poly.n)
-    cs = poly.coeffs
-    den_pow = den ** (total - len(cs) + 1)
-    acc = den_pow * cs[-1]
+        return SuperPoly.zero(n)
+    if poly._d and num._d and den._d:
+        e = math.lcm(num._d, den._d)
+        N, D = _scaled(num, e // num._d), _scaled(den, e // den._d)
+        terms, d, den_pow = poly._num, e ** total * poly._d, {0: 1}
+    else:
+        N, D, terms = num._scalars(), den._scalars(), poly._scalars()
+        d, den_pow = 0, {0: QI_ONE}
+    cs = _blocks(terms)
+    for _ in range(total - len(cs) + 1):
+        den_pow = _product(den_pow, D)
+    acc = _product(den_pow, cs[-1])
     for c in reversed(cs[:-1]):
-        den_pow = den_pow * den
-        acc = num * acc
-        if not c.is_zero():
-            acc = acc + den_pow * c
-    return acc
+        den_pow = _product(den_pow, D)
+        step = {}
+        _accumulate(step, N, acc)
+        if c:
+            _accumulate(step, den_pow, c)
+        acc = step
+    return _poly(n, *_lowest(d, acc))
+
+
+def even_wronskian(P: SuperPoly, Q: SuperPoly) -> SuperPoly:
+    """P'Q - PQ' for P and Q with even coefficients, in one product pass.
+
+    Even coefficients commute, so the sum is sum_(i > j) (i - j)(p_i q_j -
+    p_j q_i) z^(i+j-1): each coefficient of P meets each coefficient of Q
+    of another degree once, weighted by the difference of the degrees, and
+    the products p_i q_i, which cancel in P'Q - PQ', are never formed.
+    """
+    if P._d and Q._d:
+        pn, qn = P._num, Q._num
+    else:
+        pn, qn = P._scalars(), Q._scalars()
+    rows = {}
+    for k, v in pn.items():
+        rows.setdefault(k >> _SHIFT, {})[k] = v
+    out = {}
+    for i, row in rows.items():
+        _accumulate(out, row, {k: (i - (k >> _SHIFT)) * v
+                               for k, v in qn.items() if k >> _SHIFT != i})
+    # p_i q_j sits at the key of z^(i+j); its power is z^(i+j-1)
+    return _poly(P.n, *_lowest(P._d * Q._d,
+                               {k - _Z: v for k, v in out.items()}))
 
 
 def reverse_coeffs(poly: SuperPoly, total: int) -> SuperPoly:
-    """The degree-`total` reversal z^total * poly(1/z) (coefficients flipped)."""
-    if total < poly.degree():
-        raise GrassmannError("reversal bound below polynomial degree")
-    zero = SuperNumber.zero(poly.n)
-    cs = [zero] * (total + 1)
-    for i, c in enumerate(poly.coeffs):
-        cs[total - i] = c
-    return SuperPoly(poly.n, cs)
+    """The degree-`total` reversal z^total * poly(1/z): the coefficients
+    flipped."""
+    return _reflected(poly, total, 0)
 
 
 def chart2_poly(poly: SuperPoly, total: int) -> SuperPoly:
     """The second-chart form of a degree-`total` polynomial: substitute
     z -> -1/z and clear z^total, giving sum_j (-1)^j c_j z^(total - j),
     the reversal of poly(-z)."""
-    alternating = [-c if j & 1 else c for j, c in enumerate(poly.coeffs)]
-    return reverse_coeffs(SuperPoly(poly.n, alternating), total)
+    return _reflected(poly, total, _Z)
+
+
+def _reflected(poly, total, flip):
+    """z^total * poly(1/z), with the coefficients of the odd powers of z
+    negated when flip is _Z (and none when it is 0)."""
+    if total < poly.degree():
+        raise GrassmannError("reversal bound below polynomial degree")
+    return _poly(poly.n, {(total - (k >> _SHIFT)) * _Z + (k & _LOW):
+                          -v if k & flip else v
+                          for k, v in poly._num.items()}, poly._d)

@@ -63,15 +63,10 @@ def _frac_sqrt(f: Fraction):
 
 
 class Qi:
-    """A Gaussian rational (a + b*i)/d, stored as a canonical integer triple.
-
-    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
-    have equal triples and equality is a tuple comparison.  Ring operations
-    work on the integers and divide by one gcd of the result; a sum of two
-    values over the same denominator skips the cross multiplication, and
-    results over d == 1 skip the gcd.  The components are also readable as
-    Fractions through the re and im properties.
-    """
+    """A Gaussian rational (a + b*i)/d, stored as the canonical integer
+    triple of the module docstring; a sum of two values over the same
+    denominator skips the cross multiplication, and results over d == 1
+    skip the gcd."""
 
     __slots__ = ("a", "b", "d")
 
@@ -207,8 +202,7 @@ class Qi:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # the hashes of the Fraction components, so a real value hashes
-        # like the int or Fraction it equals
+        # a real value hashes like the int or Fraction it equals
         if not self.b:
             if self.d == 1:
                 return hash(self.a)
@@ -297,13 +291,9 @@ QI_I = Qi(0, 1)
 
 
 class ScalarPoly:
-    """Dense univariate polynomial with scalar (Qi or RatT) coefficients.
-
-    RatT keeps its numerator and denominator as ScalarPoly values in t with
-    Qi coefficients; coprimality checks on curve bodies use the same class
-    with coefficients that may themselves involve t.  Printed forms use t as
-    the variable.  coeffs is the tuple of scalars, made once per value.
-    """
+    """Dense univariate polynomial with scalar (Qi or RatT) coefficients,
+    printed in the variable t (RatT's numerator and denominator, curve
+    bodies in z); coeffs is the tuple of scalars, made once per value."""
 
     __slots__ = ("_d", "_num", "_coeffs")
 
@@ -413,7 +403,7 @@ class ScalarPoly:
         if self._d and other._d:
             a, b = _primitive(self._num), _primitive(other._num)
             while b:
-                a, b = b, _primitive(_pseudo_divmod(a, b)[2])
+                a, b = b, _primitive(_pseudo_rem(a, b))
             if not a:
                 return _POLY_ZERO
             lead = a[-1]
@@ -556,6 +546,25 @@ def _pseudo_divmod(a, b):
         for j, y in enumerate(b):
             r[k + j] -= f * y
     return s, q, r[:nb - 1]
+
+
+def _pseudo_rem(a, b):
+    """_pseudo_divmod(a, b)[2] without the quotient: a step rescales
+    the terms under the one it clears."""
+    lb, nb = b[-1], len(b)
+    r = list(a)
+    for k in range(len(a) - nb, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if c % lb:
+            m = abs(lb) // math.gcd(c, lb)
+            r = [x * m for x in r]
+            c *= m
+        f = c // lb
+        for j in range(nb - 1):
+            r[k + j] -= f * b[j]
+    return r
 
 
 _POLY_ZERO = ScalarPoly()

@@ -67,6 +67,13 @@ make_rat on it (gcd, exact division, denominator made monic), and
 reference_ratt_str and reference_bits print and size its result as RatT and
 cli did.
 
+ReferenceSuperPoly is SuperPoly as it was before its integer form: a
+tuple of SuperNumber coefficients, a grassmann.dot per product
+coefficient, and sums, negation and derivative coefficient by coefficient.
+reference_poly_homog_subst is homog_subst on it (Horner's rule in
+polynomial products), and reference_wronskian is P'Q - PQ' on it as two
+products and a difference, as bundles.wronskian_of computed it.
+
 reference_tokenize is the script lexer as it was before it dropped the
 newlines inside brackets: it emits every newline, and the parser skipped
 the ones it met at bracket depth above zero.  reference_size,
@@ -85,7 +92,7 @@ from sgk.cli import (_MAX_LITERAL_DIGITS, _PUNCT, MAX_SCALAR_BITS, CLIError,
                      RatFunc, Token)
 from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
 from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, RatT, SuperNumber,
-                           as_scalar, random_qi, scalar_is_zero)
+                           as_scalar, dot, random_qi, scalar_is_zero)
 from sgk.linalg import ModuleRankReport, mat_mul, solve_body_invertible
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import (SCMatrix, lift_sl2, random_sl2_qi, reflection,
@@ -875,3 +882,130 @@ def reference_z_degree(v):
     """The larger degree in z of a rational expression's numerator and
     denominator, 0 for other values."""
     return max(v.num.degree(), v.den.degree()) if isinstance(v, RatFunc) else 0
+
+
+class ReferenceSuperPoly:
+    """A polynomial in z on a tuple of SuperNumber coefficients, with the
+    arithmetic SuperPoly had before its integer form: every coefficient of a
+    product one grassmann.dot over the pairs that meet in it, sums and
+    negation coefficient by coefficient, Horner's rule in SuperPoly products
+    for homog_subst, long division by dot, and eval by Horner."""
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n, coeffs=()):
+        self.n = n
+        cs = [SuperNumber.coerce(n, c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def _coerced(self, other):
+        if isinstance(other, ReferenceSuperPoly):
+            return other
+        return ReferenceSuperPoly(self.n, (other,))
+
+    def __add__(self, other):
+        a, b = list(self.coeffs), list(self._coerced(other).coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] = a[i] + c
+        return ReferenceSuperPoly(self.n, a)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceSuperPoly(self.n, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerced(other))
+
+    def __rsub__(self, other):
+        return self._coerced(other) + (-self)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, self._coerced(other).coeffs
+        if not a or not b:
+            return ReferenceSuperPoly(self.n)
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            out.append(dot(self.n, a[lo:hi + 1],
+                           [b[k - i] for i in range(lo, hi + 1)]))
+        return ReferenceSuperPoly(self.n, out)
+
+    def __rmul__(self, other):
+        return self._coerced(other) * self
+
+    def __pow__(self, k):
+        out = ReferenceSuperPoly(self.n, (1,))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def eval(self, x):
+        x = SuperNumber.coerce(self.n, x)
+        out = SuperNumber.zero(self.n)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def divmod(self, other):
+        n, a, b = self.n, self.coeffs, self._coerced(other).coeffs
+        m, shift = len(b) - 1, len(a) - len(b)
+        if shift < 0:
+            return ReferenceSuperPoly(n), self
+        inv = b[-1].invert()
+        quo = [None] * (shift + 1)
+        for k in range(shift, -1, -1):
+            top = a[k + m] - dot(n, quo[k + 1:k + m + 1], b[m - 1::-1])
+            quo[k] = top * inv
+        rem = [a[i] - dot(n, quo[:i + 1], b[i::-1]) for i in range(m)]
+        return ReferenceSuperPoly(n, quo), ReferenceSuperPoly(n, rem)
+
+    def derivative(self):
+        return ReferenceSuperPoly(self.n, [self.coeffs[i] * Qi(i) for i in
+                                           range(1, len(self.coeffs))])
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            if i == 0:
+                parts.append("(%s)" % c)
+            elif i == 1:
+                parts.append("(%s)*z" % c)
+            else:
+                parts.append("(%s)*z^%d" % (c, i))
+        return " + ".join(parts)
+
+
+def reference_poly_homog_subst(poly, num, den, total):
+    """homog_subst on ReferenceSuperPolys: Horner's rule in num and den."""
+    cs = poly.coeffs
+    if not cs:
+        return ReferenceSuperPoly(poly.n)
+    den_pow = den ** (total - len(cs) + 1)
+    acc = den_pow * cs[-1]
+    for c in reversed(cs[:-1]):
+        den_pow = den_pow * den
+        acc = num * acc
+        if not c.is_zero():
+            acc = acc + den_pow * c
+    return acc
+
+
+def reference_wronskian(P, Q):
+    """P'Q - PQ' on ReferenceSuperPolys, as two products and a
+    difference."""
+    return P.derivative() * Q - P * Q.derivative()

@@ -17,6 +17,7 @@ from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            random_qi, random_supernumber, scalar_sqrt)
 from sgk.cli import RatFunc, _size
 from sgk.polyrat import SuperPoly, coprime_bodies
+from sgk.scalars import _pseudo_divmod, _pseudo_rem
 
 from _oracles import (FractionQi, ReferencePoly, _merge_indices,
                       fraction_random_qi, product_random_supernumber,
@@ -579,6 +580,17 @@ def test_scalar_poly_divmod_and_gcd(a, b, common):
     assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
     if not (a.is_zero() or b.is_zero()):
         assert g.degree() >= common.degree()
+
+
+int_seqs = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9)
+
+
+@given(int_seqs, int_seqs.filter(lambda b: b and b[-1]))
+@example(a=[5, 0, 0, 7, 3], b=[2, 6])  # every step rescales
+@example(a=[1, 2], b=[3, 4, 5])  # b longer than a
+@settings(max_examples=200, deadline=None)
+def test_pseudo_remainder_equals_the_divmod_remainder(a, b):
+    assert _pseudo_rem(a, b) == _pseudo_divmod(a, b)[2]
 
 
 # ---------------------------------------------------------------------------

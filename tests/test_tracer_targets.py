@@ -104,3 +104,26 @@ def test_tracer_counts_the_entries_of_a_group_product():
     # constructor the tracer counts, and calls no SuperNumber product
     assert got["init"] == 9 and got["mul"] == 0 and got["group_mul"] == 1
     assert got["peak"] == got["terms"] > 1
+
+
+def test_tracer_spans_the_polynomial_layer_of_an_n8_action():
+    # a span that reads 0 on working code shows nothing: the polynomial
+    # products and substitutions of act_general must still pass through
+    # the names the tracer patches
+    got = _traced("""
+        import random
+        from sgk.curves import act_general, random_curve
+        from sgk.scgroup import random_sc_matrix
+        rng = random.Random(8)
+        m, cur = random_sc_matrix(rng, 8), random_curve(rng, 8, 2)
+        tr.active = True
+        act_general(m, cur)
+        tr.active = False
+        out = {name: tr.calls[tr.names.index(name)] for name in (
+            "curves.act_general", "polyrat.superpoly_mul",
+            "polyrat.homog_subst")}
+        out["init"] = tr.sn_init
+    """)
+    assert got["curves.act_general"] == 1
+    assert got["polyrat.homog_subst"] == 3
+    assert got["polyrat.superpoly_mul"] > 0 and got["init"] > 0
