@@ -13,7 +13,7 @@ exact linear map so ranks and kernels can be read off.
 
 from __future__ import annotations
 
-from .grassmann import GrassmannError, ScalarPoly, SuperNumber
+from .grassmann import GrassmannError, SuperNumber
 from .polyrat import SuperPoly, chart2_poly, even_wronskian, homog_subst
 from .superspace import ChartPoint, preferred_chart
 
@@ -103,16 +103,9 @@ def pair_section_with_curve(alpha, beta, curve) -> SuperPoly:
 
 
 def wronskian(curve) -> SuperPoly:
-    """P'Q - PQ'; its degree drops to 2d - 2 because top terms cancel."""
-    return wronskian_of(curve.P, curve.Q)
-
-
-def wronskian_of(P, Q):
-    """P'Q - PQ' for two SuperPolys with even coefficients, in one pass
-    (polyrat.even_wronskian), or for two body ScalarPolys."""
-    if isinstance(P, ScalarPoly):
-        return P.derivative() * Q - P * Q.derivative()
-    return even_wronskian(P, Q)
+    """P'Q - PQ', in one pass (polyrat.even_wronskian); its degree drops to
+    2d - 2 because top terms cancel."""
+    return even_wronskian(curve.P, curve.Q)
 
 
 def point_row(pt) -> list:

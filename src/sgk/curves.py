@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bundles import chart_row, deformation_rows, wronskian, wronskian_of
+from .bundles import chart_row, deformation_rows, wronskian
 from .grassmann import (GrassmannError, Qi, ScalarPoly, SuperNumber,
                         _draw_subsets, random_qi, random_supernumber)
 from .linalg import field_rank, module_rank_report
@@ -439,15 +439,13 @@ def susy1_matrix(cfg: MarkedConfig):
     Rows: one odd normal direction per marked point, then the 2d
     coefficients of the odd curve deformation; columns: the two parameters
     of a degree-one section.  Only bodies enter: each point's reduced base
-    coordinate and the Wronskian of the body polynomials, so no reduced
+    coordinate and the Wronskian of the reduced curve, so no reduced
     configuration is built; the entries are SuperNumbers without a soul.
     """
     n, cur = cfg.n, cfg.curve
     rows = [chart_row(n, chart, SuperNumber.scalar(n, base))
             for chart, base in map(reduced_base, cfg.points)]
-    W = wronskian_of(cur.P.body_poly(), cur.Q.body_poly())
-    return rows + deformation_rows(
-        n, cur.d, [SuperNumber.scalar(n, c) for c in W.coeffs])
+    return rows + deformation_rows(n, cur.d, wronskian(cur.reduced()).coeffs)
 
 
 def susy1_report(cfg: MarkedConfig):

@@ -24,7 +24,12 @@ polynomial's.  _accumulate is the one product loop of both classes: keys
 ka, kb multiply when ka & 0xFF & kb == 0, to the key ka + kb, with the
 sign of g_ka * g_kb read off a row of bytes built for the low byte of ka on
 first use (_sign_row).  It runs on ints or on scalars; _sum and _times are
-the sums and products of both classes, divided by one gcd (_lowest).
+the sums and products of both classes, divided by one gcd (_lowest).  The
+base class _Graded holds the ring operations of both once (+, -, *,
+negation, ** k for k >= 0, soul, the parity tests, the field comparison);
+each class supplies the hooks _coerced, which takes the other operand and
+raises its own mismatch error, and _make, its trusted constructor.
+_scalars, ==, negative powers and the constructors stay per class.
 
 The public SuperNumber constructor validates indices and coefficients;
 results the class builds itself and the constructors scalar, zero and one
@@ -81,8 +86,8 @@ MAX_GENERATORS = 8
 
 # A monomial is an int bitmask, bit i - 1 standing for g_i.  _KEYS[m] is the
 # increasing index tuple of mask m and _MASKS maps the tuple back.  The
-# byte tables _ODD, _EVEN, _SOUL and _ALL select masks by degree: odd, even,
-# nonzero, any.
+# byte tables _ODD, _EVEN and _SOUL select masks by degree: odd, even,
+# nonzero.
 def _index_tuples():
     keys = [()]
     for g in range(1, MAX_GENERATORS + 1):
@@ -96,7 +101,6 @@ _MASKS = {k: m for m, k in enumerate(_KEYS)}
 _ODD = bytes(len(k) & 1 for k in _KEYS)
 _EVEN = bytes(1 - p for p in _ODD)
 _SOUL = bytes(1 if m else 0 for m in range(1 << MAX_GENERATORS))
-_ALL = bytes([1]) * (1 << MAX_GENERATORS)
 
 # _SIGNS[ka][kb] is 1 when g_ka * g_kb = -g_(ka|kb) for disjoint ka and kb,
 # that is when an odd number of pairs i in ka, j in kb have i > j.  A row is
@@ -302,7 +306,110 @@ class _TermsView(Mapping):
         return repr(self._dict())
 
 
-class SuperNumber:
+class _Graded:
+    """The ring operations of SuperNumber and polyrat.SuperPoly on their
+    shared fields n, _d and _num.  A subclass supplies _coerced(other), the
+    other operand as a value of the class or a SuperNumber over the same n,
+    or None for a type it does not take, and _make(n, num, d), its trusted
+    constructor, for results.  A SuperNumber does not take a SuperPoly, so a
+    mixed operation falls through to the SuperPoly's reflected method."""
+
+    __slots__ = ("n", "_d", "_num")
+
+    def is_zero(self):
+        return not self._num
+
+    def is_even(self):
+        for k in self._num:
+            if _ODD[k & 0xFF]:
+                return False
+        return True
+
+    def is_odd(self):
+        for k in self._num:
+            if not _ODD[k & 0xFF]:
+                return False
+        return True
+
+    def _part(self, keep):
+        """The sum of the terms whose masks m have keep[m] set."""
+        num = {k: v for k, v in self._num.items() if keep[k & 0xFF]}
+        return self._make(self.n, *_lowest(self._d, num))
+
+    def _signed(self, flip):
+        """The value with the terms whose masks m have flip[m] set negated."""
+        num = {k: -v if flip[k & 0xFF] else v for k, v in self._num.items()}
+        return self._make(self.n, num, self._d)
+
+    def soul(self):
+        return self._part(_SOUL)
+
+    def __neg__(self):
+        return self._make(self.n, {k: -v for k, v in self._num.items()},
+                          self._d)
+
+    def __add__(self, other):
+        o = other if type(other) is type(self) and other.n == self.n \
+            else self._coerced(other)
+        if o is None:
+            return NotImplemented
+        num, d = _sum(self, o)
+        return self._make(self.n, num, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = other if type(other) is type(self) and other.n == self.n \
+            else self._coerced(other)
+        if o is None:
+            return NotImplemented
+        num, d = _sum(self, -o)
+        return self._make(self.n, num, d)
+
+    def __rsub__(self, other):
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        return self._make(self.n, *_sum(o, -self))
+
+    def __mul__(self, other):
+        o = other if type(other) is type(self) and other.n == self.n \
+            else self._coerced(other)
+        if o is None:
+            return NotImplemented
+        num, d = _times(self, o)
+        return self._make(self.n, num, d)
+
+    def __rmul__(self, other):
+        # other is the left factor, which fixes the signs of odd-by-odd terms
+        o = self._coerced(other)
+        if o is None:
+            return NotImplemented
+        num, d = _times(o, self)
+        return self._make(self.n, num, d)
+
+    def __pow__(self, k):
+        """self ** k for an int k >= 0; for k < 0 the power of the inverse
+        of a SuperNumber, since a SuperPoly has no inverse."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            if not isinstance(self, SuperNumber):
+                return NotImplemented
+            return self.invert() ** -k
+        return square_and_multiply(self, k, self._make(self.n, {0: 1}, 1))
+
+    def _same(self, other):
+        """self == other for another value of the class: the fields when
+        both have the integer form, else the scalars."""
+        if self.n != other.n:
+            return False
+        if self._d and other._d:
+            return self._d == other._d and self._num == other._num
+        return self._scalars() == other._scalars()
+
+
+class SuperNumber(_Graded):
     """An element of Lambda_n (x) C with exact scalar coefficients.
 
     A value built from real Qi coefficients, and every result of arithmetic
@@ -322,10 +429,11 @@ class SuperNumber:
     The public constructor SuperNumber(n, terms) validates n, every index
     tuple and every coefficient, and drops zero coefficients.  Results the
     class builds itself pass their fields, SuperNumber(n, _num, _d), which
-    already satisfy those invariants and skip the checks.
+    already satisfy those invariants and skip the checks; so do the results
+    of the ring operations from _Graded, whose _make is the class itself.
     """
 
-    __slots__ = ("n", "_d", "_num", "_scalar_terms")
+    __slots__ = ("_scalar_terms",)
 
     def __init__(self, n, terms=None, _den=None):
         if _den is not None:
@@ -414,20 +522,7 @@ class SuperNumber:
             self._scalar_terms = out
         return out
 
-    def _part(self, keep):
-        """The sum of the terms whose masks m have keep[m] set."""
-        num = {k: v for k, v in self._num.items() if keep[k]}
-        return SuperNumber(self.n, *_lowest(self._d, num))
-
-    def _signed(self, flip):
-        """The value with the terms whose masks m have flip[m] set negated."""
-        num = {k: -v if flip[k] else v for k, v in self._num.items()}
-        return SuperNumber(self.n, num, self._d)
-
     # -- structure queries
-
-    def is_zero(self):
-        return not self._num
 
     def body(self):
         return self._coeff(0)
@@ -435,9 +530,6 @@ class SuperNumber:
     def is_invertible(self):
         """True when the body is nonzero; no scalar is built."""
         return 0 in self._num
-
-    def soul(self):
-        return self._part(_SOUL)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as even."""
@@ -447,18 +539,6 @@ class SuperNumber:
         if len(ps) > 1:
             return None
         return ps.pop()
-
-    def is_even(self):
-        for k in self._num:
-            if _ODD[k]:
-                return False
-        return True
-
-    def is_odd(self):
-        for k in self._num:
-            if not _ODD[k]:
-                return False
-        return True
 
     def even_part(self):
         return self._part(_EVEN)
@@ -495,46 +575,6 @@ class SuperNumber:
             return SuperNumber.scalar(self.n, other)
         return None
 
-    def __add__(self, other):
-        o = other if type(other) is SuperNumber and other.n == self.n \
-            else self._coerced(other)
-        if o is None:
-            return NotImplemented
-        num, d = _sum(self, o)
-        return SuperNumber(self.n, num, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return self._signed(_ALL)
-
-    def __mul__(self, other):
-        o = other if type(other) is SuperNumber and other.n == self.n \
-            else self._coerced(other)
-        if o is None:
-            return NotImplemented
-        num, d = _times(self, o)
-        return SuperNumber(self.n, num, d)
-
-    def __rmul__(self, other):
-        # scalars are central, so reflected multiplication needs no signs
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
     def __truediv__(self, other):
         if is_scalar(other):
             return self * SuperNumber.scalar(self.n, 1 / as_scalar(other))
@@ -547,13 +587,6 @@ class SuperNumber:
         if o is None:
             return NotImplemented
         return o * self.invert()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.invert() ** (-k)
-        return square_and_multiply(self, k, SuperNumber.one(self.n))
 
     def invert(self):
         """Multiplicative inverse; requires an invertible body."""
@@ -599,13 +632,9 @@ class SuperNumber:
 
     def __eq__(self, other):
         if isinstance(other, SuperNumber):
-            if self.n != other.n:
-                return False
-            if self._d and other._d:
-                return self._d == other._d and self._num == other._num
-            return self._scalars() == other._scalars()
+            return self._same(other)
         if is_scalar(other):
-            return self == SuperNumber.scalar(self.n, other)
+            return self._same(SuperNumber.scalar(self.n, other))
         return NotImplemented
 
     def __hash__(self):
@@ -640,6 +669,9 @@ class SuperNumber:
 
     def __repr__(self):
         return "<%s | n=%d>" % (self, self.n)
+
+
+SuperNumber._make = SuperNumber
 
 
 # ---------------------------------------------------------------------------

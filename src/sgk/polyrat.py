@@ -11,14 +11,16 @@ polynomial: the term z^i g_mask has the key (i << MAX_GENERATORS) | mask,
 and its value is an int numerator over one common denominator _d > 0 in
 lowest terms (the integer form), or, when some coefficient is Gaussian or
 a RatT, the scalar itself with _d == 0; no entry is zero, so the top key
-gives the degree.  A SuperNumber's dict is then a
-constant polynomial's, and products of any two of them, sums and
-negation are grassmann's _times, _sum and dict maps: one pass of the
-product loop _accumulate and one gcd per product, and eval is Horner's
-rule on the dict.  coeffs, the tuple of SuperNumber coefficients, is built
-on first read only, for printing and divmod; a coefficient read from it
-or from coeff(i) has the integer form in lowest terms exactly when all
-its scalars are real Qi.
+gives the degree.  A SuperNumber's dict is then a constant polynomial's,
+so both classes take their ring operations from grassmann._Graded, whose
+products are one pass of the product loop _accumulate and one gcd.
+SuperPoly supplies the hooks _coerced, which takes a SuperPoly, a
+SuperNumber or a scalar, and _make, the trusted constructor _poly; it
+keeps _scalars, ==, eval (Horner's rule on the dict), divmod and printing,
+and has no hash, inverse or negative power.  coeffs, the tuple of
+SuperNumber coefficients, is built on first read only, for printing and
+divmod; a coefficient read from it or from coeff(i) has the integer form
+in lowest terms exactly when all its scalars are real Qi.
 
 homog_subst runs Horner's rule in the two factors num and den, O(d^2)
 coefficient products for the linear factors of a Moebius map, and keeps the
@@ -50,15 +52,12 @@ from .grassmann import (
     SuperNumber,
     _accumulate,
     _fields,
+    _Graded,
     _lowest,
-    _ODD,
     _product,
     _scaled,
-    _sum,
-    _times,
     dot,
     is_scalar,
-    square_and_multiply,
 )
 from .scalars import _canonical, _int_poly, _new
 
@@ -183,12 +182,23 @@ def _fp_coprime(a, b, prime):
     return True
 
 
-class SuperPoly:
+def _poly(n, num, d):
+    """Trusted constructor: the fields num, d in canonical form."""
+    p = _new(SuperPoly)
+    p.n = n
+    p._num = num
+    p._d = d
+    p._coeffs = None
+    return p
+
+
+class SuperPoly(_Graded):
     """Univariate polynomial in z with SuperNumber coefficients, stored in
     one dict from term keys to int numerators over _d, or to scalars (see
     the module docstring); coeffs is built on first read."""
 
-    __slots__ = ("n", "_d", "_num", "_coeffs")
+    __slots__ = ("_coeffs",)
+    _make = staticmethod(_poly)
 
     def __init__(self, n, coeffs=()):
         self.n = n
@@ -246,21 +256,6 @@ class SuperPoly:
         return max([k >> _SHIFT for k in self._num if not k & _LOW],
                    default=-1)
 
-    def is_zero(self):
-        return not self._num
-
-    def is_even(self):
-        for k in self._num:
-            if _ODD[k & _LOW]:
-                return False
-        return True
-
-    def is_odd(self):
-        for k in self._num:
-            if not _ODD[k & _LOW]:
-                return False
-        return True
-
     def coeff(self, i):
         return _number(self.n, self._d, {k & _LOW: v for k, v in
                                          self._num.items()
@@ -273,14 +268,6 @@ class SuperPoly:
                 out[k >> _SHIFT] = v
         return _int_poly(out, self._d) if self._d else ScalarPoly(out)
 
-    def soul(self):
-        """The polynomial of the coefficients' souls."""
-        return _poly(self.n, *_lowest(self._d, {
-            k: v for k, v in self._num.items() if k & _LOW}))
-
-    def map_coeffs(self, f):
-        return SuperPoly(self.n, [f(c) for c in self.coeffs])
-
     def _coerced(self, other):
         if isinstance(other, SuperPoly):
             if other.n != self.n:
@@ -291,55 +278,9 @@ class SuperPoly:
             return SuperNumber.coerce(self.n, other)
         return None
 
-    def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _poly(self.n, *_sum(self, o))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly(self.n, {k: -v for k, v in self._num.items()}, self._d)
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _poly(self.n, *_sum(o, -self))
-
-    def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _poly(self.n, *_times(self, o))
-
-    def __rmul__(self, other):
-        # left and right products differ for odd cofactors; the product
-        # loop carries the signs, so order just has to be kept
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return _poly(self.n, *_times(o, self))
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return square_and_multiply(self, k, SuperPoly.const(self.n, 1))
-
     def __eq__(self, other):
         if isinstance(other, SuperPoly):
-            if self.n != other.n:
-                return False
-            if self._d and other._d:
-                return self._d == other._d and self._num == other._num
-            return self._scalars() == other._scalars()
+            return self._same(other)
         return NotImplemented
 
     def eval(self, x):
@@ -417,16 +358,6 @@ class SuperPoly:
 _SHIFT = MAX_GENERATORS
 _Z = 1 << _SHIFT
 _LOW = _Z - 1
-
-
-def _poly(n, num, d):
-    """Trusted constructor: the fields num, d in canonical form."""
-    p = _new(SuperPoly)
-    p.n = n
-    p._num = num
-    p._d = d
-    p._coeffs = None
-    return p
 
 
 def _gather(cs):

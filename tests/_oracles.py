@@ -72,7 +72,8 @@ tuple of SuperNumber coefficients, a grassmann.dot per product
 coefficient, and sums, negation and derivative coefficient by coefficient.
 reference_poly_homog_subst is homog_subst on it (Horner's rule in
 polynomial products), and reference_wronskian is P'Q - PQ' on it as two
-products and a difference, as bundles.wronskian_of computed it.
+products and a difference, as bundles.wronskian computed it before it
+ran polyrat.even_wronskian.
 
 reference_tokenize is the script lexer as it was before it dropped the
 newlines inside brackets: it emits every newline, and the parser skipped
@@ -120,8 +121,8 @@ class Frac:
         return Frac(self.num * o.num, self.den * o.den)
 
     def flip(self):
-        return Frac(self.num.map_coeffs(lambda c: c.grade_flip()),
-                    self.den.map_coeffs(lambda c: c.grade_flip()))
+        return Frac(*(SuperPoly(p.n, [c.grade_flip() for c in p.coeffs])
+                      for p in (self.num, self.den)))
 
     def eq(self, o):
         return (self.num * o.den - o.num * self.den).is_zero()

@@ -5,20 +5,23 @@ SuperNumber coefficients with one grassmann.dot per product coefficient,
 at n = 0..8, with integer, Gaussian and RatT coefficients (and polynomials
 that mix them) and with odd, even and mixed parity.  Each comparison checks
 the coefficients and the printed form, and every result is checked against
-the storage invariants of the class.
+the storage invariants of the class.  The ring operations SuperPoly shares
+with SuperNumber (grassmann._Graded) are also checked across the two
+classes: a constant polynomial computes what its coefficient does.
 """
 
 import math
+import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (ReferenceSuperPoly, reference_poly_homog_subst,
                       reference_wronskian)
-from sgk.bundles import wronskian_of
-from sgk.grassmann import (MAX_GENERATORS, Qi, RatT, ScalarPoly, SuperNumber,
-                           T_PARAM, _draw_subsets)
+from sgk.grassmann import (MAX_GENERATORS, GrassmannError, Qi, RatT,
+                           ScalarPoly, SuperNumber, T_PARAM, _draw_subsets)
 from sgk.polyrat import (SuperPoly, chart2_poly, even_wronskian, homog_subst,
                          reverse_coeffs)
 
@@ -193,12 +196,12 @@ def even_pairs(draw):
 def test_one_pass_wronskian_matches_two_products(case):
     n, a, b = case
     (P, rP), (Q, rQ) = _pair(n, a), _pair(n, b)
-    want = reference_wronskian(rP, rQ)
-    _agree(even_wronskian(P, Q), want)
-    _agree(wronskian_of(P, Q), want)
-    # the ScalarPoly route, on the bodies, gives the body of the result
-    assert wronskian_of(P.body_poly(), Q.body_poly()) == \
-        even_wronskian(P, Q).body_poly()
+    W = even_wronskian(P, Q)
+    _agree(W, reference_wronskian(rP, rQ))
+    # the Wronskian of the bodies is the body of the Wronskian, which is
+    # what curves.susy1_matrix reads off the reduced curve
+    body = lambda p: SuperPoly.from_body(n, p.body_poly())
+    _agree(even_wronskian(body(P), body(Q)), body(W))
 
 
 @given(arithmetic_cases(), st.integers(0, 2))
@@ -227,3 +230,57 @@ def test_superpoly_form_invariants(case, extra):
     assert p.body_degree() == max(bodies, default=-1)
     assert p.is_even() == all(x.is_even() for x in p.coeffs)
     assert p.is_odd() == all(x.is_odd() for x in p.coeffs)
+
+
+@st.composite
+def number_pairs(draw):
+    """n, two SuperNumbers of drawn parities and a scalar of one kind."""
+    n = draw(st.integers(0, MAX_GENERATORS))
+    scalars = SCALARS[draw(st.sampled_from(sorted(SCALARS)))]
+    parity = st.sampled_from((0, 1, None))
+    return (n, draw(_numbers(n, draw(parity), scalars)),
+            draw(_numbers(n, draw(parity), scalars)), draw(scalars))
+
+
+@given(number_pairs())
+# odd by odd: x on the left keeps its sign, g1 * g2 = -(g2 * g1)
+@example(case=(8, _g[0], _g[1], Qi(0, 1)))
+@example(case=(3, SuperNumber(3, {(1,): T_PARAM, (2, 3): 1}),
+               SuperNumber(3, {(1, 2, 3): Fraction(1, 2), (2,): Qi(0, 1)}),
+               1 / (T_PARAM + 1)))
+@settings(max_examples=100, deadline=None)
+def test_shared_ring_operations_agree_on_numbers_and_constants(case):
+    """SuperNumber and SuperPoly share +, -, *, negation, soul, the parity
+    tests and powers, so a constant polynomial P(x) computes exactly what
+    its coefficient x does, whichever class each operand has, and a result
+    is a SuperPoly whenever an operand is one."""
+    n, x, y, c = case
+    P = lambda v: SuperPoly.const(n, v)
+    for op in (operator.add, operator.sub, operator.mul):
+        xy = op(x, y)
+        assert type(xy) is SuperNumber
+        for got in (op(P(x), P(y)), op(P(x), y), op(x, P(y))):
+            _agree(got, P(xy))
+        _agree(op(c, P(y)), P(op(c, y)))
+        _agree(op(P(x), c), P(op(x, c)))
+    for f in [operator.neg, lambda v: v.soul()] + \
+            [lambda v, k=k: v ** k for k in range(4)]:
+        _agree(f(P(x)), P(f(x)))
+    assert P(x).is_even() == x.is_even() and P(x).is_odd() == x.is_odd()
+    assert P(x).is_zero() == x.is_zero()
+
+
+def test_shared_ring_operations_keep_each_class_mismatch_message():
+    x2, x3 = SuperNumber.gen(2, 1), SuperNumber.gen(3, 1)
+    p2, p3 = SuperPoly.const(2, x2), SuperPoly.const(3, x3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(GrassmannError,
+                           match="^generator count mismatch: 2 vs 3$"):
+            op(x2, x3)
+        for a, b in ((p2, p3), (p3, p2)):
+            with pytest.raises(GrassmannError, match="^generator count "
+                               "mismatch in polynomials$"):
+                op(a, b)
+        with pytest.raises(GrassmannError,
+                           match="^generator count mismatch: 2 vs 3$"):
+            op(x2, p3)
