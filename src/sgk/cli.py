@@ -608,6 +608,11 @@ def _size(v, inverse=False):
     return bits, degree, z_degree
 
 
+# _size(t): one bit for each coefficient 0 and 1 of the numerator t and
+# one for the denominator 1; degree 1 in t
+_T_SIZE = (3, 1, 0)
+
+
 def _inverse_size(v, size):
     """_size(v, inverse=True), given size = _size(v)."""
     if isinstance(v, SuperNumber):
@@ -698,6 +703,8 @@ class Evaluator:
         self.vars = {}
         # name -> (value, _size(value)) of each let binding
         self._bound = {}
+        # the value of t, made once per generator count
+        self._t = None
 
     def set_generators(self, n, line=None):
         if not 0 <= n <= 8:
@@ -712,7 +719,9 @@ class Evaluator:
         if name == "false":
             return False
         if name == "t":
-            return SuperNumber.scalar(self.n, T_PARAM)
+            if self._t is None or self._t.n != self.n:
+                self._t = SuperNumber.scalar(self.n, T_PARAM)
+            return self._t
         if name == "refl":
             return reflection(self.n)
         if name == "identity":
@@ -734,13 +743,22 @@ class Evaluator:
     # -- helpers
 
     def _operand_size(self, node, v, inverse=False):
-        """_size(v, inverse) of the value v of node; read from the binding
-        when node names the variable that still holds that very value."""
-        if node[0] == "ident":
+        """_size(v, inverse) of the value v of node.  A number literal's
+        size is its bit length, and t's is fixed; a variable's is read from
+        its binding while the variable still holds that very value."""
+        kind = node[0]
+        if kind == "num":
+            size = (node[1].bit_length(), 0, 0)
+        elif kind != "ident":
+            return _size(v, inverse)
+        elif v is self._t:
+            size = _T_SIZE
+        else:
             bound = self._bound.get(node[1])
-            if bound is not None and bound[0] is v:
-                return _inverse_size(v, bound[1]) if inverse else bound[1]
-        return _size(v, inverse)
+            if bound is None or bound[0] is not v:
+                return _size(v, inverse)
+            size = bound[1]
+        return _inverse_size(v, size) if inverse else size
 
     def _arith(self, op, a, b, line, col):
         if isinstance(a, SCMatrix) and isinstance(b, SCMatrix):

@@ -24,20 +24,20 @@ cofactor of the bodies, polyrat.inverse_mod (see _gauge_pair).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bundles import chart_row, deformation_rows, wronskian
 from .grassmann import (GrassmannError, Qi, ScalarPoly, SuperNumber,
-                        _draw_subsets, random_qi, random_supernumber)
+                        _below, _draw_masks, _random_sum, random_qi,
+                        random_supernumber)
 from .linalg import field_rank, module_rank_report
 from .polyrat import (SuperPoly, chart2_poly, coprime_bodies, homog_subst,
                       inverse_mod)
-from .scgroup import SCMatrix, act_point, reflection
+from .scalars import _new
+from .scgroup import HALF, SCMatrix, act_point, reflection
 from .scgroup import slice_normalize_one_point as _slice_one
 from .scgroup import slice_normalize_two_points as _slice_two
 from .scgroup import three_point_normalize
 from .superspace import (
-    ChartPoint,
+    ProjPoint,
     as_proj,
     preferred_chart,
     reduce_point,
@@ -46,8 +46,6 @@ from .superspace import (
     torus_act_point,
     torus_param,
 )
-
-HALF = Qi(Fraction(1, 2))
 
 
 class P1Point:
@@ -134,9 +132,9 @@ class SuperCurve:
         coefficient of Q, else of P.  Scaling by an invertible c keeps the
         position, because c x is invertible exactly when x is."""
         for which, poly in enumerate((self.Q, self.P)):
-            m = poly.body_degree()
+            m, lead = poly.body_lead()
             if m >= 0:
-                return (which, m), poly.coeff(m)
+                return (which, m), lead
         raise GrassmannError("curve with no invertible coefficient")
 
     def canonical(self) -> "SuperCurve":
@@ -348,6 +346,16 @@ class MarkedConfig:
         self.points = tuple(pts)
         self.curve = curve
 
+    @staticmethod
+    def _of(points, curve):
+        """Trusted constructor: a tuple of ProjPoints over curve.n whose
+        reduced bodies are distinct."""
+        cfg = _new(MarkedConfig)
+        cfg.n = curve.n
+        cfg.points = points
+        cfg.curve = curve
+        return cfg
+
     def k(self):
         return len(self.points)
 
@@ -498,16 +506,17 @@ def random_curve(rng, n, d, reduced=False) -> SuperCurve:
     if not reduced:
         if n >= 2:
             # one or two terms on the nonempty even monomials
-            souls = _draw_subsets(n, 0)[1:]
-            soul = lambda: SuperNumber(n, {rng.choice(souls): random_qi(rng)
-                                           for _ in range(rng.randint(1, 2))})
+            souls = _draw_masks(n, 0)[1:]
+            soul = lambda: _random_sum(rng, n, souls, 1 + _below(rng, 2))
             P = P + SuperPoly(n, [soul() for _ in range(d + 1)])
             Q = Q + SuperPoly(n, [soul() for _ in range(d + 1)])
         if d > 0 and n >= 1:
             r = SuperPoly(n, [random_supernumber(rng, n, parity=1,
                                                  max_terms=2)
                               for _ in range(2 * d)])
-    return SuperCurve(n, d, P, Q, r)
+    # valid by construction: coprime bodies, the top body coefficient of P
+    # nonzero, and 2d coefficients of r
+    return SuperCurve(n, d, P, Q, r, validate=False)
 
 
 def random_config(rng, n, k, d, reduced=False) -> MarkedConfig:
@@ -516,9 +525,12 @@ def random_config(rng, n, k, d, reduced=False) -> MarkedConfig:
         c = random_qi(rng)
         if all(c != b for b in bodies):
             bodies.append(c)
+    one = SuperNumber.one(n)
     pts = []
     for c in bodies:
         pi = SuperNumber.zero(n) if reduced or n == 0 else \
             random_supernumber(rng, n, parity=1, max_terms=2)
-        pts.append(ChartPoint(n, 1, c, pi))
-    return MarkedConfig(pts, random_curve(rng, n, d, reduced=reduced))
+        # the chart-1 point c|pi, with the distinct body c
+        pts.append(ProjPoint._of(n, SuperNumber.scalar(n, c), one, pi))
+    return MarkedConfig._of(tuple(pts),
+                            random_curve(rng, n, d, reduced=reduced))

@@ -35,9 +35,10 @@ The public SuperNumber constructor validates indices and coefficients;
 results the class builds itself and the constructors scalar, zero and one
 (and coerce, through scalar) pass their fields positionally to the same
 __init__, which skips the checks; those constructors still check n and
-coerce and drop a zero scalar.  A product with a body-only operand scales
-the other operand's numerators, and the inverse of a body-only value is
-the scalar inverse.
+coerce and drop a zero scalar.  The random generators build through it
+too (_random_sum), and draw every integer through _below.  A product with
+a body-only operand scales the other operand's numerators, and the inverse
+of a body-only value is the scalar inverse.
 
 dot(n, xs, ys) returns x1*y1 + x2*y2 + ... as one SuperNumber,
 accumulating every product over the lcm of the pairs' denominators into a
@@ -725,15 +726,49 @@ def dot(n, xs, ys) -> SuperNumber:
 # Randomized element generators (used by tests and the paper suite)
 
 
+def _below(rng, k):
+    """A uniform int in 0..k - 1 for k >= 1, drawn as CPython's Random draws
+    randrange(k): k.bit_length() bits from rng.getrandbits, drawn again while
+    they read k or more.  rng.randint(a, b) is a + _below(rng, b - a + 1) and
+    rng.choice(seq) is seq[_below(rng, len(seq))], so every generator here
+    reads the same stream as those calls, through getrandbits alone."""
+    bits = k.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= k:
+        if k < 1:
+            raise ValueError("empty range for a draw below %d" % k)
+        r = rng.getrandbits(bits)
+    return r
+
+
+@functools.cache
+def _qi_tables():
+    """(reals, gaussians): every value random_qi returns, by its draws.
+    The draws p in -4..4 and q in (1, 1, 2, 3) give reals[4 i + j] = p/q for
+    their indices i, j; with r in -3..3 and s in (1, 2) as well they give
+    gaussians[14 (4 i + j) + 2 k + l] = p/q + (r/s) i.  Built on the first
+    draw; a Qi is immutable, so the draws share them."""
+    ps, qs, rs, ss = range(-4, 5), (1, 1, 2, 3), range(-3, 4), (1, 2)
+    # p/q + (r/s) i over the denominator q*s
+    reals = tuple([_canonical(p, 0, q) for p in ps for q in qs])
+    gaussians = tuple([_canonical(p * s, r * q, q * s) for p in ps
+                       for q in qs for r in rs for s in ss])
+    return reals, gaussians
+
+
 def random_qi(rng, nonzero=False):
+    """A Gaussian rational p/q, p in -4..4 and q in (1, 1, 2, 3), plus
+    (r/s) i, r in -3..3 and s in (1, 2), with probability 1/4; drawn again
+    while zero when nonzero.  The rng is read in the order p, q, the
+    probability draw, r, s."""
+    reals, gaussians = _qi_tables()
     while True:
-        p, q = rng.randint(-4, 4), rng.choice((1, 1, 2, 3))
-        r, s = 0, 1
+        i = 4 * _below(rng, 9) + _below(rng, 4)
         if rng.random() < 0.25:
-            r, s = rng.randint(-3, 3), rng.choice((1, 2))
-        # p/q + (r/s) i over the denominator q*s
-        x = _canonical(p * s, r * q, q * s)
-        if not nonzero or not x.is_zero():
+            x = gaussians[14 * i + 2 * _below(rng, 7) + _below(rng, 2)]
+        else:
+            x = reals[i]
+        if not nonzero or x.a or x.b:
             return x
 
 
@@ -749,6 +784,29 @@ def _draw_subsets(n, parity):
     return tuple(subsets)
 
 
+@functools.cache
+def _draw_masks(n, parity):
+    """The masks of _draw_subsets(n, parity), in its order."""
+    return tuple([_MASKS[s] for s in _draw_subsets(n, parity)])
+
+
+def _random_sum(rng, n, masks, count):
+    """The SuperNumber of count draws, each a mask of masks and a random_qi
+    coefficient; a mask drawn again keeps its place and takes the later
+    coefficient, and zero coefficients are dropped at the end, as the
+    public constructor drops them from a dict built the same way."""
+    terms = {}
+    for _ in range(count):
+        # the mask is drawn first: an assignment evaluates its right side
+        # before the subscript on its left
+        m = masks[_below(rng, len(masks))]
+        terms[m] = random_qi(rng)
+    clean = {m: c for m, c in terms.items() if c.a or c.b}
+    x = SuperNumber(n, *_fields(clean))
+    x._scalar_terms = clean
+    return x
+
+
 def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):
     """A random element, optionally of pure parity or with invertible body.
 
@@ -756,17 +814,12 @@ def random_supernumber(rng, n, parity=None, max_terms=3, invertible=False):
     random_qi coefficient, so a value asked for with a parity has it when
     built; an odd value then drops the body that invertible adds.
     """
-    subsets = _draw_subsets(n, parity)
-    terms = {}
-    count = rng.randint(1, max_terms)
-    for _ in range(count):
-        if not subsets:
-            break
-        key = rng.choice(subsets)
-        terms[key] = random_qi(rng)
-    x = SuperNumber(n, terms)
+    _check_generators(n)
+    masks = _draw_masks(n, parity)
+    count = 1 + _below(rng, max_terms)
+    x = _random_sum(rng, n, masks, count if masks else 0)
     if invertible:
-        b = Qi(rng.choice((1, 2, -1, 3)), 0)
+        b = Qi((1, 2, -1, 3)[_below(rng, 4)], 0)
         x = x.soul() + SuperNumber.scalar(n, b)
         if parity == 1:
             x = x.odd_part()

@@ -252,9 +252,26 @@ class SuperPoly(_Graded):
 
     def body_degree(self):
         """The degree of the body polynomial: the top power of z whose
-        coefficient is invertible, or -1."""
-        return max([k >> _SHIFT for k in self._num if not k & _LOW],
-                   default=-1)
+        coefficient is invertible, or -1.  The body key of z^i is
+        i << _SHIFT, so it is found by lookups from the top degree down."""
+        num = self._num
+        if num:
+            for m in range(max(num) >> _SHIFT, -1, -1):
+                if m << _SHIFT in num:
+                    return m
+        return -1
+
+    def body_lead(self):
+        """(m, coeff(m)) for m = body_degree(), or (-1, None) when no
+        coefficient is invertible, from one scan of the dict."""
+        m = self.body_degree()
+        if m < 0:
+            return -1, None
+        low = m << _SHIFT
+        high = low + _Z
+        return m, _number(self.n, self._d, {k - low: v for k, v in
+                                            self._num.items()
+                                            if low <= k < high})
 
     def coeff(self, i):
         return _number(self.n, self._d, {k & _LOW: v for k, v in

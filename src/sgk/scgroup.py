@@ -24,6 +24,8 @@ frame read in the preferred chart of its point.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .grassmann import (
     GrassmannError,
     Qi,
@@ -36,6 +38,8 @@ from .grassmann import (
 from .scalars import _new
 from .superspace import (ChartPoint, ProjPoint, _want_parity, as_proj,
                          preferred_chart, reduced_bodies_distinct)
+
+HALF = Qi(Fraction(1, 2))
 
 
 class NormalizationError(GrassmannError):
@@ -443,21 +447,36 @@ def random_sc_matrix(rng, n, with_odd=True):
     The reflection diag(-1, -1, 1) on the right negates the first two
     columns, which is the same product with a, b, c, d, alpha and beta
     negated, since D, E and the odd column are unchanged by that flip; -M
-    negates every entry.  The rng is read in a fixed order: the quadruple,
-    alpha, beta, the reflection draw, then the sign draw.
+    negates every entry.  Both signs are put on the scalar quadruple and the
+    odd pair before the entries are formed: the quadruple takes the product
+    r s of the reflection sign r and the sign s of -M, the third row's
+    alpha and beta take r s as well, and the odd column is
+    (r s c)(r alpha) - (r s a)(r beta) = s (c alpha - a beta), so alpha and
+    beta are negated at most once.  E takes s.  The rng is read in a fixed
+    order: the quadruple, alpha, beta, the reflection draw, then the sign
+    draw.
     """
-    a, b, c, d = (SuperNumber.scalar(n, v) for v in random_sl2_qi(rng))
+    quad = random_sl2_qi(rng)
     one = SuperNumber.one(n)
     alpha = beta = SuperNumber.zero(n)
     if with_odd and n >= 1:
         alpha = random_supernumber(rng, n, parity=1, max_terms=2)
         beta = random_supernumber(rng, n, parity=1, max_terms=2)
+    flip = rng.random() < 0.5
+    neg = rng.random() < 0.25
     ab = alpha * beta
-    scale = one + ab / 2
-    if rng.random() < 0.5:
-        a, b, c, d, alpha, beta = -a, -b, -c, -d, -alpha, -beta
-    m = SCMatrix._of(n, a * scale, b * scale, c * scale, d * scale, one - ab,
-                     alpha, beta, c * alpha - a * beta, d * alpha - b * beta)
-    if rng.random() < 0.25:
-        m = m.neg()
-    return m
+    scale = one + ab * HALF
+    e = -one + ab if neg else one - ab
+    # (alpha, beta) times r for the odd column and times r s for the third
+    # row; with r = s = -1 that row keeps the drawn pair
+    odd = row = (alpha, beta)
+    if flip or neg:
+        minus = (-alpha, -beta)
+        odd = minus if flip else odd
+        row = minus if flip != neg else row
+    if flip != neg:
+        quad = [-v for v in quad]
+    a, b, c, d = (SuperNumber.scalar(n, v) for v in quad)
+    return SCMatrix._of(n, a * scale, b * scale, c * scale, d * scale, e,
+                        row[0], row[1], c * odd[0] - a * odd[1],
+                        d * odd[0] - b * odd[1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .curves import (SuperCurve, act_general, eval_curve_at_superpoint,
                      random_curve, torus_act_curve)
-from .grassmann import (GrassmannError, SuperNumber, random_qi,
+from .grassmann import (GrassmannError, SuperNumber, _below, random_qi,
                         random_supernumber)
 from .polyrat import SuperPoly
 from .scgroup import SCMatrix, act_point
@@ -320,7 +320,7 @@ def random_glue_pair(rng, n=1, attempts=400):
       term.
     """
     for _ in range(attempts):
-        d1, d2 = rng.randint(0, 2), rng.randint(0, 2)
+        d1, d2 = _below(rng, 3), _below(rng, 3)
         c1 = random_curve(rng, n, d1)
         c2 = random_curve(rng, n, d2)
         p1 = ChartPoint(n, 1, random_qi(rng),
@@ -332,7 +332,9 @@ def random_glue_pair(rng, n=1, attempts=400):
         if not (w.V.is_invertible() and v.V.is_invertible()):
             continue
         gap = w.U * w.V.invert() - v.U * v.V.invert()
-        c2b = SuperCurve(n, d2, c2.P + SuperPoly(n, [gap]) * c2.Q, c2.Q, c2.r)
+        # valid: the bodies stay coprime and realize d2, as shown above
+        c2b = SuperCurve(n, d2, c2.P + SuperPoly(n, [gap]) * c2.Q, c2.Q, c2.r,
+                         validate=False)
         cfg1 = single_vertex_config(
             [ChartPoint(n, 1, p1.p + 1, 0), ChartPoint(n, 1, p1.p + 2, 0),
              p1], c1)

@@ -28,7 +28,13 @@ product_random_supernumber and product_random_sc_matrix are the two
 generators as they were before they were built by construction: the draw
 subsets rebuilt and the parity part taken on every call, and the group
 element formed by SCMatrix products of the lift, the shear, the reflection
-and the sign.
+and the sign.  reference_random_curve, reference_random_config and
+reference_random_glue_pair are the three curve generators as they were
+before the one sampler: every integer draw through rng.randint or
+rng.choice, and every soul built by the public SuperNumber constructor; they
+draw their scalars through fraction_random_qi and their odd parts through
+product_random_supernumber.  reference_pivot is SuperCurve._pivot as it
+was: the body degree and the coefficient from two scans of the polynomial.
 
 reference_module_rank_report is the rank report as it was computed before
 module_rank_report became a reading of the one Gauss-Jordan loop: a full
@@ -91,14 +97,17 @@ from fractions import Fraction
 from sgk.bundles import susy1_matrix as bundles_susy1_matrix
 from sgk.cli import (_MAX_LITERAL_DIGITS, _PUNCT, MAX_SCALAR_BITS, CLIError,
                      RatFunc, Token)
-from sgk.curves import act_point, eval_curve_at_superpoint, susy1_matrix
-from sgk.grassmann import (QI_ONE, QI_ZERO, Qi, RatT, SuperNumber,
-                           as_scalar, dot, random_qi, scalar_is_zero)
+from sgk.curves import (MarkedConfig, SuperCurve, act_point,
+                        eval_curve_at_superpoint, susy1_matrix)
+from sgk.grassmann import (QI_ONE, QI_ZERO, GrassmannError, Qi, RatT,
+                           ScalarPoly, SuperNumber, as_scalar, dot, random_qi,
+                           scalar_is_zero)
 from sgk.linalg import ModuleRankReport, mat_mul, solve_body_invertible
-from sgk.polyrat import SuperPoly
+from sgk.polyrat import SuperPoly, coprime_bodies
 from sgk.scgroup import (SCMatrix, lift_sl2, random_sl2_qi, reflection,
                           susy)
-from sgk.superspace import as_proj, preferred_chart
+from sgk.superspace import ChartPoint, as_proj, preferred_chart
+from sgk.trees import single_vertex_config
 
 
 class Frac:
@@ -511,6 +520,89 @@ def product_random_sc_matrix(rng, n, with_odd=True):
     if rng.random() < 0.25:
         m = m.neg()
     return m
+
+
+def reference_random_curve(rng, n, d, reduced=False):
+    """random_curve as it was drawn through rng.randint and rng.choice, its
+    souls built by the public SuperNumber constructor from index tuples."""
+    while True:
+        bp = [fraction_random_qi(rng) for _ in range(d)] + \
+            [fraction_random_qi(rng, nonzero=True)]
+        bq = [fraction_random_qi(rng) for _ in range(d + 1)]
+        if all(c.is_zero() for c in bq):
+            bq[0] = Qi(1)
+        if coprime_bodies(ScalarPoly(bp), ScalarPoly(bq)):
+            break
+    P = SuperPoly(n, bp)
+    Q = SuperPoly(n, bq)
+    r = SuperPoly.zero(n)
+    if not reduced:
+        if n >= 2:
+            souls = [c for size in range(2, n + 1, 2)
+                     for c in itertools.combinations(range(1, n + 1), size)]
+            soul = lambda: SuperNumber(n, {rng.choice(souls):
+                                           fraction_random_qi(rng)
+                                           for _ in range(rng.randint(1, 2))})
+            P = P + SuperPoly(n, [soul() for _ in range(d + 1)])
+            Q = Q + SuperPoly(n, [soul() for _ in range(d + 1)])
+        if d > 0 and n >= 1:
+            r = SuperPoly(n, [product_random_supernumber(rng, n, parity=1,
+                                                         max_terms=2)
+                              for _ in range(2 * d)])
+    return SuperCurve(n, d, P, Q, r)
+
+
+def reference_random_config(rng, n, k, d, reduced=False):
+    """random_config as it was drawn, on reference_random_curve."""
+    bodies = []
+    while len(bodies) < k:
+        c = fraction_random_qi(rng)
+        if all(c != b for b in bodies):
+            bodies.append(c)
+    pts = []
+    for c in bodies:
+        pi = SuperNumber.zero(n) if reduced or n == 0 else \
+            product_random_supernumber(rng, n, parity=1, max_terms=2)
+        pts.append(ChartPoint(n, 1, c, pi))
+    return MarkedConfig(pts, reference_random_curve(rng, n, d,
+                                                    reduced=reduced))
+
+
+def reference_random_glue_pair(rng, n=1, attempts=400):
+    """random_glue_pair as it was drawn through rng.randint, on
+    reference_random_curve."""
+    for _ in range(attempts):
+        d1, d2 = rng.randint(0, 2), rng.randint(0, 2)
+        c1 = reference_random_curve(rng, n, d1)
+        c2 = reference_random_curve(rng, n, d2)
+        p1 = ChartPoint(n, 1, fraction_random_qi(rng),
+                        product_random_supernumber(rng, n, parity=1))
+        p2 = ChartPoint(n, 1, fraction_random_qi(rng),
+                        product_random_supernumber(rng, n, parity=1))
+        w = eval_curve_at_superpoint(c1, p1)
+        v = eval_curve_at_superpoint(c2, p2)
+        if not (w.V.is_invertible() and v.V.is_invertible()):
+            continue
+        gap = w.U * w.V.invert() - v.U * v.V.invert()
+        c2b = SuperCurve(n, d2, c2.P + SuperPoly(n, [gap]) * c2.Q, c2.Q, c2.r)
+        cfg1 = single_vertex_config(
+            [ChartPoint(n, 1, p1.p + 1, 0), ChartPoint(n, 1, p1.p + 2, 0),
+             p1], c1)
+        cfg2 = single_vertex_config(
+            [ChartPoint(n, 1, p2.p + 1, 0), ChartPoint(n, 1, p2.p + 2, 0),
+             p2], c2b)
+        return cfg1, cfg2
+    raise GrassmannError("could not build a matching glue pair")
+
+
+def reference_pivot(cur):
+    """SuperCurve._pivot as it was: the body degree of Q, else of P, from
+    one scan of the polynomial, and its coefficient from a second."""
+    for which, poly in enumerate((cur.Q, cur.P)):
+        m = max([k >> 8 for k in poly._num if not k & 0xFF], default=-1)
+        if m >= 0:
+            return (which, m), poly.coeff(m)
+    raise GrassmannError("curve with no invertible coefficient")
 
 
 def reference_module_rank_report(rows, n_gen=None) -> ModuleRankReport:

@@ -311,6 +311,36 @@ def test_bound_operand_sizes_match_the_reference():
     assert "generator count mismatch" in runner.records[0]["residual"]
 
 
+def test_literal_and_t_operands_are_sized_from_the_node():
+    # 0, and 10^(k - 1) and 10^k - 1 for every digit count k up to the bound
+    digits = range(1, _MAX_LITERAL_DIGITS + 1)
+    literals = ["0"] + ["1" + "0" * (k - 1) for k in digits] \
+        + ["9" * k for k in digits]
+    ev = Evaluator(3)
+    with mock.patch.object(cli, "_size", wraps=_size) as size_calls:
+        for text in literals:
+            ((_, node, _),) = parse_text(text)
+            v = ev.eval(node)
+            for inverse in (False, True):
+                want = reference_inverse_size(v) if inverse \
+                    else reference_size(v)
+                got = ev._operand_size(node, v, inverse)
+                assert got == want + (0,) == _size(v, inverse), text
+        assert size_calls.call_count == 0
+    assert len(literals[-1]) == _MAX_LITERAL_DIGITS
+    with _checked_operand_sizes() as sized, \
+            mock.patch.object(cli, "_size", wraps=_size) as size_calls:
+        # t at every generator count, as an operand, an inverse and a base
+        runner = _runner("t * 2; 3 / t; t^2; set generators 0\nt + 1\n"
+                         "set generators 8\nt - t; mul(t, 1)")
+        assert size_calls.call_count == 0
+        # a variable named t is sized from its binding, as any variable
+        runner.run(parse_text("let t = 7\nt * t; 1 / t"))
+        assert size_calls.call_count == 1
+    assert len(sized) == 15
+    assert runner.records == []
+
+
 _K = "2^1000 * 2^1000 * 2^1000 * 2^1000"
 
 

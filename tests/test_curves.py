@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from _oracles import (action_matches_pointwise, action_matches_symbolic,
                       reference_curve_eq, reference_gauge_pair,
-                      reference_susy1_matrix, susy1_square)
+                      reference_pivot, reference_random_config,
+                      reference_random_curve, reference_susy1_matrix,
+                      susy1_square)
 from sgk.curves import (MarkedConfig, P1Point, SuperCurve, _gauge_pair,
                         act_config,
                         act_general, act_sl2_on_curve, act_susy_on_curve,
@@ -540,3 +542,89 @@ def test_curve_string_form():
     text = str(cur)
     assert text.startswith("curve(1; phi = ")
     assert "psi = " in text
+
+
+def fields_of(x):
+    """Every stored field of a value, nested: the integer or scalar form of
+    each SuperNumber and SuperPoly with its term order, the triple of each
+    Qi, and the slots of the other classes."""
+    if isinstance(x, (SuperNumber, SuperPoly)):
+        return (type(x).__name__, x.n, x._d,
+                tuple((k, fields_of(v)) for k, v in x._num.items()))
+    if isinstance(x, Qi):
+        return x.a, x.b, x.d
+    if isinstance(x, (tuple, list)):
+        return tuple(fields_of(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((fields_of(k), fields_of(v)) for k, v in x.items())
+    slots = getattr(type(x), "__slots__", None)
+    if slots is not None:
+        return (type(x).__name__,) + tuple(fields_of(getattr(x, name))
+                                           for name in slots)
+    return x
+
+
+# every (n, d) of random_curve and (n, k, d, reduced) of random_config that
+# the verify-paper checks draw, plus curves at the edges of n
+_SUITE_CURVES = [(1, d) for d in range(3)] + [(0, 2), (3, 1), (8, 2)]
+_SUITE_CONFIGS = ([(2, k, d, False) for k in range(1, 7) for d in range(4)
+                   if k + 2 * d >= 3]
+                  + [(1, 4, 1, False), (1, 3, 1, True), (1, 3, 1, False)])
+
+
+def test_random_curve_draws_match_the_randint_generator():
+    for seed in (0, 3, 411):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n, d in _SUITE_CURVES:
+            for reduced in (False, True):
+                got = random_curve(rng, n, d, reduced)
+                want = reference_random_curve(ref, n, d, reduced)
+                assert got == want and str(got) == str(want)
+                assert fields_of(got) == fields_of(want)
+                assert rng.getstate() == ref.getstate()
+
+
+def test_random_config_draws_match_the_randint_generator():
+    for seed in (0, 3, 412):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n, k, d, reduced in _SUITE_CONFIGS:
+            got = random_config(rng, n, k, d, reduced)
+            want = reference_random_config(ref, n, k, d, reduced)
+            assert got == want and str(got) == str(want)
+            assert fields_of(got) == fields_of(want)
+            assert rng.getstate() == ref.getstate()
+
+
+def _pivot_cases():
+    rng = random.Random(413)
+    for n in range(9):
+        for d in range(4):
+            cur = random_curve(rng, n, d)
+            yield cur
+            yield cur.canonical()
+            yield cur.reduced()
+    # the pivot in P: a constant curve at infinity, and Q without a body
+    for n in (0, 2):
+        yield SuperCurve(n, 0, SuperPoly(n, [1]), SuperPoly(n, [0]))
+        if n:
+            g = SuperNumber.gen(n, 1) * SuperNumber.gen(n, 2)
+            yield SuperCurve(n, 0, SuperPoly(n, [3]), SuperPoly(n, [g]),
+                             validate=False)
+    # Gaussian and t coefficients, and a soul above the body degree
+    t = SuperNumber.scalar(2, T_PARAM)
+    g12 = SuperNumber.gen(2, 1) * SuperNumber.gen(2, 2)
+    yield SuperCurve(2, 2, SuperPoly(2, [1, Qi(0, 1), 2 + g12]),
+                     SuperPoly(2, [t, 1 + 3 * g12, g12]), validate=False)
+    yield SuperCurve(2, 1, SuperPoly(2, [Qi(1, 2), g12]),
+                     SuperPoly(2, [t + g12, Qi(2, -1)]), validate=False)
+
+
+def test_pivot_matches_the_two_scan_pivot():
+    count = 0
+    for cur in _pivot_cases():
+        (at, lead), (want_at, want) = cur._pivot(), reference_pivot(cur)
+        assert at == want_at
+        assert lead == want and str(lead) == str(want)
+        assert fields_of(lead) == fields_of(want)
+        count += 1
+    assert count > 100

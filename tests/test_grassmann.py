@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sgk.grassmann import (GrassmannError, MAX_GENERATORS, Qi, QiPoly, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, dot, make_rat,
                            random_qi, random_supernumber, scalar_sqrt)
+from sgk.grassmann import _below
 from sgk.cli import RatFunc, _size
 from sgk.polyrat import SuperPoly, coprime_bodies
 from sgk.scalars import _pseudo_divmod, _pseudo_rem
@@ -907,3 +908,44 @@ def test_random_supernumber_draws_match_the_rebuilding_generator():
                         assert list(got.terms.items()) == \
                             list(want.terms.items())
                         assert rng.getstate() == ref.getstate()
+
+
+def test_below_draws_as_randrange_draws():
+    # one bit pattern per k, including k = 1 (a draw of one bit that must
+    # read 0) and powers of two, where a draw is never redrawn
+    for seed in (0, 415):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in list(range(1, 70)) + [2 ** 31, 2 ** 31 + 1, 10 ** 30]:
+            for _ in range(5):
+                assert _below(rng, k) == ref.randrange(k)
+                assert rng.getstate() == ref.getstate()
+        for a, b in ((-4, 4), (1, 3), (0, 2)):
+            assert a + _below(rng, b - a + 1) == ref.randint(a, b)
+        seq = (1, 1, 2, 3)
+        assert seq[_below(rng, len(seq))] == ref.choice(seq)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            _below(random.Random(0), k)
+
+
+# the first draws of random_qi(random.Random(0)) as (a, b, d) triples, the
+# stream every seeded check and benchmark input starts from
+_PINNED_QI = [
+    (4, 3, 6), (1, 0, 1), (1, 0, 1), (0, 0, 1), (0, 0, 1), (-3, 0, 2),
+    (-3, 0, 2), (-1, 0, 3), (2, 1, 1), (-1, 0, 1), (-4, 0, 3), (1, 0, 1),
+    (-3, 0, 1), (-1, 0, 1), (-4, -3, 6), (-3, 0, 2), (-3, 0, 2), (4, 0, 1),
+    (2, 0, 1), (1, 0, 1), (0, -2, 1), (0, 2, 1), (-2, 0, 1), (4, 0, 3),
+    (2, 0, 1), (-1, 0, 1), (1, 0, 1), (1, 0, 1), (-1, 0, 1), (1, 1, 1),
+    (-3, 0, 1), (-1, 0, 1), (-4, 0, 1), (-1, 0, 1), (4, 2, 1), (-1, 3, 1),
+    (-4, -2, 1), (3, 0, 1), (-4, 0, 1), (-3, -3, 2),
+]
+
+
+def test_random_qi_stream_is_pinned():
+    rng = random.Random(0)
+    got = [random_qi(rng) for _ in range(len(_PINNED_QI))]
+    assert [(q.a, q.b, q.d) for q in got] == _PINNED_QI

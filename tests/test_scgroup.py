@@ -364,3 +364,11 @@ def test_random_sc_matrix_matches_the_product_route():
                     want = product_random_sc_matrix(ref, n, with_odd)
                     assert got == want and str(got) == str(want)
                     assert rng.getstate() == ref.getstate()
+
+
+def test_random_sc_matrix_stream_is_pinned():
+    m = random_sc_matrix(random.Random(0), 4)
+    assert str(m) == (
+        "[[-1, (-2/3-1/2i), -1/3*g1*g2*g4 + 4*g2*g3*g4], "
+        "[-1, (-5/3-1/2i), -1/3*g1*g2*g4 + 4*g2*g3*g4], "
+        "[0, 1/3*g1*g2*g4 - 4*g2*g3*g4, -1]]")

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from _oracles import reference_random_glue_pair
 from sgk.curves import SuperCurve, eval_curve_at_superpoint, random_curve
 from sgk.grassmann import (GrassmannError, Qi, SuperNumber, random_qi,
                            random_supernumber)
@@ -16,6 +17,7 @@ from sgk.superspace import ChartPoint
 from sgk.trees import (StableTree, TreeConfig, act_tree_config,
                        forget_last_mark, glue, random_glue_pair,
                        single_vertex_config, torus_act_tree, validate)
+from test_curves import fields_of
 
 
 def _const_curve(n, value):
@@ -365,3 +367,16 @@ def test_evaluations_travel_with_the_action():
     for p, q in zip(cfg.marked, moved.marked):
         assert eval_curve_at_superpoint(moved.curves[0], q) \
             == eval_curve_at_superpoint(cfg.curves[0], p)
+
+
+def test_random_glue_pair_draws_match_the_randint_generator():
+    # the gluing check draws at n = 1; n = 2, 3 reach the soul draws
+    for seed in (0, 3, 414):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in (1, 1, 1, 2, 3):
+            got = random_glue_pair(rng, n)
+            want = reference_random_glue_pair(ref, n)
+            assert got == want
+            assert [str(c) for c in got] == [str(c) for c in want]
+            assert fields_of(got) == fields_of(want)
+            assert rng.getstate() == ref.getstate()

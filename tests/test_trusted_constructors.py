@@ -3,16 +3,20 @@ ChartPoint._of and SuperPoly._of skip the public constructors' checks, so
 each one the kernel builds must be a value the public constructor accepts
 unchanged: every entry a SuperNumber over the same generator count with the
 parity its slot needs, group elements satisfying the constraints, points
-with an invertible coordinate, polynomials without a trailing zero."""
+with an invertible coordinate, polynomials without a trailing zero.  The
+random generators build SuperNumbers, curves and configurations without
+the public checks too."""
 
 import random
 
+from sgk.curves import MarkedConfig, SuperCurve, random_config, random_curve
 from sgk.grassmann import Qi, SuperNumber, T_PARAM, random_supernumber
 from sgk.polyrat import SuperPoly
 from sgk.scgroup import (SCMatrix, act_point, lift_sl2, random_sc_matrix,
                          random_sl2_qi, susy)
 from sgk.superspace import (ChartPoint, ProjPoint, _want_parity,
                             point_infty, reduce_point, torus_act_point)
+from sgk.trees import random_glue_pair
 
 _ODD = ("alpha", "beta", "gamma", "delta")
 _FIELDS = ("a", "b", "c", "d", "e") + _ODD
@@ -104,3 +108,31 @@ def test_superpolys_from_trusted_constructor_are_valid():
                       a * c, c * a, a * 0, a * SuperNumber.one(n), 2 - a,
                       a + SuperNumber.zero(n)):
                 _checked_poly(p)
+
+
+def _checked_curve(cur):
+    # the validating constructor checks degrees, bodies and coprimality
+    v = SuperCurve(cur.n, cur.d, cur.P, cur.Q, cur.r)
+    assert (v.P, v.Q, v.r) == (cur.P, cur.Q, cur.r)
+
+
+def test_random_values_from_trusted_constructors_are_valid():
+    rng = random.Random(144)
+    for n in range(9):
+        for d in range(3):
+            for parity in (None, 0, 1):
+                x = random_supernumber(rng, n, parity, max_terms=4)
+                v = SuperNumber(n, dict(x.terms))
+                assert (v._d, v._num, v._scalar_terms) == \
+                    (x._d, x._num, x._scalar_terms)
+            _checked_curve(random_curve(rng, n, d))
+            cfg = random_config(rng, n, 3 + d, d)
+            v = MarkedConfig(cfg.points, cfg.curve)
+            assert v.points == cfg.points
+            for p in cfg.points:
+                _checked_point(p)
+            _checked_curve(cfg.curve)
+    for n in (1, 2, 3):
+        for cfg in random_glue_pair(rng, n):
+            for cur in cfg.curves:
+                _checked_curve(cur)
