@@ -132,9 +132,9 @@ class SuperCurve:
         coefficient of Q, else of P.  Scaling by an invertible c keeps the
         position, because c x is invertible exactly when x is."""
         for which, poly in enumerate((self.Q, self.P)):
-            m, lead = poly.body_lead()
+            m = poly.body_degree()
             if m >= 0:
-                return (which, m), lead
+                return (which, m), poly.coeff(m)
         raise GrassmannError("curve with no invertible coefficient")
 
     def canonical(self) -> "SuperCurve":

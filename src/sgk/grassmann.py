@@ -773,21 +773,16 @@ def random_qi(rng, nonzero=False):
 
 
 @functools.cache
-def _draw_subsets(n, parity):
-    """The index tuples random_supernumber draws from: the empty tuple
-    unless the parity is odd, then the subsets of 1..n by size, in
-    lexicographic order within a size, keeping the sizes of that parity."""
-    subsets = [()] if parity in (0, None) else []
+def _draw_masks(n, parity):
+    """The masks random_supernumber draws from: the empty mask unless the
+    parity is odd, then the subsets of 1..n by size, in lexicographic order
+    of their index tuples within a size, keeping the sizes of that parity."""
+    masks = [0] if parity in (0, None) else []
     for size in range(1, n + 1):
         if parity is None or size % 2 == parity:
-            subsets.extend(itertools.combinations(range(1, n + 1), size))
-    return tuple(subsets)
-
-
-@functools.cache
-def _draw_masks(n, parity):
-    """The masks of _draw_subsets(n, parity), in its order."""
-    return tuple([_MASKS[s] for s in _draw_subsets(n, parity)])
+            masks += [_MASKS[s] for s in
+                      itertools.combinations(range(1, n + 1), size)]
+    return tuple(masks)
 
 
 def _random_sum(rng, n, masks, count):

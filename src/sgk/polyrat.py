@@ -261,18 +261,6 @@ class SuperPoly(_Graded):
                     return m
         return -1
 
-    def body_lead(self):
-        """(m, coeff(m)) for m = body_degree(), or (-1, None) when no
-        coefficient is invertible, from one scan of the dict."""
-        m = self.body_degree()
-        if m < 0:
-            return -1, None
-        low = m << _SHIFT
-        high = low + _Z
-        return m, _number(self.n, self._d, {k - low: v for k, v in
-                                            self._num.items()
-                                            if low <= k < high})
-
     def coeff(self, i):
         return _number(self.n, self._d, {k & _LOW: v for k, v in
                                          self._num.items()

@@ -35,6 +35,9 @@ rng.choice, and every soul built by the public SuperNumber constructor; they
 draw their scalars through fraction_random_qi and their odd parts through
 product_random_supernumber.  reference_pivot is SuperCurve._pivot as it
 was: the body degree and the coefficient from two scans of the polynomial.
+fields_of lists every stored field of a value, nested, so the differential
+tests of the generators compare term order and the integer forms as well as
+values.
 
 reference_module_rank_report is the rank report as it was computed before
 module_rank_report became a reading of the one Gauss-Jordan loop: a full
@@ -603,6 +606,26 @@ def reference_pivot(cur):
         if m >= 0:
             return (which, m), poly.coeff(m)
     raise GrassmannError("curve with no invertible coefficient")
+
+
+def fields_of(x):
+    """Every stored field of a value, nested: the integer or scalar form of
+    each SuperNumber and SuperPoly with its term order, the triple of each
+    Qi, and the slots of the other classes."""
+    if isinstance(x, (SuperNumber, SuperPoly)):
+        return (type(x).__name__, x.n, x._d,
+                tuple((k, fields_of(v)) for k, v in x._num.items()))
+    if isinstance(x, Qi):
+        return x.a, x.b, x.d
+    if isinstance(x, (tuple, list)):
+        return tuple(fields_of(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((fields_of(k), fields_of(v)) for k, v in x.items())
+    slots = getattr(type(x), "__slots__", None)
+    if slots is not None:
+        return (type(x).__name__,) + tuple(fields_of(getattr(x, name))
+                                           for name in slots)
+    return x
 
 
 def reference_module_rank_report(rows, n_gen=None) -> ModuleRankReport:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (action_matches_pointwise, action_matches_symbolic,
-                      reference_curve_eq, reference_gauge_pair,
+                      fields_of, reference_curve_eq, reference_gauge_pair,
                       reference_pivot, reference_random_config,
                       reference_random_curve, reference_susy1_matrix,
                       susy1_square)
@@ -542,26 +542,6 @@ def test_curve_string_form():
     text = str(cur)
     assert text.startswith("curve(1; phi = ")
     assert "psi = " in text
-
-
-def fields_of(x):
-    """Every stored field of a value, nested: the integer or scalar form of
-    each SuperNumber and SuperPoly with its term order, the triple of each
-    Qi, and the slots of the other classes."""
-    if isinstance(x, (SuperNumber, SuperPoly)):
-        return (type(x).__name__, x.n, x._d,
-                tuple((k, fields_of(v)) for k, v in x._num.items()))
-    if isinstance(x, Qi):
-        return x.a, x.b, x.d
-    if isinstance(x, (tuple, list)):
-        return tuple(fields_of(v) for v in x)
-    if isinstance(x, dict):
-        return tuple((fields_of(k), fields_of(v)) for k, v in x.items())
-    slots = getattr(type(x), "__slots__", None)
-    if slots is not None:
-        return (type(x).__name__,) + tuple(fields_of(getattr(x, name))
-                                           for name in slots)
-    return x
 
 
 # every (n, d) of random_curve and (n, k, d, reduced) of random_config that

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from _oracles import (ReferenceSuperPoly, reference_poly_homog_subst,
                       reference_wronskian)
 from sgk.grassmann import (MAX_GENERATORS, GrassmannError, Qi, RatT,
-                           ScalarPoly, SuperNumber, T_PARAM, _draw_subsets)
+                           ScalarPoly, SuperNumber, T_PARAM, _KEYS,
+                           _draw_masks)
 from sgk.polyrat import (SuperPoly, chart2_poly, even_wronskian, homog_subst,
                          reverse_coeffs)
 
@@ -75,7 +76,7 @@ SCALARS = {"int": _reals, "gaussian": _gaussians, "ratt": _ratts,
 
 
 def _numbers(n, parity, scalars, max_terms=3):
-    subsets = _draw_subsets(n, parity)
+    subsets = [_KEYS[m] for m in _draw_masks(n, parity)]
     if not subsets:
         return st.just(SuperNumber.zero(n))
     return st.dictionaries(st.sampled_from(subsets), scalars,

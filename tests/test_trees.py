@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from _oracles import reference_random_glue_pair
+from _oracles import fields_of, reference_random_glue_pair
 from sgk.curves import SuperCurve, eval_curve_at_superpoint, random_curve
 from sgk.grassmann import (GrassmannError, Qi, SuperNumber, random_qi,
                            random_supernumber)
@@ -17,7 +17,6 @@ from sgk.superspace import ChartPoint
 from sgk.trees import (StableTree, TreeConfig, act_tree_config,
                        forget_last_mark, glue, random_glue_pair,
                        single_vertex_config, torus_act_tree, validate)
-from test_curves import fields_of
 
 
 def _const_curve(n, value):
