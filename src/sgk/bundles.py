@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from .grassmann import GrassmannError, SuperNumber
 from .polyrat import SuperPoly, chart2_poly, even_wronskian, homog_subst
-from .superspace import ChartPoint, preferred_chart
-
-
-def h0_dim(k: int) -> int:
-    """dim H^0 of O(k) on the projective line."""
-    return k + 1 if k >= 0 else 0
+from .superspace import preferred_chart
 
 
 class Section:
@@ -142,11 +137,3 @@ def susy1_matrix(points, curve):
     """
     return [point_row(p) for p in points] + deformation_rows(
         curve.n, curve.d, wronskian(curve).coeffs)
-
-
-def susy1_shift_point(alpha, beta, pt) -> ChartPoint:
-    """Translate one marked point by the flow of s = s(alpha, beta): the
-    base stays put and the odd coordinate gains the value of s there."""
-    cp = preferred_chart(pt)
-    s = spinor_section(cp.n, alpha, beta)
-    return ChartPoint(cp.n, cp.chart, cp.p, cp.pi + s.eval_at(cp))

@@ -235,9 +235,12 @@ _MAX_LITERAL_DIGITS = MAX_SCALAR_BITS * 3 // 10
 # polynomial divisions, and at n = 8 that act takes about 0.01 s at d = 16,
 # 0.06 s at d = 32 and 0.2 s at d = 40 on a 2-vCPU Xeon (an even lift alone
 # takes 0.08 s at d = 80).  The bound stays at 16 because a curve whose
-# bodies share a factor is refused by exact Euclid over Q(i)(t), and with
-# the coefficient arithmetic on integers that takes 0.02 s at d = 8, 0.05 s
-# at d = 10 and 1.0 s at d = 16.
+# bodies share a factor is refused by exact Euclid over Q(i)(t).  With
+# integer coefficients that takes 0.02 s at d = 8, 0.05 s at d = 10 and
+# 1.0 s at d = 16.  With t in the coefficients it is far slower: for
+# phi = ((z - t) A) / ((z - t) B), A and B of degree d - 1 with coefficients
+# a + b t (|a|, |b| <= 9), it takes 0.01 s at d = 4, 0.08 s at d = 5,
+# 0.7 s at d = 6, 9.4 s at d = 7 and 54 s at d = 8 (ROADMAP, open item 1).
 MAX_DEGREE = 16
 
 # Largest degree in z of a rational expression in a curve literal, estimated

@@ -65,7 +65,6 @@ from .scalars import (  # noqa: F401  (re-exported scalar layer)
     Qi,
     QiPoly,
     RatT,
-    Scalar,
     ScalarPoly,
     as_scalar,
     is_scalar,
@@ -337,11 +336,6 @@ class _Graded:
         num = {k: v for k, v in self._num.items() if keep[k & 0xFF]}
         return self._make(self.n, *_lowest(self._d, num))
 
-    def _signed(self, flip):
-        """The value with the terms whose masks m have flip[m] set negated."""
-        num = {k: -v if flip[k & 0xFF] else v for k, v in self._num.items()}
-        return self._make(self.n, num, self._d)
-
     def soul(self):
         return self._part(_SOUL)
 
@@ -546,13 +540,6 @@ class SuperNumber(_Graded):
 
     def odd_part(self):
         return self._part(_ODD)
-
-    def parity_split(self):
-        return self.even_part(), self.odd_part()
-
-    def grade_flip(self):
-        """The grade involution: odd terms change sign."""
-        return self._signed(_ODD)
 
     def coeff(self, idx):
         m = _MASKS.get(tuple(idx))

@@ -80,38 +80,18 @@ def field_rank(rows):
     return len(_gauss_jordan(m, len(m[0]))) if m else 0
 
 
-def _square_size(rows):
-    """n for an n x n matrix; GrassmannError naming the shape otherwise."""
+def field_inverse(rows):
+    """Inverse of a square scalar matrix, by eliminating [A | I] once;
+    raises on a singular or non-square matrix, naming its shape."""
     n = len(rows)
     widths = sorted({len(row) for row in rows})
     if n and widths != [n]:
         raise GrassmannError(
             "scalar system must be square, got %d rows of %s columns"
             % (n, "/".join(map(str, widths))))
-    return n
-
-
-def field_solve(rows, rhs):
-    """Solve a square scalar system exactly; raises on singular input."""
-    n = _square_size(rows)
-    if len(rhs) != n:
-        raise GrassmannError(
-            "right-hand side has %d entries for %d equations" % (len(rhs), n))
-    return [x for x, in _eliminate(rows, [[b] for b in rhs])]
-
-
-def field_inverse(rows):
-    """Inverse of a square scalar matrix, by eliminating [A | I] once."""
-    n = _square_size(rows)
-    return _eliminate(rows, [[QI_ONE if i == j else QI_ZERO
-                              for j in range(n)] for i in range(n)])
-
-
-def _eliminate(rows, right):
-    """The right block of [A | B] reduced: X with A X = B, for a square
-    scalar A given by rows and B by right; raises on singular A."""
-    n = len(rows)
-    m = [[as_scalar(c) for c in (*row, *b)] for row, b in zip(rows, right)]
+    m = [[as_scalar(c) for c in row] + [QI_ONE if i == j else QI_ZERO
+                                        for j in range(n)]
+         for i, row in enumerate(rows)]
     if len(_gauss_jordan(m, n)) < n:
         raise GrassmannError("singular scalar system")
     return [row[n:] for row in m]
@@ -135,17 +115,6 @@ def mat_mul(a, b):
                 acc = term if acc is None else acc + term
             new.append(acc)
         out.append(new)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for c, x in zip(row, v):
-            term = c * x
-            acc = term if acc is None else acc + term
-        out.append(acc)
     return out
 
 

@@ -468,24 +468,12 @@ def even_wronskian(P: SuperPoly, Q: SuperPoly) -> SuperPoly:
                                {k - _Z: v for k, v in out.items()}))
 
 
-def reverse_coeffs(poly: SuperPoly, total: int) -> SuperPoly:
-    """The degree-`total` reversal z^total * poly(1/z): the coefficients
-    flipped."""
-    return _reflected(poly, total, 0)
-
-
 def chart2_poly(poly: SuperPoly, total: int) -> SuperPoly:
     """The second-chart form of a degree-`total` polynomial: substitute
     z -> -1/z and clear z^total, giving sum_j (-1)^j c_j z^(total - j),
     the reversal of poly(-z)."""
-    return _reflected(poly, total, _Z)
-
-
-def _reflected(poly, total, flip):
-    """z^total * poly(1/z), with the coefficients of the odd powers of z
-    negated when flip is _Z (and none when it is 0)."""
     if total < poly.degree():
         raise GrassmannError("reversal bound below polynomial degree")
     return _poly(poly.n, {(total - (k >> _SHIFT)) * _Z + (k & _LOW):
-                          -v if k & flip else v
+                          -v if k & _Z else v
                           for k, v in poly._num.items()}, poly._d)

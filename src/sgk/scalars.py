@@ -454,7 +454,9 @@ class ScalarPoly:
     __repr__ = __str__
 
 
-# the former name of ScalarPoly, kept for existing importers
+# the former name of ScalarPoly; it stays only because perfbench/tracer.py
+# patches grassmann.QiPoly.gcd (the same function as ScalarPoly.gcd, so the
+# tracer records each gcd under two spans)
 QiPoly = ScalarPoly
 
 
@@ -743,9 +745,6 @@ def make_rat(num: ScalarPoly, den: ScalarPoly):
 
 
 T_PARAM = RatT(ScalarPoly((QI_ZERO, QI_ONE)), _POLY_ONE)
-
-# The scalar field as used throughout the package.
-Scalar = (Qi, RatT)
 
 
 def as_scalar(v):

@@ -108,10 +108,6 @@ class SCMatrix:
                     - self.e * self.delta,
         }
 
-    def is_valid(self):
-        return all(v.is_zero() for v in self.check().values()) and \
-            self.e.body() in (Qi(1), Qi(-1))
-
     # -- group structure
 
     def mul(self, other: "SCMatrix") -> "SCMatrix":
@@ -247,39 +243,6 @@ def act_point(m: SCMatrix, pt):
         raise GrassmannError("homogeneous coordinates with no invertible entry")
     img = ProjPoint._of(m.n, Z1, Z2, Theta)
     return preferred_chart(img) if want_chart else img
-
-
-def chart_pullback(m: SCMatrix, pt: ChartPoint) -> ChartPoint:
-    """The affine-chart form of the action, written with the classical
-    quotient formulas; agrees with act_point wherever the denominators are
-    invertible and exists mainly so that the two routes can cross-check."""
-    n = m.n
-    if pt.n != n:
-        raise GrassmannError("generator count mismatch between matrix and point")
-    a, b, c, d, e = m.a, m.b, m.c, m.d, m.e
-    alpha, beta, gamma, delta = m.alpha, m.beta, m.gamma, m.delta
-    one = SuperNumber.one(n)
-    z, th = pt.p, pt.pi
-    if pt.chart == 1:
-        den = c * z + d
-        if not den.is_invertible():
-            raise GrassmannError("image leaves the chart; use act_point")
-        dinv = den.invert()
-        zz = (a * z + b) * dinv + th * (e * (gamma * z + delta)) * dinv * dinv
-        tt = (gamma * z + delta) * dinv \
-            + th * (one - gamma * delta) * (e * den).invert()
-        return ChartPoint(n, 1, zz, tt)
-    den = a - b * z
-    if not den.is_invertible():
-        raise GrassmannError("image leaves the chart; use act_point")
-    dinv = den.invert()
-    # the odd correction enters with a plus here: expanding the quotient
-    # -(c - d z + theta beta)/(a - b z + theta alpha) and checking the
-    # superconformality relation D(z') = theta' . D(theta') both force it
-    zz = -(c - d * z) * dinv + th * (e * (gamma - delta * z)) * dinv * dinv
-    tt = (gamma - delta * z) * dinv \
-        + th * (one - gamma * delta) * (e * den).invert()
-    return ChartPoint(n, 2, zz, tt)
 
 
 def point_multiplier(m: SCMatrix, pt) -> SuperNumber:

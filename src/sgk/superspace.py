@@ -154,10 +154,6 @@ def point_zero(n):
     return ChartPoint(n, 1, 0, 0)
 
 
-def point_one(n):
-    return ChartPoint(n, 1, 1, 0)
-
-
 def point_infty(n):
     return ChartPoint(n, 2, 0, 0)
 

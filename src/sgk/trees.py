@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .curves import (SuperCurve, act_general, eval_curve_at_superpoint,
                      random_curve, torus_act_curve)
-from .grassmann import (GrassmannError, SuperNumber, _below, random_qi,
-                        random_supernumber)
+from .grassmann import GrassmannError, _below, random_qi, random_supernumber
 from .polyrat import SuperPoly
 from .scgroup import SCMatrix, act_point
 from .superspace import (ChartPoint, as_proj, reduced_bodies_distinct,
@@ -31,7 +30,7 @@ class StableTree:
 
     __slots__ = ("nv", "edges", "marking", "degrees")
 
-    def __init__(self, nv, edges, marking, degrees, require_stable=True):
+    def __init__(self, nv, edges, marking, degrees):
         if nv < 1:
             raise GrassmannError("a tree needs at least one vertex")
         self.nv = nv
@@ -57,7 +56,7 @@ class StableTree:
             raise GrassmannError("vertex degrees must be nonnegative")
         if len(self.edges) != nv - 1 or not self._connected():
             raise GrassmannError("edges must form a connected acyclic graph")
-        if require_stable and not self.is_stable():
+        if not self.is_stable():
             raise GrassmannError("unstable tree: a degree-zero vertex has "
                                  "fewer than three special points")
 

@@ -67,7 +67,9 @@ num^j * den^(total - j) * c_j formed as a product of two dense polynomials.
 susy1_square uses it, so the equivariance oracle does not share the path it
 checks.  reference_proj_equal is projective equality as it was before
 cross-multiplication: both points divided into a chart they both admit and
-the chart coordinates compared.
+the chart coordinates compared.  chart_pullback is the point action
+written with the classical chart quotient formulas instead of the
+homogeneous product that act_point computes.
 
 ReferencePoly is the dense scalar polynomial as it was before the integer
 form: a tuple of Qi or RatT coefficients, each operation a loop of scalar
@@ -133,7 +135,8 @@ class Frac:
         return Frac(self.num * o.num, self.den * o.den)
 
     def flip(self):
-        return Frac(*(SuperPoly(p.n, [c.grade_flip() for c in p.coeffs])
+        return Frac(*(SuperPoly(p.n, [c.even_part() - c.odd_part()
+                                      for c in p.coeffs])
                       for p in (self.num, self.den)))
 
     def eq(self, o):
@@ -775,6 +778,40 @@ def reference_proj_equal(a, b) -> bool:
         if ca is None or cb is None:
             return False
     return ca.p == cb.p and ca.pi == cb.pi
+
+
+def chart_pullback(m, pt):
+    """The affine-chart form of the action, written with the classical
+    quotient formulas; agrees with act_point wherever the denominators are
+    invertible."""
+    n = m.n
+    if pt.n != n:
+        raise GrassmannError(
+            "generator count mismatch between matrix and point")
+    a, b, c, d, e = m.a, m.b, m.c, m.d, m.e
+    alpha, beta, gamma, delta = m.alpha, m.beta, m.gamma, m.delta
+    one = SuperNumber.one(n)
+    z, th = pt.p, pt.pi
+    if pt.chart == 1:
+        den = c * z + d
+        if not den.is_invertible():
+            raise GrassmannError("image leaves the chart; use act_point")
+        dinv = den.invert()
+        zz = (a * z + b) * dinv + th * (e * (gamma * z + delta)) * dinv * dinv
+        tt = (gamma * z + delta) * dinv \
+            + th * (one - gamma * delta) * (e * den).invert()
+        return ChartPoint(n, 1, zz, tt)
+    den = a - b * z
+    if not den.is_invertible():
+        raise GrassmannError("image leaves the chart; use act_point")
+    dinv = den.invert()
+    # the odd correction enters with a plus here: expanding the quotient
+    # -(c - d z + theta beta)/(a - b z + theta alpha) and checking the
+    # superconformality relation D(z') = theta' . D(theta') both force it
+    zz = -(c - d * z) * dinv + th * (e * (gamma - delta * z)) * dinv * dinv
+    tt = (gamma - delta * z) * dinv \
+        + th * (one - gamma * delta) * (e * den).invert()
+    return ChartPoint(n, 2, zz, tt)
 
 
 class ReferencePoly:

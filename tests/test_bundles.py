@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sgk.bundles import (Section, h0_dim, pair_section_with_curve, point_row,
+from sgk.bundles import (Section, pair_section_with_curve, point_row,
                          sl2_act_section, spinor_section, susy1_matrix,
-                         susy1_shift_point, wronskian)
+                         wronskian)
 from sgk.curves import SuperCurve
 from sgk.grassmann import GrassmannError, Qi, SuperNumber, random_qi, \
     random_supernumber
@@ -17,10 +17,6 @@ from sgk.scgroup import act_point, lift_sl2, point_multiplier, \
     random_sl2_qi, susy
 from sgk.superspace import ChartPoint, ProjPoint, point_infty, \
     preferred_chart
-
-
-def test_h0_dim():
-    assert [h0_dim(k) for k in (-2, -1, 0, 1, 3)] == [0, 0, 1, 2, 4]
 
 
 def test_section_degree_bound():
@@ -170,15 +166,6 @@ def test_susy1_matrix_shape_and_report():
     assert rep.rank == 2
     assert rep.coker_rank == len(rows) - 2
     assert not rep.degenerate
-
-
-def test_susy1_shift_point():
-    n = 2
-    al, be = SuperNumber.gen(n, 1), SuperNumber.gen(n, 2)
-    pt = ChartPoint(n, 1, 3, 0)
-    moved = susy1_shift_point(al, be, pt)
-    assert moved.p == pt.p
-    assert moved.pi == al - 3 * be
 
 
 def test_section_str_not_used_as_literal():

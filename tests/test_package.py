@@ -1,5 +1,6 @@
 """The package's public surface: `sgk.__all__` is exactly what `__init__`
-imports, and every name in it resolves; and the ring operations of
+imports, every name in it resolves, and every name in it is used by the
+package itself or by the acceptance gate; and the ring operations of
 SuperNumber and SuperPoly have one implementation."""
 
 import ast
@@ -29,6 +30,43 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from sgk import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(sgk.__all__)
+
+
+def _used_names():
+    """The names that some line of src/sgk other than __init__.py reads or
+    imports, not counting the lines of a top-level definition of the same
+    name."""
+    used = set()
+    for path in Path(sgk.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                names -= {t.id for t in stmt.targets
+                          if isinstance(t, ast.Name)}
+            used |= names
+    return used
+
+
+def test_every_exported_name_has_a_user():
+    """A name in sgk.__all__ is read somewhere in src/sgk outside its own
+    definition, or tests/test_acceptance.py imports it."""
+    acceptance = ast.parse(
+        (Path(__file__).parent / "test_acceptance.py").read_text())
+    gate = {alias.asname or alias.name for node in ast.walk(acceptance)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = set(sgk.__all__) - _used_names() - gate - {"__version__"}
+    assert not unused, sorted(unused)
 
 
 def _class_names(module, cls):

@@ -14,12 +14,10 @@ from _oracles import (reference_coprime_bodies, reference_homog_subst,
 from sgk.bundles import Section
 from sgk.grassmann import GrassmannError, Qi, ScalarPoly, SuperNumber, \
     T_PARAM, make_rat, random_qi, random_supernumber
-from sgk.linalg import (_gauss_jordan, field_inverse, field_rank,
-                        field_solve, mat_mul, mat_vec, module_rank_report,
-                        solve_body_invertible)
+from sgk.linalg import (_gauss_jordan, field_inverse, field_rank, mat_mul,
+                        module_rank_report, solve_body_invertible)
 from sgk.polyrat import (CERTIFICATE_POINTS, SuperPoly, chart2_poly,
-                         coprime_bodies, homog_subst, inverse_mod,
-                         reverse_coeffs)
+                         coprime_bodies, homog_subst, inverse_mod)
 
 
 def _rand_poly(rng, n, max_deg):
@@ -186,14 +184,6 @@ def test_poly_times_constant_matches_convolution(case):
     assert c * p == const * p == sum_sign_check(const, p)
 
 
-def test_reverse_coeffs():
-    n = 1
-    p = SuperPoly(n, [1, 2, 3])
-    assert reverse_coeffs(p, 2) == SuperPoly(n, [3, 2, 1])
-    # padding up to the stated total degree
-    assert reverse_coeffs(p, 3) == SuperPoly(n, [0, 3, 2, 1])
-
-
 small_qi = st.builds(Qi, st.integers(-3, 3), st.integers(-1, 1))
 small_scalars = st.one_of(small_qi, st.builds(lambda a, b: a + b * T_PARAM,
                                               small_qi, small_qi))
@@ -349,10 +339,10 @@ def test_field_rank_and_solve():
     assert field_rank(rows) == 1
     rows = [[Qi(1), Qi(2)], [Qi(0, 1), Qi(4)]]
     assert field_rank(rows) == 2
-    sol = field_solve(rows, [Qi(3), Qi(1)])
+    inv = field_inverse(rows)
+    sol = [inv[i][0] * Qi(3) + inv[i][1] * Qi(1) for i in range(2)]
     assert [sum((a * x for a, x in zip(r, sol)), Qi(0)) for r in rows] \
         == [Qi(3), Qi(1)]
-    inv = field_inverse(rows)
     prod = mat_mul([[a for a in r] for r in rows], inv)
     # mat_mul works over Grassmann entries; redo over plain scalars
     ident = [[Qi(1), Qi(0)], [Qi(0), Qi(1)]]
@@ -375,9 +365,10 @@ def test_field_rank_and_solve():
             with pytest.raises(GrassmannError, match="singular"):
                 field_inverse(a)
             continue
-        assert _scalar_mat_mul(field_inverse(a), a) == _scalar_identity(size)
-        x = field_solve(a, b)
-        assert _scalar_mat_mul(a, [[v] for v in x]) == [[v] for v in b]
+        inv = field_inverse(a)
+        assert _scalar_mat_mul(inv, a) == _scalar_identity(size)
+        x = _scalar_mat_mul(inv, [[v] for v in b])
+        assert _scalar_mat_mul(a, x) == [[v] for v in b]
     # rectangular and rank-deficient inputs
     t = T_PARAM
     wide = [[1, t, 0], [0, 1, t]]
@@ -399,15 +390,8 @@ def test_field_solve_and_inverse_reject_non_square_shapes():
                         (tall, "3 rows of 2 columns"),
                         (ragged, "2 rows of 1/2 columns")):
         with pytest.raises(GrassmannError, match="square, got " + shape):
-            field_solve(rows, [1] * len(rows))
-        with pytest.raises(GrassmannError, match="square, got " + shape):
             field_inverse(rows)
-    for rhs in ([1], [1, 2, 3]):
-        with pytest.raises(GrassmannError,
-                           match="right-hand side has %d entries for 2 "
-                                 "equations" % len(rhs)):
-            field_solve([[1, 2], [3, 4]], rhs)
-    assert field_solve([], []) == [] and field_inverse([]) == []
+    assert field_inverse([]) == []
 
 
 def _eliminated_inverse(rows):
@@ -481,8 +465,9 @@ def _scalar_identity(size):
 
 
 def test_field_solve_singular():
-    with pytest.raises(GrassmannError):
-        field_solve([[Qi(1), Qi(2)], [Qi(2), Qi(4)]], [Qi(1), Qi(0)])
+    # a singular system has no inverse to solve it with
+    with pytest.raises(GrassmannError, match="singular scalar system"):
+        field_inverse([[Qi(1), Qi(2)], [Qi(2), Qi(4)]])
 
 
 def test_solve_body_invertible_random():
@@ -496,7 +481,7 @@ def test_solve_body_invertible_random():
             mat[i][i] = mat[i][i] + (i + 2)  # make the body invertible
         rhs = [random_supernumber(rng, n, max_terms=2) for _ in range(size)]
         sol = solve_body_invertible(mat, rhs)
-        assert mat_vec(mat, sol) == rhs
+        assert mat_mul(mat, [[x] for x in sol]) == [[b] for b in rhs]
     for short_or_long in (rhs[1:], rhs + rhs[:1]):
         with pytest.raises(GrassmannError, match="right-hand side has"):
             solve_body_invertible(mat, short_or_long)
@@ -598,7 +583,7 @@ def test_module_rank_report_matches_reference(case):
             want.coker_rank, want.degenerate, len(want.kernel_basis))
     for v in got.kernel_basis:
         assert len(v) == got.cols and all(x.n == n for x in v)
-        assert all(x.is_zero() for x in mat_vec(rows, v))
+        assert all(x.is_zero() for x, in mat_mul(rows, [[c] for c in v]))
     if got.cols:
         assert field_rank([[x.body() for x in row] for row in rows]) \
             == got.rank
@@ -685,7 +670,7 @@ def test_module_rank_report_scalar_route_matches_reference(case):
         assert all(x.n == n and x.soul().is_zero() for x in v)
         assert [v[k] for k in free] == [SuperNumber.scalar(n, int(k == j))
                                         for k in free]
-        assert all(x.is_zero() for x in mat_vec(lifted, v))
+        assert all(x.is_zero() for x, in mat_mul(lifted, [[c] for c in v]))
 
 
 def test_module_rank_report_route_by_souls(monkeypatch):
@@ -715,6 +700,6 @@ def test_mat_helpers():
     two = SuperNumber.scalar(n, 2)
     a = [[one, two], [two, one]]
     v = [one, one]
-    assert mat_vec(a, v) == [one + two, one + two]
+    assert mat_mul(a, [[x] for x in v]) == [[one + two], [one + two]]
     sq = mat_mul(a, a)
     assert sq[0][0] == one + two * two

@@ -23,8 +23,7 @@ from _oracles import (ReferenceSuperPoly, reference_poly_homog_subst,
 from sgk.grassmann import (MAX_GENERATORS, GrassmannError, Qi, RatT,
                            ScalarPoly, SuperNumber, T_PARAM, _KEYS,
                            _draw_masks)
-from sgk.polyrat import (SuperPoly, chart2_poly, even_wronskian, homog_subst,
-                         reverse_coeffs)
+from sgk.polyrat import SuperPoly, chart2_poly, even_wronskian, homog_subst
 
 
 def _scalar_form(values):
@@ -215,7 +214,7 @@ def test_superpoly_form_invariants(case, extra):
     results = [p, q, SuperPoly(n, a + [0, 0]), p + q, p - q, p * q, -p,
                p - p, p * 0, p * c, c * p, p + c, p.soul(), p.derivative(),
                SuperPoly.from_body(n, p.body_poly()),
-               reverse_coeffs(p, top), chart2_poly(p, top),
+               chart2_poly(p, top),
                homog_subst(p, q + 1, SuperPoly.linear(n, 1, c), top)]
     if p.is_even() and q.is_even():
         results.append(even_wronskian(p, q))
